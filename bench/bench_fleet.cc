@@ -5,9 +5,11 @@
 //
 //   1. Determinism: FleetResult is bit-identical at 1, 4, and 8 worker
 //      threads (fixed 64-shard layout, shard-ordered merge).
-//   2. Differential anchor: a one-client fleet reproduces
-//      BroadcastChannel::Simulate field-for-field when the query is
-//      replayed through the synchronous simulator with the same streams.
+//   2. Driver agreement: both the fleet and BroadcastChannel::Simulate
+//      drive the one access protocol (broadcast/access.h), the fleet in
+//      absolute time and Simulate on the arrival wrapped into the cycle;
+//      a one-client fleet's query, replayed through Simulate with the
+//      same streams, matches field-for-field (cycle-shift invariance).
 //
 // Extra flags (on top of the shared ones):
 //   --clients=N      concurrent clients (default 1000000)
@@ -122,8 +124,8 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // --- Differential anchor: one client, one query, replayed by hand
-  // through the public stream helpers and the synchronous simulator.
+  // --- Driver agreement: one client, one query, replayed by hand through
+  // the public stream helpers and the synchronous driver.
   {
     bcast::FleetOptions one = fopt;
     one.num_clients = 1;
@@ -176,7 +178,7 @@ int main(int argc, char** argv) {
                    fr.mean_latency, o.latency);
       ok = false;
     } else {
-      std::printf("differential anchor: fleet(1 client) == Simulate ✓\n");
+      std::printf("driver agreement: fleet(1 client) == Simulate ✓\n");
     }
   }
 

@@ -74,7 +74,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto& oc = outcome_r.value();
-    const auto baseline = ch.SimulateNoIndex(trace_r.value().region, arrival);
+    auto baseline_r = ch.SimulateNoIndex(trace_r.value().region, arrival);
+    if (!baseline_r.ok()) {
+      std::fprintf(stderr, "%s\n", baseline_r.status().ToString().c_str());
+      return 1;
+    }
+    const auto& baseline = baseline_r.value();
     std::printf("client %d at (%5.1f,%5.1f), tuned in at t=%.1f\n",
                 session + 1, here.x, here.y, arrival);
     std::printf("  nearest restaurant region: %d\n", trace_r.value().region);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "broadcast/frame.h"
-#include "broadcast/trace.h"
+#include "broadcast/access.h"
+#include "broadcast/versioned.h"
 #include "common/check.h"
 
 namespace dtree::bcast {
@@ -36,7 +36,6 @@ Result<BroadcastChannel> BroadcastChannel::Create(
   BroadcastChannel ch;
   ch.loss_ = options.loss;
   ch.packet_capacity_ = options.packet_capacity;
-  ch.frame_bits_ = FrameBits(options.packet_capacity);
   ch.index_packets_ = index_packets;
   ch.num_regions_ = num_regions;
   ch.bucket_packets_ = static_cast<int>(
@@ -58,17 +57,22 @@ Result<BroadcastChannel> BroadcastChannel::Create(
   m = std::clamp(m, 1, num_regions);
   ch.m_ = m;
 
-  // Split data buckets into m nearly equal contiguous chunks.
-  ch.chunk_first_.resize(m + 1);
-  for (int j = 0; j <= m; ++j) {
-    ch.chunk_first_[j] =
-        static_cast<int>((static_cast<int64_t>(num_regions) * j) / m);
-  }
+  // Split data buckets into m nearly equal contiguous chunks; chunk j
+  // holds buckets [first(j), first(j + 1)) right after index segment j.
+  const auto first = [&](int j) {
+    return static_cast<int>((static_cast<int64_t>(num_regions) * j) / m);
+  };
   ch.segment_start_.resize(m);
+  ch.bucket_start_.resize(num_regions);
   for (int j = 0; j < m; ++j) {
     ch.segment_start_[j] =
         static_cast<int64_t>(j) * index_packets +
-        static_cast<int64_t>(ch.chunk_first_[j]) * ch.bucket_packets_;
+        static_cast<int64_t>(first(j)) * ch.bucket_packets_;
+    for (int r = first(j); r < first(j + 1); ++r) {
+      ch.bucket_start_[r] =
+          ch.segment_start_[j] + index_packets +
+          static_cast<int64_t>(r - first(j)) * ch.bucket_packets_;
+    }
   }
   ch.cycle_packets_ =
       static_cast<int64_t>(m) * index_packets + ch.data_packets_;
@@ -82,13 +86,7 @@ int64_t BroadcastChannel::IndexSegmentStart(int j) const {
 
 int64_t BroadcastChannel::BucketStart(int r) const {
   DTREE_CHECK(r >= 0 && r < num_regions_);
-  // Chunk containing bucket r.
-  const auto it = std::upper_bound(chunk_first_.begin(), chunk_first_.end(),
-                                   r);
-  const int chunk = static_cast<int>(it - chunk_first_.begin()) - 1;
-  DTREE_CHECK(chunk >= 0 && chunk < m_);
-  return segment_start_[chunk] + index_packets_ +
-         static_cast<int64_t>(r - chunk_first_[chunk]) * bucket_packets_;
+  return bucket_start_[r];
 }
 
 Result<BroadcastChannel::QueryOutcome> BroadcastChannel::Simulate(
@@ -96,7 +94,7 @@ Result<BroadcastChannel::QueryOutcome> BroadcastChannel::Simulate(
     QueryTrace* trace_out) const {
   // NaN compares false against both bounds, so the finiteness check is
   // load-bearing: without it a NaN arrival would flow into floor() and
-  // int64 casts below (undefined behavior), not an error.
+  // int64 casts (undefined behavior), not an error.
   if (!std::isfinite(arrival) || arrival < 0.0 ||
       arrival >= static_cast<double>(cycle_packets_)) {
     return Status::InvalidArgument("arrival outside the broadcast cycle");
@@ -104,370 +102,14 @@ Result<BroadcastChannel::QueryOutcome> BroadcastChannel::Simulate(
   DTREE_RETURN_IF_ERROR(ValidateTrace(trace, std::max(index_packets_, 1),
                                       num_regions_,
                                       /*require_forward=*/false));
-
-  QueryOutcome out;
-  LossProcess loss(loss_, loss_stream);
-  // The corruption process draws from its own RNG streams (keyed by its
-  // own seed), so enabling it never perturbs a loss draw and vice versa.
-  CorruptionProcess corrupt(loss_.corruption, frame_bits_, loss_stream);
-  const bool faults = loss.enabled() || corrupt.enabled();
-
-  // Observability hooks: every emitter is a no-op (one predicted branch)
-  // when tracing is off, and tracing never feeds back into the protocol.
-  auto emit_doze = [&](int64_t resume_at, double dur) {
-    if (trace_out != nullptr && dur > 0.0) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kDoze;
-      e.pos = resume_at;
-      e.dur = dur;
-      trace_out->events.push_back(e);
-    }
-  };
-  auto emit_read = [&](TraceEventKind kind, int64_t pos) {
-    if (trace_out != nullptr) {
-      TraceEvent e;
-      e.kind = kind;
-      e.pos = pos;
-      trace_out->events.push_back(e);
-    }
-  };
-  auto finish = [&]() {
-    if (trace_out != nullptr) {
-      trace_out->latency = out.latency;
-      trace_out->tuning_total = out.tuning_total();
-      trace_out->retries = out.retries;
-      trace_out->lost_packets = out.lost_packets;
-      trace_out->corrupted_packets = out.corrupted_packets;
-      trace_out->fallback_scan = out.fallback_scan;
-      trace_out->unrecoverable = out.unrecoverable;
-    }
-  };
-  // One packet read under faults: an erasure means the packet never
-  // arrived; a delivered packet may still carry bit errors, which the
-  // CRC-32 frame check detects. Either way the read is wasted and the
-  // recovery ladder takes over. Loss is drawn first — a lost packet has
-  // no bits to corrupt — and the corruption stream is advanced only for
-  // delivered packets, keeping it aligned across loss configurations.
-  auto read_failed = [&](int64_t at) {
-    if (loss.enabled() && loss.NextLost()) {
-      ++out.lost_packets;
-      emit_read(TraceEventKind::kLoss, at);
-      return true;
-    }
-    if (corrupt.enabled() && corrupt.NextCorrupted()) {
-      ++out.corrupted_packets;
-      emit_read(TraceEventKind::kCorruption, at);
-      return true;
-    }
-    return false;
-  };
-
-  // --- Degradation ladder, final rung. Entered when a budget above it is
-  // exhausted: with fallback disabled the query is simply unrecoverable
-  // (bit-identical to the pre-ladder give-up), otherwise the client stops
-  // trusting the index and listens to *every* packet until its bucket has
-  // gone by — the indexless protocol of SimulateNoIndex, except on the
-  // real (1, m) layout and still subject to faults on the bucket packets
-  // themselves. The client recognizes its bucket by content (it verifies
-  // the bucket bytes it wanted, cf. MakeDataBucketPackets), so scanned
-  // packets are only counted — charged to tuning_index like the indexless
-  // baseline — and the bucket packets to tuning_data. Either the data
-  // completes or, after fallback_scan_cycles failed cycles, the query is
-  // explicitly unrecoverable; it never dozes forever.
-  auto conclude = [&](int64_t give_up_pos,
-                      GiveUpStage stage) -> QueryOutcome {
-    for (int cycle = 0; cycle < loss_.fallback_scan_cycles; ++cycle) {
-      out.fallback_scan = true;
-      loss.StartStream(LossProcess::FallbackStream(cycle));
-      corrupt.StartStream(LossProcess::FallbackStream(cycle));
-      const int64_t bucket_in_cycle = BucketStart(trace.region);
-      const int64_t cycle_base =
-          (give_up_pos / cycle_packets_) * cycle_packets_;
-      int64_t data_at = cycle_base + bucket_in_cycle;
-      if (data_at < give_up_pos) data_at += cycle_packets_;
-      const int64_t listened = data_at - give_up_pos;
-      out.tuning_index += static_cast<int>(listened);
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kFallbackScan;
-        e.pos = give_up_pos;
-        e.packet = static_cast<int>(listened);
-        e.attempt = cycle;
-        trace_out->events.push_back(e);
-      }
-      bool lost = false;
-      bool corrupted_here = false;
-      int bucket_read = 0;
-      for (int b = 0; b < bucket_packets_; ++b) {
-        ++out.tuning_data;
-        ++bucket_read;
-        if (loss.enabled() && loss.NextLost()) {
-          ++out.lost_packets;
-          lost = true;
-          break;
-        }
-        if (corrupt.enabled() && corrupt.NextCorrupted()) {
-          ++out.corrupted_packets;
-          corrupted_here = true;
-          lost = true;
-          break;
-        }
-      }
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kBucketRead;
-        e.pos = data_at;
-        e.packet = bucket_read;
-        trace_out->events.push_back(e);
-        if (lost) {
-          emit_read(corrupted_here ? TraceEventKind::kCorruption
-                                   : TraceEventKind::kLoss,
-                    data_at + bucket_read - 1);
-        }
-      }
-      if (!lost) {
-        out.latency =
-            static_cast<double>(data_at + bucket_packets_) - arrival;
-        finish();
-        return out;
-      }
-      give_up_pos = data_at + bucket_read;  // listen past the bad packet
-    }
-    out.unrecoverable = true;
-    out.give_up =
-        out.fallback_scan ? GiveUpStage::kFallbackBudget : stage;
-    out.latency = static_cast<double>(give_up_pos) - arrival;
-    finish();
-    return out;
-  };
-
-  // --- Initial probe: wait for the next packet *start*, read one packet
-  // to learn where the next index segment starts. A packet whose
-  // transmission began exactly at `arrival` is already in flight and
-  // cannot be synchronized to, so the probe is floor(arrival) + 1 — for
-  // non-integer arrivals this equals ceil(arrival), for exact packet
-  // boundaries it is the next packet (the old ceil() read a packet that
-  // had already started).
-  int64_t probe_packet = static_cast<int64_t>(std::floor(arrival)) + 1;
-  out.tuning_probe = 1;
-  emit_doze(probe_packet, static_cast<double>(probe_packet) - arrival);
-  emit_read(TraceEventKind::kProbe, probe_packet);
-  // A failed probe costs one packet of listening and one of waiting; the
-  // client simply reads the following packet (every packet carries the
-  // next-index pointer). Bounded by the same retry budget as re-tunes.
-  while (faults && read_failed(probe_packet)) {
-    if (out.tuning_probe > loss_.max_retries) {
-      return conclude(probe_packet + 1, GiveUpStage::kProbeBudget);
-    }
-    ++out.tuning_probe;
-    ++probe_packet;
-    emit_read(TraceEventKind::kProbe, probe_packet);
-  }
-  int64_t pos = probe_packet + 1;  // finished reading the probe packet
-
-  // Smallest absolute index-segment start >= t. t is always positive here
-  // (audited below at the backward-pointer call site); a negative t would
-  // truncate t / cycle_packets_ toward zero and return a segment in
-  // cycle 0 that may lie in the past.
-  auto next_segment_start = [&](int64_t t) {
-    DTREE_CHECK(t >= 0);
-    const int64_t base = (t / cycle_packets_) * cycle_packets_;
-    const int64_t in_cycle = t - base;
-    for (int j = 0; j < m_; ++j) {
-      if (segment_start_[j] >= in_cycle) return base + segment_start_[j];
-    }
-    return base + cycle_packets_ + segment_start_[0];
-  };
-
-  // --- Access attempts. Attempt 0 is the normal protocol; when a read is
-  // lost the client re-tunes to the next index repetition after the
-  // failure and restarts the index search there (the (1, m) recovery of
-  // Imielinski et al.), up to max_retries re-tunes. On a lossless channel
-  // the loop body runs exactly once and no loss draws are made, so the
-  // outcome is bit-identical to the pre-loss-model simulator.
-  const int max_attempts = faults ? loss_.max_retries + 1 : 1;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++out.retries;
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kRetune;
-        e.pos = pos;
-        e.attempt = attempt;
-        trace_out->events.push_back(e);
-      }
-    }
-    loss.StartStream(LossProcess::AttemptStream(attempt));
-    corrupt.StartStream(LossProcess::AttemptStream(attempt));
-    bool lost = false;
-
-    // --- Index search: jump to the first index segment at or after pos.
-    int64_t p = pos;
-    int64_t seg_start = next_segment_start(p);
-    DTREE_CHECK(seg_start >= p);
-
-    const bool annotated = trace.origins.size() == trace.packets.size();
-    for (size_t i = 0; i < trace.packets.size(); ++i) {
-      const int packet_id = trace.packets[i];
-      int64_t at = seg_start + packet_id;
-      if (at < p) {
-        // The referenced packet already went by (a backward pointer in a
-        // DAG-shaped index): wait for the next repetition of the index
-        // that still has this packet ahead of us.
-        //
-        // p - packet_id is provably positive: a backward jump can only
-        // happen after a previous read, so p = seg_start' + prev_id + 1
-        // for some seg_start' >= 0, and at < p forces
-        // packet_id <= prev_id, hence p - packet_id >= seg_start' + 1.
-        // The DTREE_CHECK in next_segment_start guards the invariant.
-        seg_start = next_segment_start(p - packet_id);
-        at = seg_start + packet_id;
-        DTREE_CHECK(at >= p);
-      }
-      emit_doze(at, static_cast<double>(at - p));
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kIndexRead;
-        e.pos = at;
-        e.packet = packet_id;
-        if (annotated) {
-          e.node = trace.origins[i].node;
-          e.depth = trace.origins[i].depth;
-        }
-        trace_out->events.push_back(e);
-      }
-      p = at + 1;
-      ++out.tuning_index;
-      if (faults && read_failed(at)) {
-        lost = true;
-        break;
-      }
-    }
-    if (!lost) {
-      if (trace.packets.empty()) {
-        p = std::max(p, seg_start);  // degenerate: empty index
-      }
-
-      // --- Data retrieval: next occurrence of the bucket at or after p.
-      const int64_t bucket_in_cycle = BucketStart(trace.region);
-      const int64_t cycle_base = (p / cycle_packets_) * cycle_packets_;
-      int64_t data_at = cycle_base + bucket_in_cycle;
-      if (data_at < p) data_at += cycle_packets_;
-      emit_doze(data_at, static_cast<double>(data_at - p));
-      int bucket_read = 0;
-      bool corrupted_here = false;
-      for (int b = 0; b < bucket_packets_; ++b) {
-        ++out.tuning_data;
-        ++bucket_read;
-        if (!faults) continue;
-        if (loss.enabled() && loss.NextLost()) {
-          ++out.lost_packets;
-          lost = true;
-          p = data_at + b + 1;  // loss detected at the end of this packet
-          break;
-        }
-        if (corrupt.enabled() && corrupt.NextCorrupted()) {
-          ++out.corrupted_packets;
-          corrupted_here = true;
-          lost = true;
-          p = data_at + b + 1;  // CRC failure at the end of this packet
-          break;
-        }
-      }
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kBucketRead;
-        e.pos = data_at;
-        e.packet = bucket_read;
-        trace_out->events.push_back(e);
-        if (lost) {
-          emit_read(corrupted_here ? TraceEventKind::kCorruption
-                                   : TraceEventKind::kLoss,
-                    data_at + bucket_read - 1);
-        }
-      }
-      if (!lost) {
-        const int64_t done = data_at + bucket_packets_;
-        out.latency = static_cast<double>(done) - arrival;
-        finish();
-        return out;
-      }
-    }
-    pos = p;  // re-tune: the next attempt starts after the failed read
-  }
-  return conclude(pos, GiveUpStage::kRetryBudget);
+  const EpochSpan span{this, /*epoch=*/0, /*cycles=*/1};
+  return SimulateQuery(TimelineView::Single(&span), &trace, arrival,
+                       loss_stream, /*versioned=*/false, trace_out);
 }
 
-BroadcastChannel::QueryOutcome BroadcastChannel::SimulateNoIndex(
+Result<BroadcastChannel::QueryOutcome> BroadcastChannel::SimulateNoIndex(
     int region, double arrival, uint64_t loss_stream) const {
-  DTREE_CHECK(region >= 0 && region < num_regions_);
-  DTREE_CHECK(std::isfinite(arrival) && arrival >= 0.0);
-  // Pure-data cycle: buckets back to back, no index segments. Same packet
-  // boundary rule as Simulate: a packet that started exactly at the
-  // arrival instant is already in flight, so listening begins at the next
-  // packet start, floor(a) + 1.
-  const int64_t cycle = data_packets_;
-  const double a = std::fmod(arrival, static_cast<double>(cycle));
-  const int64_t start_listen = static_cast<int64_t>(std::floor(a)) + 1;
-  const int64_t bucket_at = static_cast<int64_t>(region) * bucket_packets_;
-  int64_t data_at = bucket_at;
-  if (data_at < start_listen) data_at += cycle;
-  QueryOutcome out;
-  out.tuning_probe = 0;
-  if (!loss_.any_fault()) {
-    // Reliable medium: the client listens to every packet until its
-    // bucket completes. No RNG is constructed, so this path is
-    // bit-identical to the pre-loss baseline.
-    out.tuning_data = bucket_packets_;
-    const int64_t done = data_at + bucket_packets_;
-    out.tuning_index = static_cast<int>(data_at - start_listen);
-    out.latency = static_cast<double>(done) - a;
-    return out;
-  }
-  // Faulty medium: the indexless client is listening continuously, so a
-  // lost or corrupted packet only matters when it is one of the client's
-  // own bucket packets — everything else was going to be discarded
-  // anyway. A failed bucket costs another full pure-data cycle of
-  // listening until the bucket comes around again (counted in retries,
-  // mirroring the indexed client's re-tunes), bounded by the same
-  // max_retries budget. Each pass draws from its own sub-stream keyed by
-  // (seed, loss_stream), like Simulate's attempts, so the baseline is a
-  // pure function of (channel, region, arrival, loss_stream).
-  LossProcess loss(loss_, loss_stream);
-  CorruptionProcess corrupt(loss_.corruption, frame_bits_, loss_stream);
-  int64_t listen_from = start_listen;
-  for (int pass = 0; pass <= loss_.max_retries; ++pass) {
-    if (pass > 0) ++out.retries;
-    loss.StartStream(LossProcess::NoIndexStream(pass));
-    corrupt.StartStream(LossProcess::NoIndexStream(pass));
-    out.tuning_index += static_cast<int>(data_at - listen_from);
-    bool failed = false;
-    int bucket_read = 0;
-    for (int b = 0; b < bucket_packets_; ++b) {
-      ++out.tuning_data;
-      ++bucket_read;
-      if (loss.enabled() && loss.NextLost()) {
-        ++out.lost_packets;
-        failed = true;
-        break;
-      }
-      if (corrupt.enabled() && corrupt.NextCorrupted()) {
-        ++out.corrupted_packets;
-        failed = true;
-        break;
-      }
-    }
-    if (!failed) {
-      out.latency = static_cast<double>(data_at + bucket_packets_) - a;
-      return out;
-    }
-    listen_from = data_at + bucket_read;  // listen past the bad packet
-    data_at += cycle;
-  }
-  out.unrecoverable = true;
-  out.give_up = GiveUpStage::kRetryBudget;
-  out.latency = static_cast<double>(listen_from) - a;
-  return out;
+  return SimulateNoIndexQuery(*this, region, arrival, loss_stream);
 }
 
 }  // namespace dtree::bcast

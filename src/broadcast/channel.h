@@ -13,7 +13,9 @@
 //
 // ChannelOptions::loss selects an optional packet-loss model (loss.h);
 // Simulate then plays the client's re-tune recovery protocol and reports
-// retries and unrecoverable failures in the QueryOutcome.
+// retries and unrecoverable failures in the QueryOutcome. The protocol
+// itself is written once, in broadcast/access.h; this class owns the
+// layout it reads.
 
 #ifndef DTREE_BROADCAST_CHANNEL_H_
 #define DTREE_BROADCAST_CHANNEL_H_
@@ -78,7 +80,8 @@ class BroadcastChannel {
   /// segment j, j in [0, m).
   int64_t IndexSegmentStart(int j) const;
 
-  /// Absolute position of the first packet of data bucket r.
+  /// Absolute position of the first packet of data bucket r (a table
+  /// lookup).
   int64_t BucketStart(int r) const;
 
   struct QueryOutcome {
@@ -119,8 +122,10 @@ class BroadcastChannel {
     }
   };
 
-  /// Simulates the full access protocol for a client arriving at continuous
-  /// time `arrival` in [0, cycle) whose index search produced `trace`.
+  /// Simulates the full access protocol (broadcast/access.h) for a client
+  /// arriving at continuous time `arrival` in [0, cycle) whose index
+  /// search produced `trace`: one query run to completion on a one-span
+  /// timeline whose only span never ends.
   /// The precondition is validated: a non-finite arrival (NaN, ±inf) or one
   /// outside [0, cycle) returns InvalidArgument — callers replaying
   /// absolute fleet time must wrap with fmod(t, cycle_packets()) first.
@@ -159,7 +164,8 @@ class BroadcastChannel {
   /// Baseline without any index: the client listens from arrival until its
   /// bucket has gone by, on a pure-data cycle of the same database.
   ///
-  /// `arrival` must be finite and non-negative (checked); it is canonically
+  /// `arrival` must be finite and non-negative and `region` a bucket of
+  /// this channel; otherwise InvalidArgument. The arrival is canonically
   /// wrapped mod the pure-data cycle, so callers may pass absolute time.
   ///
   /// When ChannelOptions::loss is enabled the baseline plays the same
@@ -173,11 +179,11 @@ class BroadcastChannel {
   /// Simulate), disjoint from every indexed-path stream. With loss and
   /// corruption disabled the outcome is bit-identical to the pre-loss
   /// baseline and no RNG is constructed.
-  QueryOutcome SimulateNoIndex(int region, double arrival,
-                               uint64_t loss_stream) const;
+  Result<QueryOutcome> SimulateNoIndex(int region, double arrival,
+                                       uint64_t loss_stream) const;
 
   /// Convenience overload: loss stream 0.
-  QueryOutcome SimulateNoIndex(int region, double arrival) const {
+  Result<QueryOutcome> SimulateNoIndex(int region, double arrival) const {
     return SimulateNoIndex(region, arrival, 0);
   }
 
@@ -193,14 +199,10 @@ class BroadcastChannel {
   int bucket_packets_ = 0;
   int64_t data_packets_ = 0;
   int64_t cycle_packets_ = 0;
-  /// Framed packet size in bits (payload + CRC trailer); the exposure of
-  /// one packet read to the bit-corruption process.
-  int frame_bits_ = 0;
-  /// First data-bucket id of each of the m data chunks (size m + 1,
-  /// chunk_first_[m] == num_regions).
-  std::vector<int> chunk_first_;
   /// Precomputed segment start positions (size m).
   std::vector<int64_t> segment_start_;
+  /// Precomputed bucket start positions (size num_regions).
+  std::vector<int64_t> bucket_start_;
   LossOptions loss_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "broadcast/access.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "geom/polygon.h"
@@ -241,12 +242,7 @@ Result<ExperimentResult> RunExperiment(const AirIndex& index,
             qt->y = p.y;
             qt->region = hit->region;
             qt->arrival = arrival;
-            qt->cache_hit = true;
-            TraceEvent ev;
-            ev.kind = TraceEventKind::kCacheHit;
-            ev.pos = static_cast<int64_t>(std::floor(arrival)) + 1;
-            ev.packet = static_cast<int>(hit->epoch);
-            qt->events.push_back(ev);
+            TraceCacheHit(hit->epoch, qt);
           }
           // The hit IS the energy win: the client never tunes in, so the
           // query contributes zero latency and zero tuning to every
@@ -327,9 +323,13 @@ Result<ExperimentResult> RunExperiment(const AirIndex& index,
       // indexed client, keyed by the same global query index (its draws
       // come from the disjoint NoIndexStream family, so neither
       // simulation perturbs the other).
-      const auto base = ch.SimulateNoIndex(
+      Result<BroadcastChannel::QueryOutcome> base_r = ch.SimulateNoIndex(
           trace.region, arrival, static_cast<uint64_t>(shard_first + q));
-      sums.tuning_noindex += base.tuning_total();
+      if (!base_r.ok()) {
+        sums.error = base_r.status();
+        return;
+      }
+      sums.tuning_noindex += base_r.value().tuning_total();
     }
   };
 

@@ -4,22 +4,19 @@
 // The experiment driver (broadcast/experiment.h) replays independent
 // queries through BroadcastChannel::Simulate one at a time — there is no
 // notion of a population. RunFleet instead advances a single broadcast
-// clock and a priority queue of client wake-ups; each client is a
-// lightweight state machine that dozes between the packets it must hear
-// (doze -> probe -> index descent -> bucket read, plus the existing
-// retry / re-tune / fallback ladder rungs), issues queries from its own
-// Poisson arrival process, and may churn (leave, with a fresh client
-// re-occupying the slot).
+// clock and a priority queue of client wake-ups. Each client runs its
+// queries through the access protocol's state machine (broadcast/access.h)
+// — doze -> probe -> index descent -> bucket read, plus the retry /
+// re-tune / fallback / epoch-skew rungs — waking only for the packets it
+// must hear, issues queries from its own Poisson arrival process, and may
+// churn (leave, with a fresh client re-occupying the slot).
 //
-// Protocol fidelity: the per-query state machine replays the exact packet
-// arithmetic, RNG draw order and trace-event order of
-// BroadcastChannel::Simulate, only spread across wake-up events in
-// absolute broadcast time instead of one synchronous call. Every packet
+// Simulate drives the same machine synchronously on one span. Every packet
 // position of a query arriving at absolute time A is the position for
 // arrival fmod(A, cycle) shifted by the same whole number of cycles, and
 // both arithmetic forms are exact in double, so a fleet of one client
-// issuing one query reproduces Simulate's QueryOutcome field-for-field —
-// the differential anchor pinned in tests/fleet_test.cc.
+// issuing one query reproduces Simulate's QueryOutcome field-for-field:
+// the two drivers agree by cycle-shift invariance (tests/fleet_test.cc).
 //
 // Determinism contract (same shape as RunExperiment's): clients are split
 // into kFleetShards fixed shards owning contiguous slot ranges; every
@@ -86,8 +83,8 @@ struct FleetOptions {
   /// Threads to run client shards on; 0 = hardware concurrency. Results
   /// do not depend on this value — only wall-clock time does.
   int num_threads = 0;
-  /// Channel fault injection; every query plays the same degradation
-  /// ladder as BroadcastChannel::Simulate.
+  /// Channel fault injection; every query plays the access protocol's
+  /// degradation ladder (broadcast/access.h).
   LossOptions loss;
   /// Opt-in per-query tracing (not owned). Each shard buffers privately;
   /// traces are replayed into the sink in shard order after the parallel
@@ -236,8 +233,8 @@ struct FleetEpoch {
 };
 
 /// Runs the fleet over a timeline of broadcast epochs (the version-skew
-/// rung of the degradation ladder — see broadcast/versioned.h for the
-/// protocol contract). Clients that doze across an epoch boundary detect
+/// rung of the degradation ladder — see broadcast/access.h for the
+/// protocol and broadcast/versioned.h for the timeline). Clients that doze across an epoch boundary detect
 /// the skew on their next delivered read, abandon partial state, re-probe
 /// the new epoch's index, and re-tune; queries observing more than
 /// LossOptions::max_epoch_switches give up with GiveUpStage::kEpochChurn

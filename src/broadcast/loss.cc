@@ -80,9 +80,11 @@ Status ValidateLossOptions(const LossOptions& options) {
   return Status::InvalidArgument("unknown loss model");
 }
 
-void LossProcess::StartStream(uint64_t stream) {
-  if (!enabled()) return;
-  rng_ = Rng(Rng::MixStream(query_key_, stream));
+LossProcess::LossProcess(const LossOptions& options, uint64_t query_stream,
+                         uint64_t stream)
+    : options_(options),
+      rng_(Rng::MixStream(Rng::MixStream(options.seed, query_stream),
+                          stream)) {
   if (options_.model == LossModel::kGilbertElliott) {
     // Stationary state occupancy: P(bad) = g2b / (g2b + b2g).
     const double denom = options_.p_good_to_bad + options_.p_bad_to_good;
@@ -113,19 +115,14 @@ bool LossProcess::NextLost() {
 }
 
 CorruptionProcess::CorruptionProcess(const CorruptionOptions& options,
-                                     int frame_bits, uint64_t query_stream)
+                                     int frame_bits, uint64_t query_stream,
+                                     uint64_t stream)
     : options_(options),
-      query_key_(Rng::MixStream(options.seed, query_stream)),
-      rng_(0) {
+      rng_(Rng::MixStream(Rng::MixStream(options.seed, query_stream),
+                          stream)) {
   p_frame_ = FrameCorruptionProbability(options_.bit_error_rate, frame_bits);
   p_frame_good_ = FrameCorruptionProbability(options_.ber_good, frame_bits);
   p_frame_bad_ = FrameCorruptionProbability(options_.ber_bad, frame_bits);
-  StartStream(LossProcess::kProbeStream);
-}
-
-void CorruptionProcess::StartStream(uint64_t stream) {
-  if (!enabled()) return;
-  rng_ = Rng(Rng::MixStream(query_key_, stream));
   if (options_.model == CorruptionModel::kBurstBits) {
     const double denom = options_.p_good_to_bad + options_.p_bad_to_good;
     const double stationary_bad =

@@ -119,9 +119,10 @@ Status ValidateLossOptions(const LossOptions& options);
 /// Validates ranges; called by ValidateLossOptions.
 Status ValidateCorruptionOptions(const CorruptionOptions& options);
 
-/// Per-query loss process. Construct with the query's stream id, call
-/// StartStream at each protocol phase (kProbeStream for the initial probe,
-/// AttemptStream(k) for attempt k), then NextLost() once per packet read.
+/// Per-query loss process on one sub-stream. Construct with the query's
+/// stream id and the sub-stream of the protocol phase (kProbeStream for
+/// the initial probe, AttemptStream(k) for attempt k, ...), then call
+/// NextLost() once per packet read.
 class LossProcess {
  public:
   static constexpr uint64_t kProbeStream = 0;
@@ -141,20 +142,14 @@ class LossProcess {
     return (uint64_t{1} << 33) + static_cast<uint64_t>(pass);
   }
 
-  LossProcess(const LossOptions& options, uint64_t query_stream)
-      : options_(options),
-        query_key_(Rng::MixStream(options.seed, query_stream)),
-        rng_(0) {
-    StartStream(kProbeStream);
-  }
+  /// Keys the draws by (options.seed, query_stream, stream). For
+  /// kGilbertElliott the channel state starts from the stationary
+  /// distribution (the time between attempts dwarfs the fade coherence
+  /// time, so sub-streams see independent channel states).
+  LossProcess(const LossOptions& options, uint64_t query_stream,
+              uint64_t stream);
 
   bool enabled() const { return options_.enabled(); }
-
-  /// Re-keys the process onto an independent sub-stream. For
-  /// kGilbertElliott the channel state is redrawn from the stationary
-  /// distribution (the time between attempts dwarfs the fade coherence
-  /// time, so attempts see independent channel states).
-  void StartStream(uint64_t stream);
 
   /// Whether the next packet read is lost/corrupted. Never true when the
   /// model is kNone; draws nothing when disabled.
@@ -162,7 +157,6 @@ class LossProcess {
 
  private:
   LossOptions options_;
-  uint64_t query_key_;
   Rng rng_;
   bool bad_ = false;  ///< kGilbertElliott channel state
 };
@@ -170,21 +164,17 @@ class LossProcess {
 /// Per-query bit-corruption process, mirroring LossProcess but drawing
 /// from its own RNG streams (keyed by the corruption seed) so the two
 /// fault processes are statistically and bit-wise independent. Construct
-/// with the framed packet size in bits; NextCorrupted() draws once per
-/// *delivered* packet read and reports whether the frame arrived with at
-/// least one flipped bit (which the CRC then detects).
+/// with the framed packet size in bits and the same sub-stream ids as
+/// LossProcess; NextCorrupted() draws once per *delivered* packet read and
+/// reports whether the frame arrived with at least one flipped bit (which
+/// the CRC then detects). For kBurstBits the fade state starts from its
+/// stationary distribution.
 class CorruptionProcess {
  public:
   CorruptionProcess(const CorruptionOptions& options, int frame_bits,
-                    uint64_t query_stream);
+                    uint64_t query_stream, uint64_t stream);
 
   bool enabled() const { return options_.enabled(); }
-
-  /// Re-keys onto an independent sub-stream; same stream ids as
-  /// LossProcess (kProbeStream / AttemptStream / FallbackStream). For
-  /// kBurstBits the fade state is redrawn from its stationary
-  /// distribution.
-  void StartStream(uint64_t stream);
 
   /// Whether the next delivered frame carries bit errors. Never true when
   /// the model is kNone; draws nothing when disabled.
@@ -192,7 +182,6 @@ class CorruptionProcess {
 
  private:
   CorruptionOptions options_;
-  uint64_t query_key_;
   Rng rng_;
   bool bad_ = false;        ///< kBurstBits fade state
   double p_frame_ = 0.0;      ///< kIidBits: per-frame corruption probability

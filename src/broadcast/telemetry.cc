@@ -282,6 +282,33 @@ void TelemetryShard::Fault(TraceEventKind kind, int64_t pos, int64_t client,
   RecordFlight(kind, pos, 0, 0.0, client);
 }
 
+void TelemetryShard::Record(const TraceEvent& e, int64_t client,
+                            uint32_t q) {
+  switch (e.kind) {
+    case TraceEventKind::kProbe:
+    case TraceEventKind::kIndexRead:
+      Read(e.kind, e.pos, 1, /*data_read=*/false, client, q);
+      break;
+    case TraceEventKind::kBucketRead:
+      Read(e.kind, e.pos, e.packet, /*data_read=*/true, client, q);
+      break;
+    case TraceEventKind::kFallbackScan:
+      Read(e.kind, e.pos, e.packet, /*data_read=*/false, client, q);
+      break;
+    case TraceEventKind::kDoze:
+      Doze(static_cast<double>(e.pos), e.dur, client, q);
+      break;
+    case TraceEventKind::kLoss:
+    case TraceEventKind::kRetune:
+    case TraceEventKind::kCorruption:
+    case TraceEventKind::kEpochSwitch:
+      Fault(e.kind, e.pos, client, q);
+      break;
+    case TraceEventKind::kCacheHit:
+      break;
+  }
+}
+
 void TelemetryShard::CacheLookup(double t, bool hit) {
   const int64_t w = series_.WindowIndex(t);
   if (hit) {
@@ -562,33 +589,7 @@ void TelemetryTraceSink::Consume(const QueryTrace& trace) {
   const int64_t client = trace.client_id;
   const uint32_t q = static_cast<uint32_t>(trace.query_index);
   s->QueryIssued(trace.arrival);
-  for (const TraceEvent& e : trace.events) {
-    switch (e.kind) {
-      case TraceEventKind::kProbe:
-      case TraceEventKind::kIndexRead:
-        s->Read(e.kind, e.pos, 1, /*data_read=*/false, client, q);
-        break;
-      case TraceEventKind::kBucketRead:
-        s->Read(e.kind, e.pos, e.packet, /*data_read=*/true, client, q);
-        break;
-      case TraceEventKind::kFallbackScan:
-        s->Read(e.kind, e.pos, e.packet, /*data_read=*/false, client, q);
-        break;
-      case TraceEventKind::kDoze:
-        s->Doze(static_cast<double>(e.pos), e.dur, client, q);
-        break;
-      case TraceEventKind::kLoss:
-      case TraceEventKind::kRetune:
-      case TraceEventKind::kCorruption:
-      case TraceEventKind::kEpochSwitch:
-        s->Fault(e.kind, e.pos, client, q);
-        break;
-      case TraceEventKind::kCacheHit:
-        // Counted once per query from the trace-level flag below, not
-        // per event.
-        break;
-    }
-  }
+  for (const TraceEvent& e : trace.events) s->Record(e, client, q);
   if (telemetry_->cache_enabled()) {
     s->CacheLookup(trace.arrival, trace.cache_hit);
   }

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "broadcast/frame.h"
-#include "broadcast/trace.h"
+#include "broadcast/access.h"
 #include "common/check.h"
 
 namespace dtree::bcast {
@@ -42,19 +41,20 @@ Result<BroadcastTimeline> BroadcastTimeline::Create(
   return tl;
 }
 
-int BroadcastTimeline::SpanAt(int64_t pos) const {
+int TimelineView::SpanAt(int64_t pos) const {
   DTREE_CHECK(pos >= 0);
   // First span whose start exceeds pos; pos lives in the one before it.
-  const auto it = std::upper_bound(start_.begin(), start_.end(), pos);
-  const int s = static_cast<int>(it - start_.begin()) - 1;
-  DTREE_CHECK(s >= 0 && s < num_spans());
+  const int s =
+      static_cast<int>(std::upper_bound(bounds_, bounds_ + n_ + 1, pos) -
+                       bounds_) -
+      1;
+  DTREE_CHECK(s >= 0 && s < n_);
   return s;
 }
 
 Result<BroadcastChannel::QueryOutcome> BroadcastTimeline::Simulate(
     const std::vector<ProbeTrace>& traces, double arrival,
     uint64_t loss_stream, QueryTrace* trace_out) const {
-  using QueryOutcome = BroadcastChannel::QueryOutcome;
   if (!std::isfinite(arrival) || arrival < 0.0) {
     return Status::InvalidArgument("arrival must be finite and non-negative");
   }
@@ -68,391 +68,8 @@ Result<BroadcastChannel::QueryOutcome> BroadcastTimeline::Simulate(
                                         ch.num_regions(),
                                         /*require_forward=*/false));
   }
-
-  const LossOptions& lopt = loss_options();
-  QueryOutcome out;
-  LossProcess loss(lopt, loss_stream);
-  CorruptionProcess corrupt(
-      lopt.corruption, FrameBits(spans_[0].channel->packet_capacity()),
-      loss_stream);
-  const bool faults = loss.enabled() || corrupt.enabled();
-
-  // --- Observability hooks, mirroring BroadcastChannel::Simulate; the
-  // epoch summary fields are the only addition.
-  auto emit_doze = [&](int64_t resume_at, double dur) {
-    if (trace_out != nullptr && dur > 0.0) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kDoze;
-      e.pos = resume_at;
-      e.dur = dur;
-      trace_out->events.push_back(e);
-    }
-  };
-  auto emit_read = [&](TraceEventKind kind, int64_t pos) {
-    if (trace_out != nullptr) {
-      TraceEvent e;
-      e.kind = kind;
-      e.pos = pos;
-      trace_out->events.push_back(e);
-    }
-  };
-  auto finish = [&]() {
-    if (trace_out != nullptr) {
-      trace_out->latency = out.latency;
-      trace_out->tuning_total = out.tuning_total();
-      trace_out->retries = out.retries;
-      trace_out->lost_packets = out.lost_packets;
-      trace_out->corrupted_packets = out.corrupted_packets;
-      trace_out->fallback_scan = out.fallback_scan;
-      trace_out->unrecoverable = out.unrecoverable;
-      trace_out->versioned = true;
-      trace_out->epoch = out.epoch;
-      trace_out->epoch_switches = out.epoch_switches;
-    }
-  };
-  auto read_failed = [&](int64_t at) {
-    if (loss.enabled() && loss.NextLost()) {
-      ++out.lost_packets;
-      emit_read(TraceEventKind::kLoss, at);
-      return true;
-    }
-    if (corrupt.enabled() && corrupt.NextCorrupted()) {
-      ++out.corrupted_packets;
-      emit_read(TraceEventKind::kCorruption, at);
-      return true;
-    }
-    return false;
-  };
-
-  // The span whose frames the client currently trusts. Established by the
-  // first delivered read (the probe) and advanced on every observed epoch
-  // switch; monotone because positions only move forward.
-  int cur = 0;
-  // Registers the epoch switch a delivered read at `at` revealed (the
-  // packet belongs to span `s` != cur). Returns false when the switch
-  // budget is exhausted — the caller must then stop: the query has given
-  // up with kEpochChurn and `out` is final (latency runs through the
-  // revealing read).
-  auto observe_switch = [&](int64_t at, int s) {
-    ++out.epoch_switches;
-    if (trace_out != nullptr) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kEpochSwitch;
-      e.pos = at;
-      e.packet = static_cast<int>(spans_[static_cast<size_t>(s)].epoch);
-      e.attempt = out.epoch_switches;
-      trace_out->events.push_back(e);
-    }
-    cur = s;
-    out.epoch = spans_[static_cast<size_t>(s)].epoch;
-    if (out.epoch_switches > lopt.max_epoch_switches) {
-      out.unrecoverable = true;
-      out.give_up = GiveUpStage::kEpochChurn;
-      out.latency = static_cast<double>(at + 1) - arrival;
-      finish();
-      return false;
-    }
-    return true;
-  };
-
-  // --- Degradation ladder, final rung: linear scan, as in
-  // BroadcastChannel::Simulate's conclude, except epoch-aware. The scan
-  // listens to every packet, so the first packet of a new span reveals a
-  // switch mid-lump; bucket packets are checked after their fault draws.
-  // An epoch-truncated scan does not consume a fallback cycle (the cycle
-  // budget bounds fault failures; the switch budget bounds truncations),
-  // and the bucket position is recomputed from the *new* span's region —
-  // the client recognizes its bucket by content.
-  auto conclude = [&](int64_t give_up_pos,
-                      GiveUpStage stage) -> QueryOutcome {
-    int cycle = 0;
-    while (cycle < lopt.fallback_scan_cycles) {
-      out.fallback_scan = true;
-      loss.StartStream(LossProcess::FallbackStream(cycle));
-      corrupt.StartStream(LossProcess::FallbackStream(cycle));
-      const BroadcastChannel& ch = *spans_[static_cast<size_t>(cur)].channel;
-      const int64_t sstart = span_start(cur);
-      const int64_t local = give_up_pos - sstart;
-      DTREE_CHECK(local >= 0);
-      const int64_t bucket_in_cycle =
-          ch.BucketStart(traces[static_cast<size_t>(cur)].region);
-      const int64_t cycle_base =
-          (local / ch.cycle_packets()) * ch.cycle_packets();
-      int64_t data_at = sstart + cycle_base + bucket_in_cycle;
-      if (data_at < give_up_pos) data_at += ch.cycle_packets();
-      // Epoch boundary inside the listening lump: the first listened
-      // packet beyond the span reveals the switch before the bucket is
-      // ever reached.
-      const int64_t reveal = std::max(give_up_pos, span_end(cur));
-      if (reveal < data_at) {
-        const int listened = static_cast<int>(reveal + 1 - give_up_pos);
-        out.tuning_index += listened;
-        if (trace_out != nullptr) {
-          TraceEvent e;
-          e.kind = TraceEventKind::kFallbackScan;
-          e.pos = give_up_pos;
-          e.packet = listened;
-          e.attempt = cycle;
-          trace_out->events.push_back(e);
-        }
-        if (!observe_switch(reveal, SpanAt(reveal))) return out;
-        give_up_pos = reveal + 1;
-        continue;  // re-scan in the new epoch; no fallback cycle consumed
-      }
-      const int64_t listened = data_at - give_up_pos;
-      out.tuning_index += static_cast<int>(listened);
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kFallbackScan;
-        e.pos = give_up_pos;
-        e.packet = static_cast<int>(listened);
-        e.attempt = cycle;
-        trace_out->events.push_back(e);
-      }
-      bool lost = false;
-      bool corrupted_here = false;
-      bool switched = false;
-      int64_t switch_at = 0;
-      int bucket_read = 0;
-      for (int b = 0; b < ch.bucket_packets(); ++b) {
-        ++out.tuning_data;
-        ++bucket_read;
-        const int64_t q = data_at + b;
-        if (loss.enabled() && loss.NextLost()) {
-          ++out.lost_packets;
-          lost = true;
-          break;
-        }
-        if (corrupt.enabled() && corrupt.NextCorrupted()) {
-          ++out.corrupted_packets;
-          corrupted_here = true;
-          lost = true;
-          break;
-        }
-        if (SpanAt(q) != cur) {
-          switched = true;
-          switch_at = q;
-          break;
-        }
-      }
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kBucketRead;
-        e.pos = data_at;
-        e.packet = bucket_read;
-        trace_out->events.push_back(e);
-        if (lost) {
-          emit_read(corrupted_here ? TraceEventKind::kCorruption
-                                   : TraceEventKind::kLoss,
-                    data_at + bucket_read - 1);
-        }
-      }
-      if (switched) {
-        if (!observe_switch(switch_at, SpanAt(switch_at))) return out;
-        give_up_pos = switch_at + 1;
-        continue;  // bucket belonged to the old epoch; rescan, same cycle
-      }
-      if (!lost) {
-        out.latency =
-            static_cast<double>(data_at + ch.bucket_packets()) - arrival;
-        finish();
-        return out;
-      }
-      give_up_pos = data_at + bucket_read;  // listen past the bad packet
-      ++cycle;
-    }
-    out.unrecoverable = true;
-    out.give_up =
-        out.fallback_scan ? GiveUpStage::kFallbackBudget : stage;
-    out.latency = static_cast<double>(give_up_pos) - arrival;
-    finish();
-    return out;
-  };
-
-  // --- Initial probe, identical to BroadcastChannel::Simulate. Probing is
-  // how the client *learns* the current epoch, so the span of the last
-  // successful probe read becomes the tune-in epoch without consuming a
-  // switch; lost/corrupted probes reveal nothing.
-  int64_t probe_packet = static_cast<int64_t>(std::floor(arrival)) + 1;
-  out.tuning_probe = 1;
-  emit_doze(probe_packet, static_cast<double>(probe_packet) - arrival);
-  emit_read(TraceEventKind::kProbe, probe_packet);
-  while (faults && read_failed(probe_packet)) {
-    if (out.tuning_probe > lopt.max_retries) {
-      // Never heard a single frame; the scan itself will reveal the epoch.
-      cur = SpanAt(probe_packet + 1);
-      out.epoch = spans_[static_cast<size_t>(cur)].epoch;
-      return conclude(probe_packet + 1, GiveUpStage::kProbeBudget);
-    }
-    ++out.tuning_probe;
-    ++probe_packet;
-    emit_read(TraceEventKind::kProbe, probe_packet);
-  }
-  cur = SpanAt(probe_packet);
-  out.epoch = spans_[static_cast<size_t>(cur)].epoch;
-  int64_t pos = probe_packet + 1;
-
-  // Smallest absolute index-segment start >= t within span cur's layout
-  // (positions beyond the span extrapolate its layout; the frames actually
-  // broadcast there belong to the next epoch and the reads will say so).
-  auto next_segment_start = [&](int64_t t) {
-    const BroadcastChannel& ch = *spans_[static_cast<size_t>(cur)].channel;
-    const int64_t local = t - span_start(cur);
-    DTREE_CHECK(local >= 0);
-    const int64_t base = (local / ch.cycle_packets()) * ch.cycle_packets();
-    const int64_t in_cycle = local - base;
-    for (int j = 0; j < ch.m(); ++j) {
-      if (ch.IndexSegmentStart(j) >= in_cycle) {
-        return span_start(cur) + base + ch.IndexSegmentStart(j);
-      }
-    }
-    return span_start(cur) + base + ch.cycle_packets() +
-           ch.IndexSegmentStart(0);
-  };
-
-  // --- Access attempts. One restart ordinal keys the fault sub-streams
-  // for *both* restart causes — fault re-tunes (counted in out.retries,
-  // bounded by max_retries) and epoch switches (counted in
-  // out.epoch_switches, bounded by max_epoch_switches) — so the draw
-  // streams match BroadcastChannel::Simulate attempt-for-attempt until
-  // the first switch.
-  int restarts = 0;
-  bool fault_restart = false;  // this restart re-tunes after a fault
-  for (;;) {
-    if (fault_restart) {
-      ++out.retries;
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kRetune;
-        e.pos = pos;
-        e.attempt = out.retries;
-        trace_out->events.push_back(e);
-      }
-      fault_restart = false;
-    }
-    loss.StartStream(LossProcess::AttemptStream(restarts));
-    corrupt.StartStream(LossProcess::AttemptStream(restarts));
-    bool lost = false;
-    bool switched = false;
-    int64_t switch_at = 0;
-
-    const BroadcastChannel& ch = *spans_[static_cast<size_t>(cur)].channel;
-    const ProbeTrace& trace = traces[static_cast<size_t>(cur)];
-
-    // --- Index search on the current epoch's index.
-    int64_t p = pos;
-    int64_t seg_start = next_segment_start(p);
-    DTREE_CHECK(seg_start >= p);
-
-    const bool annotated = trace.origins.size() == trace.packets.size();
-    for (size_t i = 0; i < trace.packets.size(); ++i) {
-      const int packet_id = trace.packets[i];
-      int64_t at = seg_start + packet_id;
-      if (at < p) {
-        // Backward pointer (DAG-shaped index): wait for the next index
-        // repetition that still has this packet ahead. p - packet_id is
-        // positive for the same reason as in BroadcastChannel::Simulate.
-        seg_start = next_segment_start(p - packet_id);
-        at = seg_start + packet_id;
-        DTREE_CHECK(at >= p);
-      }
-      emit_doze(at, static_cast<double>(at - p));
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kIndexRead;
-        e.pos = at;
-        e.packet = packet_id;
-        if (annotated) {
-          e.node = trace.origins[i].node;
-          e.depth = trace.origins[i].depth;
-        }
-        trace_out->events.push_back(e);
-      }
-      p = at + 1;
-      ++out.tuning_index;
-      if (faults && read_failed(at)) {
-        lost = true;
-        break;
-      }
-      if (SpanAt(at) != cur) {
-        switched = true;
-        switch_at = at;
-        break;
-      }
-    }
-    if (!lost && !switched) {
-      if (trace.packets.empty()) {
-        p = std::max(p, seg_start);  // degenerate: empty index
-      }
-
-      // --- Data retrieval in the current epoch's layout.
-      const int64_t sstart = span_start(cur);
-      const int64_t bucket_in_cycle = ch.BucketStart(trace.region);
-      const int64_t cycle_base =
-          ((p - sstart) / ch.cycle_packets()) * ch.cycle_packets();
-      int64_t data_at = sstart + cycle_base + bucket_in_cycle;
-      if (data_at < p) data_at += ch.cycle_packets();
-      emit_doze(data_at, static_cast<double>(data_at - p));
-      int bucket_read = 0;
-      bool corrupted_here = false;
-      for (int b = 0; b < ch.bucket_packets(); ++b) {
-        ++out.tuning_data;
-        ++bucket_read;
-        const int64_t q = data_at + b;
-        if (faults) {
-          if (loss.enabled() && loss.NextLost()) {
-            ++out.lost_packets;
-            lost = true;
-            p = q + 1;  // loss detected at the end of this packet
-            break;
-          }
-          if (corrupt.enabled() && corrupt.NextCorrupted()) {
-            ++out.corrupted_packets;
-            corrupted_here = true;
-            lost = true;
-            p = q + 1;  // CRC failure at the end of this packet
-            break;
-          }
-        }
-        if (SpanAt(q) != cur) {
-          switched = true;
-          switch_at = q;
-          break;
-        }
-      }
-      if (trace_out != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kBucketRead;
-        e.pos = data_at;
-        e.packet = bucket_read;
-        trace_out->events.push_back(e);
-        if (lost) {
-          emit_read(corrupted_here ? TraceEventKind::kCorruption
-                                   : TraceEventKind::kLoss,
-                    data_at + bucket_read - 1);
-        }
-      }
-      if (!lost && !switched) {
-        const int64_t done = data_at + ch.bucket_packets();
-        out.latency = static_cast<double>(done) - arrival;
-        finish();
-        return out;
-      }
-    }
-    if (switched) {
-      if (!observe_switch(switch_at, SpanAt(switch_at))) return out;
-      pos = switch_at + 1;
-      ++restarts;  // fresh streams; not a fault retry
-      continue;
-    }
-    // Fault: re-tune to the next index repetition, budget permitting.
-    if (out.retries >= lopt.max_retries) {
-      return conclude(p, GiveUpStage::kRetryBudget);
-    }
-    fault_restart = true;
-    ++restarts;
-    pos = p;
-  }
+  return SimulateQuery(view(), traces.data(), arrival, loss_stream,
+                       /*versioned=*/true, trace_out);
 }
 
 }  // namespace dtree::bcast

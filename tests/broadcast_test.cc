@@ -182,7 +182,7 @@ TEST(ChannelTest, NoIndexBaseline) {
   auto ch_r = BroadcastChannel::Create(0, 4, o);
   ASSERT_TRUE(ch_r.ok());
   const BroadcastChannel& ch = ch_r.value();
-  auto out = ch.SimulateNoIndex(2, 0.0);
+  const auto out = ch.SimulateNoIndex(2, 0.0).value();
   // Pure data cycle [B0..B3]; bucket 2 at position 2, done at 3. B0 began
   // transmitting exactly at the arrival instant, so listening starts at
   // packet 1: only B1 is listened through before the bucket.

@@ -131,7 +131,7 @@ TEST(ChannelPropertyTest, NoIndexWorseOnAverageTuning) {
     const int region = static_cast<int>(rng.UniformInt(0, 49));
     const double arrival =
         rng.Uniform(0.0, static_cast<double>(ch.cycle_packets()));
-    total += ch.SimulateNoIndex(region, arrival).tuning_total();
+    total += ch.SimulateNoIndex(region, arrival).value().tuning_total();
   }
   const double mean = total / kQueries;
   EXPECT_NEAR(mean, ch.data_packets() / 2.0, ch.data_packets() * 0.05);
@@ -170,6 +170,37 @@ TEST(ChannelPropertyTest, SimulateRejectsArrivalsOutsideTheCycle) {
   EXPECT_TRUE(ch.Simulate(trace, std::nextafter(cycle, 0.0)).ok());
 }
 
+TEST(ChannelPropertyTest, NoIndexRejectsBadInputWithAStatus) {
+  // Hostile inputs fail with InvalidArgument, never an abort: the same
+  // arrivals Simulate rejects, plus regions outside the channel. Absolute
+  // arrivals past one cycle are legal (they wrap).
+  ChannelOptions opt;
+  opt.packet_capacity = 256;
+  opt.m = 2;
+  auto ch_r = BroadcastChannel::Create(8, 30, opt);
+  ASSERT_TRUE(ch_r.ok());
+  const BroadcastChannel& ch = ch_r.value();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    int region;
+    double arrival;
+  } bad[] = {
+      {0, std::nan("")}, {0, inf},       {0, -inf},
+      {0, -1.0},         {0, -1e-300},   {-1, 0.0},
+      {30, 0.0},         {1 << 30, 5.0}, {-1, std::nan("")},
+  };
+  for (const auto& b : bad) {
+    const auto r = ch.SimulateNoIndex(b.region, b.arrival, 1);
+    ASSERT_FALSE(r.ok()) << "region " << b.region << " arrival "
+                         << b.arrival;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(ch.SimulateNoIndex(29, 0.0).ok());
+  EXPECT_TRUE(
+      ch.SimulateNoIndex(0, 1e6 * static_cast<double>(ch.data_packets()))
+          .ok());
+}
+
 TEST(ChannelPropertyTest, NoIndexWrapsArrivalModPureDataCycle) {
   // SimulateNoIndex's pinned choice: absolute arrivals are canonically
   // wrapped mod the pure-data cycle, so every field is bit-identical to
@@ -190,9 +221,10 @@ TEST(ChannelPropertyTest, NoIndexWrapsArrivalModPureDataCycle) {
     // of the caller's arithmetic, not of the wrap.)
     const double a =
         std::floor(rng.Uniform(0.0, data_cycle) * 1024.0) / 1024.0;
-    const auto base = ch.SimulateNoIndex(region, a);
+    const auto base = ch.SimulateNoIndex(region, a).value();
     for (int k : {1, 2, 7}) {
-      const auto wrapped = ch.SimulateNoIndex(region, a + k * data_cycle);
+      const auto wrapped =
+          ch.SimulateNoIndex(region, a + k * data_cycle).value();
       EXPECT_EQ(base.latency, wrapped.latency);
       EXPECT_EQ(base.tuning_index, wrapped.tuning_index);
       EXPECT_EQ(base.tuning_data, wrapped.tuning_data);
@@ -222,9 +254,10 @@ TEST(ChannelPropertyTest, NoIndexZeroLossRateMatchesLosslessBitForBit) {
     const double arrival = rng.Uniform(
         0.0, static_cast<double>(lossless_r.value().cycle_packets()));
     const uint64_t stream = static_cast<uint64_t>(q);
-    const auto a = lossless_r.value().SimulateNoIndex(region, arrival,
-                                                      stream);
-    const auto b = zero_r.value().SimulateNoIndex(region, arrival, stream);
+    const auto a =
+        lossless_r.value().SimulateNoIndex(region, arrival, stream).value();
+    const auto b =
+        zero_r.value().SimulateNoIndex(region, arrival, stream).value();
     EXPECT_EQ(a.latency, b.latency);
     EXPECT_EQ(a.tuning_index, b.tuning_index);
     EXPECT_EQ(a.tuning_data, b.tuning_data);
@@ -256,8 +289,8 @@ TEST(ChannelPropertyTest, NoIndexUnderLossRetriesAndStaysConsistent) {
     const double arrival =
         rng.Uniform(0.0, static_cast<double>(ch.data_packets()));
     const uint64_t stream = static_cast<uint64_t>(q);
-    const auto out = ch.SimulateNoIndex(region, arrival, stream);
-    const auto replay = ch.SimulateNoIndex(region, arrival, stream);
+    const auto out = ch.SimulateNoIndex(region, arrival, stream).value();
+    const auto replay = ch.SimulateNoIndex(region, arrival, stream).value();
     EXPECT_EQ(out.latency, replay.latency);  // deterministic replay
     EXPECT_EQ(out.retries, replay.retries);
     EXPECT_EQ(out.tuning_probe, 0);
@@ -284,7 +317,7 @@ TEST(ChannelPropertyTest, NoIndexUnderLossRetriesAndStaysConsistent) {
   sure.loss.loss_rate = 1.0;
   auto sure_r = BroadcastChannel::Create(8, 25, sure);
   ASSERT_TRUE(sure_r.ok());
-  const auto dead = sure_r.value().SimulateNoIndex(7, 100.5, 3);
+  const auto dead = sure_r.value().SimulateNoIndex(7, 100.5, 3).value();
   EXPECT_TRUE(dead.unrecoverable);
   EXPECT_EQ(dead.give_up, GiveUpStage::kRetryBudget);
   EXPECT_EQ(dead.retries, sure.loss.max_retries);

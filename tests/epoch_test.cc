@@ -4,10 +4,12 @@
 // bit-identity oracle).
 //
 // The two load-bearing contracts pinned here:
-//  * Single-span BroadcastTimeline::Simulate is bit-identical to
-//    BroadcastChannel::Simulate — field for field, draw for draw, trace
-//    event for trace event — across the whole loss-config table. The
-//    versioned path is a strict extension, never a behavioral fork.
+//  * Both Simulate entry points drive the one access protocol
+//    (broadcast/access.h), and a plain channel is its one-span case: a
+//    single-span BroadcastTimeline::Simulate agrees with
+//    BroadcastChannel::Simulate field for field and trace event for trace
+//    event across the whole loss-config table, differing only in the
+//    versioned output bit.
 //  * An epoch published by CommitEpoch is byte-identical to BuildEpoch run
 //    cold on the same site set: there is no incremental repair path whose
 //    drift could go unnoticed.
@@ -62,8 +64,8 @@ SpanRig MakeSpanRig(int num_sites, uint64_t seed, const LossOptions& loss) {
   return SpanRig{std::move(s), std::move(t), std::move(ch)};
 }
 
-// The loss-config table the fleet differential tests sweep; reused here so
-// the single-span oracle covers every ladder rung.
+// The loss-config table the fleet agreement tests sweep; reused here so
+// the single-span agreement covers every ladder rung.
 std::vector<LossOptions> LossConfigs() {
   std::vector<LossOptions> configs(4);
   // configs[0]: the paper's reliable medium.
@@ -195,9 +197,9 @@ TEST(BroadcastTimelineTest, CreateRejectsMalformedSpans) {
       BroadcastTimeline::Create({{&a.channel, 0, 1}, {&wide, 1, 1}}).ok());
 }
 
-// The differential oracle: on a single-span timeline the epoch check never
-// fires and Simulate must be bit-identical to BroadcastChannel::Simulate —
-// outcome fields AND trace events — under every loss config.
+// The two synchronous drivers agree: on a single-span timeline the epoch
+// check never fires, and the outcome fields AND trace events equal
+// BroadcastChannel::Simulate's under every loss config.
 TEST(BroadcastTimelineTest, SingleSpanMatchesChannelSimulate) {
   for (const LossOptions& loss : LossConfigs()) {
     SpanRig rig = MakeSpanRig(40, 206, loss);

@@ -1,12 +1,14 @@
 // Tests for the event-driven fleet engine (broadcast/fleet.h).
 //
-// The load-bearing property is the differential anchor: every query a
-// fleet client completes must reproduce BroadcastChannel::Simulate
-// field-for-field when replayed through the synchronous simulator with
-// the same probe trace, the wrapped arrival, and the query's loss stream
-// (FleetQueryLossStream). On top of that: bitwise thread-count
-// invariance of FleetResult, option validation, churn accounting, and
-// the exhaustive GiveUpStageName round-trip.
+// The fleet and BroadcastChannel::Simulate are two drivers of one access
+// protocol (broadcast/access.h): the fleet runs it in absolute time from
+// its event heap, Simulate synchronously on the arrival wrapped into the
+// cycle. The drivers must agree — every query a fleet client completes,
+// replayed through Simulate with the same probe trace, the wrapped
+// arrival and the query's loss stream (FleetQueryLossStream), matches
+// field-for-field, which is cycle-shift invariance. On top of that:
+// bitwise thread-count invariance of FleetResult, option validation,
+// churn accounting, and the exhaustive GiveUpStageName round-trip.
 
 #include <cmath>
 #include <map>
@@ -26,7 +28,7 @@ namespace dtree::bcast {
 namespace {
 
 /// In-memory sink keeping full (unserialized) QueryTrace copies, so the
-/// differential can recover each query's exact point, arrival and
+/// agreement check can recover each query's exact point, arrival and
 /// outcome summary.
 class VectorTraceSink : public TraceSink {
  public:
@@ -51,7 +53,7 @@ BroadcastChannel MakeFleetChannel(const AirIndex& index,
   return std::move(ch_r).value();
 }
 
-/// Replays every traced fleet query through the synchronous Simulate and
+/// Replays every traced fleet query through the synchronous driver and
 /// demands the identical outcome: same probe trace (recomputed from the
 /// query point), arrival wrapped mod the cycle, loss stream recomputed
 /// from (seed, client_id, query_index) via the public helpers.
@@ -113,9 +115,9 @@ void ExpectIdenticalFleetResults(const FleetResult& a,
 }
 
 TEST(FleetTest, SingleClientSingleQueryReproducesSimulateFieldForField) {
-  // The ISSUE's differential anchor in its purest form: a fleet of one
-  // client issuing one query IS one Simulate call, for every rung of the
-  // fault ladder.
+  // Driver agreement in its purest form: a fleet of one client issuing
+  // one query is one Simulate call on the wrapped arrival, for every rung
+  // of the fault ladder.
   auto ds = workload::MakeUniformDataset();
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   core::DTree::Options topt;
@@ -232,7 +234,7 @@ TEST(FleetTest, EveryFleetQueryMatchesSimulateOnPaperDataset) {
 
 TEST(FleetTest, EveryFleetQueryMatchesSimulateOnScaleUWithChurn) {
   // A populated fleet with churn on SCALE-U: later generations re-occupy
-  // slots under fresh RNG identities; the differential must hold for
+  // slots under fresh RNG identities; the drivers must agree on
   // every query of every generation.
   auto ds = workload::MakeScaleDataset(3000, workload::ScaleDistribution::kUniform);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
@@ -522,9 +524,10 @@ void ExpectIdenticalEpochAccounting(const FleetResult& a,
 }
 
 TEST(VersionedFleetTest, SingleEpochMatchesRunFleetBitwise) {
-  // The fleet-level differential oracle: with one epoch the versioned
-  // engine must reproduce RunFleet bitwise — result fields AND the
-  // serialized trace stream — under loss, corruption and churn.
+  // A one-epoch timeline is the plain broadcast: RunFleetVersioned must
+  // reproduce RunFleet bitwise — result fields AND the serialized trace
+  // stream, up to the versioned output fields — under loss, corruption
+  // and churn.
   VersionedFleetRig rig;
   FleetOptions fopt = MakeVersionedFleetOptions();
 
@@ -577,9 +580,10 @@ TEST(VersionedFleetTest, ThreadCountDoesNotChangeVersionedResult) {
 }
 
 TEST(VersionedFleetTest, EveryQueryMatchesTimelineSimulate) {
-  // The versioned differential anchor: every traced fleet query replays
-  // bit-identically through BroadcastTimeline::Simulate with per-span
-  // probe traces, the absolute arrival, and the query's loss stream.
+  // Driver agreement on a two-epoch timeline: every traced fleet query
+  // replays bit-identically through BroadcastTimeline::Simulate with
+  // per-span probe traces, the absolute arrival, and the query's loss
+  // stream.
   VersionedFleetRig rig;
   FleetOptions fopt = MakeVersionedFleetOptions();
   VectorTraceSink sink;

@@ -506,6 +506,34 @@ TEST(RegionCacheFleetTest, EpochSkewFlushesTheCache) {
   EXPECT_GT(r.value().cache_invalidations, 0);
 }
 
+TEST(RegionCacheFleetTest, VerifiedHitsAcrossEpochsWithDifferentSites) {
+  // Two epochs over different site sets, so region ids differ between
+  // them. A client that has not yet heard the switch rightly answers from
+  // the entry it cached under the old epoch; verify_hits must check that
+  // entry against the index of the epoch it carries, not the one on the
+  // air.
+  const workload::Dataset other = workload::MakeUniformDataset(8).value();
+  ExperimentRig rig;
+  const core::DTree other_tree = ExperimentRig::Build(other.subdivision);
+  FleetOptions fopt = MakeMobileCacheFleetOptions();
+  const std::vector<FleetEpoch> epochs = {
+      {&rig.tree, &rig.dataset.subdivision, /*epoch=*/0, /*cycles=*/2},
+      {&other_tree, &other.subdivision, /*epoch=*/1, /*cycles=*/1}};
+  auto r = RunFleetVersioned(epochs, fopt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r.value().cache_hits, 0);
+  EXPECT_GT(r.value().cache_invalidations, 0);
+
+  // Verification is a pure check: the run is the unverified one, bit for
+  // bit.
+  fopt.cache.verify_hits = false;
+  auto plain = RunFleetVersioned(epochs, fopt);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain.value().cache_hits, r.value().cache_hits);
+  EXPECT_EQ(plain.value().mean_latency, r.value().mean_latency);
+  EXPECT_EQ(plain.value().mean_tuning_total, r.value().mean_tuning_total);
+}
+
 TEST(RegionCacheFleetTest, CorruptionDoesNotInvalidate) {
   // A mangled frame carries no trustworthy epoch evidence: with a single
   // epoch on the air, heavy corruption must produce zero invalidations.
