@@ -3,8 +3,9 @@
 // chews through wake-ups and verifies, with a nonzero exit on violation,
 // the two properties the engine is built on:
 //
-//   1. Determinism: FleetResult is bit-identical at 1, 4, and 8 worker
-//      threads (fixed 64-shard layout, shard-ordered merge).
+//   1. Determinism: FleetResult — every field, histograms included — is
+//      bit-identical at 1, 4, and 8 worker threads (fixed 64-shard
+//      layout, shard-ordered merge).
 //   2. Driver agreement: both the fleet and BroadcastChannel::Simulate
 //      drive the one access protocol (broadcast/access.h), the fleet in
 //      absolute time and Simulate on the arrival wrapped into the cycle;
@@ -39,30 +40,7 @@
 #include "broadcast/fleet.h"
 #include "broadcast/telemetry.h"
 
-namespace {
-
 using dtree::bcast::FleetResult;
-
-bool SameFleetResult(const FleetResult& a, const FleetResult& b) {
-  return a.queries == b.queries && a.sessions == b.sessions &&
-         a.departures == b.departures &&
-         a.mean_latency == b.mean_latency &&
-         a.mean_tuning_index == b.mean_tuning_index &&
-         a.mean_tuning_total == b.mean_tuning_total &&
-         a.mean_retries == b.mean_retries &&
-         a.mean_lost_packets == b.mean_lost_packets &&
-         a.mean_corrupted_packets == b.mean_corrupted_packets &&
-         a.total_retries == b.total_retries &&
-         a.total_lost_packets == b.total_lost_packets &&
-         a.total_corrupted_packets == b.total_corrupted_packets &&
-         a.unrecoverable_queries == b.unrecoverable_queries &&
-         a.fallback_queries == b.fallback_queries &&
-         a.min_latency == b.min_latency && a.max_latency == b.max_latency &&
-         a.min_tuning_total == b.min_tuning_total &&
-         a.max_tuning_total == b.max_tuning_total;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dtree::bench;
@@ -138,13 +116,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: single-client fleet did not run\n");
       return 1;
     }
-    bcast::ChannelOptions copt;
-    copt.packet_capacity = one.packet_capacity;
-    copt.m = one.m;
-    copt.loss = one.loss;
     auto ch = bcast::BroadcastChannel::Create(
         index.value()->NumIndexPackets(),
-        ds.value().subdivision.NumRegions(), copt);
+        ds.value().subdivision.NumRegions(), one.channel_options());
     auto sampler = bcast::QuerySampler::Create(ds.value().subdivision,
                                                one.distribution, {});
     DTREE_CHECK(ch.ok() && sampler.ok());
@@ -195,13 +169,9 @@ int main(int argc, char** argv) {
 
   // Channel layout (for the CycleProfiler's cycle length); identical to
   // the one RunFleet builds from the same options.
-  bcast::ChannelOptions layout_opt;
-  layout_opt.packet_capacity = capacity;
-  layout_opt.m = fopt.m;
-  layout_opt.loss = fopt.loss;
   auto layout = bcast::BroadcastChannel::Create(
       index.value()->NumIndexPackets(), ds.value().subdivision.NumRegions(),
-      layout_opt);
+      fopt.channel_options());
   DTREE_CHECK(layout.ok());
   const int64_t cycle_packets = layout.value().cycle_packets();
 
@@ -260,7 +230,7 @@ int main(int argc, char** argv) {
     if (!have_reference) {
       reference = r;
       have_reference = true;
-    } else if (!SameFleetResult(reference, r)) {
+    } else if (r != reference) {
       std::fprintf(stderr,
                    "FAIL: FleetResult at %d threads diverges from the "
                    "1-thread run (queries %lld vs %lld, latency %.17g vs "

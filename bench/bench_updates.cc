@@ -10,9 +10,9 @@
 //   1. Commit oracle: every epoch CommitEpoch publishes is bit-identical
 //      (site list and every broadcast frame) to VersionedProgram::BuildEpoch
 //      run cold on the same evolved site set.
-//   2. Determinism: FleetResult — including the version-skew accounting
-//      (total_epoch_switches, epoch_churn_queries, mean_epoch_switches) —
-//      is bit-identical at 1, 4, and 8 worker threads for every cell.
+//   2. Determinism: FleetResult — every field, the version-skew
+//      accounting and histograms included — is bit-identical at 1, 4,
+//      and 8 worker threads for every cell.
 //   3. Liveness of the rung: multi-epoch cells actually observe epoch
 //      switches (a sweep that never exercises the ladder measures nothing).
 //
@@ -48,29 +48,6 @@ using dtree::core::EpochState;
 using dtree::core::SiteUpdate;
 using dtree::core::VersionedProgram;
 using dtree::geom::Point;
-
-/// Bitwise equality over every FleetResult scalar, epoch accounting
-/// included (the superset of bench_fleet's SameFleetResult).
-bool SameVersionedResult(const FleetResult& a, const FleetResult& b) {
-  return a.queries == b.queries && a.sessions == b.sessions &&
-         a.departures == b.departures && a.mean_latency == b.mean_latency &&
-         a.mean_tuning_index == b.mean_tuning_index &&
-         a.mean_tuning_total == b.mean_tuning_total &&
-         a.mean_retries == b.mean_retries &&
-         a.mean_lost_packets == b.mean_lost_packets &&
-         a.mean_corrupted_packets == b.mean_corrupted_packets &&
-         a.total_retries == b.total_retries &&
-         a.total_lost_packets == b.total_lost_packets &&
-         a.total_corrupted_packets == b.total_corrupted_packets &&
-         a.unrecoverable_queries == b.unrecoverable_queries &&
-         a.fallback_queries == b.fallback_queries &&
-         a.total_epoch_switches == b.total_epoch_switches &&
-         a.epoch_churn_queries == b.epoch_churn_queries &&
-         a.mean_epoch_switches == b.mean_epoch_switches &&
-         a.min_latency == b.min_latency && a.max_latency == b.max_latency &&
-         a.min_tuning_total == b.min_tuning_total &&
-         a.max_tuning_total == b.max_tuning_total;
-}
 
 /// Insert candidate well clear of every live site so a commit never trips
 /// the Voronoi separation floor (rejection is essentially free at these
@@ -320,7 +297,7 @@ int main(int argc, char** argv) {
                         static_cast<long long>(r.epoch_churn_queries),
                         static_cast<long long>(r.unrecoverable_queries),
                         wall_s);
-          } else if (!SameVersionedResult(reference, r)) {
+          } else if (r != reference) {
             std::fprintf(stderr,
                          "FAIL: %s diverges at %d threads (queries %lld vs "
                          "%lld, latency %.17g vs %.17g, switches %lld vs "

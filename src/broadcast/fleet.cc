@@ -53,60 +53,14 @@ struct Client : QueryState {
 // A million of these stay resident; the record must not grow.
 static_assert(sizeof(Client) <= 264, "fleet client record grew");
 
-/// Private per-shard accumulator, merged in shard order (the same
-/// determinism pattern as RunExperiment's ShardSums).
-struct FleetShard {
-  double latency = 0.0;
-  double tuning_index = 0.0;
-  double tuning_total = 0.0;
-  int64_t retries = 0;
-  int64_t lost_packets = 0;
-  int64_t corrupted_packets = 0;
-  int64_t unrecoverable = 0;
-  int64_t fallback = 0;
-  int64_t epoch_switches = 0;
-  int64_t epoch_churn = 0;
-  int64_t queries = 0;
-  int64_t sessions = 0;
-  int64_t departures = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_invalidations = 0;
-  MetricsRegistry metrics;
-  std::vector<QueryTrace> traces;
-  Status error = Status::OK();
-};
-
 /// What the engine needs about one epoch span beyond its layout (which
-/// the timeline owns), precomputed once and shared read-only across
-/// shards.
+/// the timeline owns), shared read-only across shards.
 struct SpanContext {
   const AirIndex* index = nullptr;
+  /// Draws query points; also holds the region cells a client caches.
   const QuerySampler* sampler = nullptr;
   geom::BBox area;  ///< service area (mobility walk bounds)
-  /// Region cell polygons, materialized once and shared read-only: the
-  /// valid scope a client caches after answering a query in this epoch.
-  /// Empty unless FleetOptions::cache is enabled.
-  std::vector<geom::Polygon> region_polys;
 };
-
-SpanContext MakeSpanContext(const AirIndex& index,
-                            const QuerySampler& sampler,
-                            const sub::Subdivision& subdivision,
-                            bool cache_enabled) {
-  SpanContext sc;
-  sc.index = &index;
-  sc.sampler = &sampler;
-  sc.area = subdivision.service_area();
-  if (cache_enabled) {
-    sc.region_polys.reserve(static_cast<size_t>(subdivision.NumRegions()));
-    for (int r = 0; r < subdivision.NumRegions(); ++r) {
-      sc.region_polys.push_back(subdivision.RegionPolygon(r));
-    }
-  }
-  return sc;
-}
 
 /// Wake-up entry; min-heap by (time, slot). The slot tie-break pins the
 /// pop order when many clients wake at the same packet start, so shard
@@ -130,7 +84,7 @@ class ShardEngine final : public AccessDriver {
  public:
   ShardEngine(const std::vector<SpanContext>& spans, TimelineView air,
               bool versioned, const FleetOptions& options, double horizon,
-              int64_t shard_first, int64_t shard_clients, FleetShard* sums,
+              int64_t shard_first, int64_t shard_clients, QueryTally* sums,
               TelemetryShard* tel)
       : spans_(spans),
         air_(air),
@@ -146,17 +100,7 @@ class ShardEngine final : public AccessDriver {
         mobility_on_(options.mobility.enabled),
         cache_on_(options.cache.enabled),
         mean_think_(static_cast<double>(cycle_) / options.queries_per_cycle),
-        tracing_(options.trace_sink != nullptr) {
-    h_latency_ = sums_->metrics.histogram(kLatencyHist);
-    h_tuning_index_ = sums_->metrics.histogram(kTuningIndexHist);
-    h_tuning_total_ = sums_->metrics.histogram(kTuningTotalHist);
-    h_retries_ = sums_->metrics.histogram(kRetriesHist);
-    h_lost_ = sums_->metrics.histogram(kLostPacketsHist);
-    h_corrupted_ = sums_->metrics.histogram(kCorruptedPacketsHist);
-    if (versioned_) {
-      h_epoch_switches_ = sums_->metrics.histogram(kEpochSwitchesHist);
-    }
-  }
+        tracing_(options.trace_sink != nullptr) {}
 
   void Run() {
     clients_.resize(static_cast<size_t>(shard_clients_));
@@ -371,24 +315,7 @@ class ShardEngine final : public AccessDriver {
       sums_->traces.push_back(std::move(*c.qt));
       c.qt = nullptr;
     }
-    sums_->latency += out.latency;
-    sums_->tuning_index += out.tuning_index;
-    sums_->tuning_total += out.tuning_total();
-    sums_->retries += out.retries;
-    sums_->lost_packets += out.lost_packets;
-    sums_->corrupted_packets += out.corrupted_packets;
-    sums_->epoch_switches += out.epoch_switches;
-    if (out.unrecoverable) ++sums_->unrecoverable;
-    if (out.fallback_scan) ++sums_->fallback;
-    if (out.give_up == GiveUpStage::kEpochChurn) ++sums_->epoch_churn;
-    ++sums_->queries;
-    h_latency_->Add(out.latency);
-    h_tuning_index_->Add(out.tuning_index);
-    h_tuning_total_->Add(out.tuning_total());
-    h_retries_->Add(out.retries);
-    h_lost_->Add(out.lost_packets);
-    h_corrupted_->Add(out.corrupted_packets);
-    if (versioned_) h_epoch_switches_->Add(out.epoch_switches);
+    sums_->Add(out);
     if (tel_ != nullptr) {
       QueryOutcomeSummary summary;
       summary.latency = out.latency;
@@ -412,9 +339,8 @@ class ShardEngine final : public AccessDriver {
       const int inv = c.cache->OnEpochObserved(out.epoch);
       sums_->cache_invalidations += inv;
       const int ev = c.cache->Insert(
-          spans_[static_cast<size_t>(c.span)]
-              .region_polys[static_cast<size_t>(region)],
-          region, out.epoch);
+          spans_[static_cast<size_t>(c.span)].sampler->cell(region), region,
+          out.epoch);
       sums_->cache_evictions += ev;
       if (tel_ != nullptr) {
         tel_->CacheInvalidated(done, inv);
@@ -465,7 +391,7 @@ class ShardEngine final : public AccessDriver {
   const double horizon_;
   const int64_t shard_first_;
   const int64_t shard_clients_;
-  FleetShard* sums_;
+  QueryTally* sums_;
   TelemetryShard* const tel_;  ///< null unless FleetOptions::telemetry
   const int64_t cycle_;  ///< span 0's cycle (join / think-time base)
   const bool versioned_;
@@ -478,13 +404,6 @@ class ShardEngine final : public AccessDriver {
   std::vector<QueryTrace> open_traces_;
   std::priority_queue<WakeUp, std::vector<WakeUp>, WakeUpLater> queue_;
   ProbeTrace probe_scratch_;
-  Histogram* h_latency_ = nullptr;
-  Histogram* h_tuning_index_ = nullptr;
-  Histogram* h_tuning_total_ = nullptr;
-  Histogram* h_retries_ = nullptr;
-  Histogram* h_lost_ = nullptr;
-  Histogram* h_corrupted_ = nullptr;
-  Histogram* h_epoch_switches_ = nullptr;  ///< non-null iff versioned_
 };
 
 /// Option checks shared by RunFleet and RunFleetVersioned.
@@ -503,9 +422,7 @@ Status ValidateFleetOptions(const FleetOptions& options) {
   if (!(options.churn >= 0.0 && options.churn <= 1.0)) {
     return Status::InvalidArgument("churn must be in [0, 1]");
   }
-  DTREE_RETURN_IF_ERROR(workload::ValidateMobilityOptions(options.mobility));
-  DTREE_RETURN_IF_ERROR(ValidateCacheOptions(options.cache));
-  return Status::OK();
+  return options.Validate();
 }
 
 /// The shared engine driver: shard layout, parallel event loops,
@@ -534,7 +451,8 @@ Result<FleetResult> RunFleetImpl(const BroadcastTimeline& timeline,
     options.telemetry->set_cache_enabled(options.cache.enabled);
   }
 
-  std::vector<FleetShard> shards(static_cast<size_t>(num_shards));
+  std::vector<QueryTally> shards(static_cast<size_t>(num_shards),
+                                 QueryTally(versioned));
   auto run_shard = [&](int s) {
     const int64_t shard_clients = per_shard + (s < remainder ? 1 : 0);
     const int64_t shard_first =
@@ -550,78 +468,21 @@ Result<FleetResult> RunFleetImpl(const BroadcastTimeline& timeline,
   ThreadPool pool(options.num_threads);
   pool.ParallelFor(num_shards, run_shard);
 
-  // Merge in shard order; first failing shard (by id) wins.
-  FleetShard total;
-  MetricsRegistry merged;
-  for (const FleetShard& sums : shards) {
-    if (!sums.error.ok()) return sums.error;
-    total.latency += sums.latency;
-    total.tuning_index += sums.tuning_index;
-    total.tuning_total += sums.tuning_total;
-    total.retries += sums.retries;
-    total.lost_packets += sums.lost_packets;
-    total.corrupted_packets += sums.corrupted_packets;
-    total.unrecoverable += sums.unrecoverable;
-    total.fallback += sums.fallback;
-    total.epoch_switches += sums.epoch_switches;
-    total.epoch_churn += sums.epoch_churn;
-    total.queries += sums.queries;
-    total.sessions += sums.sessions;
-    total.departures += sums.departures;
-    total.cache_hits += sums.cache_hits;
-    total.cache_misses += sums.cache_misses;
-    total.cache_evictions += sums.cache_evictions;
-    total.cache_invalidations += sums.cache_invalidations;
-    merged.MergeOrdered(sums.metrics);
-  }
-  if (options.trace_sink != nullptr) {
-    for (const FleetShard& sums : shards) {
-      for (const QueryTrace& qt : sums.traces) {
-        options.trace_sink->Consume(qt);
-      }
-    }
-  }
-  if (options.telemetry != nullptr) options.telemetry->MergeShards();
-
   FleetResult res;
-  res.index_name = std::move(index_name);
-  res.packet_capacity = options.packet_capacity;
-  res.m = ch0.m();
-  res.index_packets = ch0.index_packets();
-  res.data_packets = ch0.data_packets();
-  res.cycle_packets = ch0.cycle_packets();
+  Result<QueryTally> total_r = MergeShards(
+      shards, ch0, std::move(index_name), options.trace_sink, &res);
+  if (!total_r.ok()) return total_r.status();
+  if (options.telemetry != nullptr) options.telemetry->MergeShards();
+  const QueryTally& total = total_r.value();
   res.horizon_packets = static_cast<int64_t>(std::llround(horizon));
   res.num_clients = options.num_clients;
   res.sessions = total.sessions;
   res.departures = total.departures;
-  res.queries = total.queries;
-  const double n = static_cast<double>(total.queries);
-  const auto mean = [&](double sum) { return n > 0.0 ? sum / n : 0.0; };
-  res.mean_latency = mean(total.latency);
-  res.mean_tuning_index = mean(total.tuning_index);
-  res.mean_tuning_total = mean(total.tuning_total);
-  res.mean_retries = mean(static_cast<double>(total.retries));
-  res.mean_lost_packets = mean(static_cast<double>(total.lost_packets));
-  res.mean_corrupted_packets =
-      mean(static_cast<double>(total.corrupted_packets));
-  res.total_retries = total.retries;
-  res.total_lost_packets = total.lost_packets;
-  res.total_corrupted_packets = total.corrupted_packets;
-  res.unrecoverable_queries = total.unrecoverable;
-  res.fallback_queries = total.fallback;
   res.total_epoch_switches = total.epoch_switches;
   res.epoch_churn_queries = total.epoch_churn;
-  res.mean_epoch_switches = mean(static_cast<double>(total.epoch_switches));
+  res.mean_epoch_switches =
+      total.Mean(static_cast<double>(total.epoch_switches));
   res.cache_enabled = options.cache.enabled;
-  res.cache_hits = total.cache_hits;
-  res.cache_misses = total.cache_misses;
-  res.cache_evictions = total.cache_evictions;
-  res.cache_invalidations = total.cache_invalidations;
-  res.min_latency = merged.histogram(kLatencyHist)->Min();
-  res.max_latency = merged.histogram(kLatencyHist)->Max();
-  res.min_tuning_total = merged.histogram(kTuningTotalHist)->Min();
-  res.max_tuning_total = merged.histogram(kTuningTotalHist)->Max();
-  res.metrics = std::move(merged);
   return res;
 }
 
@@ -644,11 +505,7 @@ Result<FleetResult> RunEpochs(const std::vector<FleetEpoch>& epochs,
   // Channels and samplers are owned here and borrowed by the spans; the
   // wire format (packet capacity / instance size) is shared, so every
   // epoch's channel is built from the same ChannelOptions.
-  ChannelOptions copt;
-  copt.packet_capacity = options.packet_capacity;
-  copt.data_instance_size = options.data_instance_size;
-  copt.m = options.m;
-  copt.loss = options.loss;
+  const ChannelOptions copt = options.channel_options();
   std::vector<BroadcastChannel> channels;
   std::vector<QuerySampler> samplers;
   channels.reserve(epochs.size());
@@ -670,9 +527,8 @@ Result<FleetResult> RunEpochs(const std::vector<FleetEpoch>& epochs,
   spans.reserve(epochs.size());
   for (size_t i = 0; i < epochs.size(); ++i) {
     epoch_spans.push_back({&channels[i], epochs[i].epoch, epochs[i].cycles});
-    spans.push_back(MakeSpanContext(*epochs[i].index, samplers[i],
-                                    *epochs[i].subdivision,
-                                    options.cache.enabled));
+    spans.push_back({epochs[i].index, &samplers[i],
+                     epochs[i].subdivision->service_area()});
   }
   Result<BroadcastTimeline> timeline_r =
       BroadcastTimeline::Create(std::move(epoch_spans));

@@ -22,11 +22,12 @@
 // into kFleetShards fixed shards owning contiguous slot ranges; every
 // random draw comes from a stream keyed by (options.seed, client id,
 // purpose) via Rng::MixStream, never from shared state; each shard runs
-// its own event loop single-threaded and accumulates privately; shards
-// are merged in shard order. FleetResult is therefore bit-identical for
-// any num_threads. Client ids outlive churn: the g-th occupant of slot s
-// has client_id = s + g * num_clients, so a session's draws depend only
-// on (seed, slot, generation).
+// its own event loop single-threaded into a private QueryTally, and the
+// tallies are merged in shard order by the same MergeShards as
+// RunExperiment's (broadcast/experiment.h). FleetResult is therefore
+// bit-identical for any num_threads. Client ids outlive churn: the g-th
+// occupant of slot s has client_id = s + g * num_clients, so a session's
+// draws depend only on (seed, slot, generation).
 
 #ifndef DTREE_BROADCAST_FLEET_H_
 #define DTREE_BROADCAST_FLEET_H_
@@ -54,8 +55,15 @@ class FleetTelemetry;  // broadcast/telemetry.h
 /// independent of how shards are scheduled onto threads.
 inline constexpr int kFleetShards = 64;
 
-struct FleetOptions {
-  int packet_capacity = 0;      ///< required, > 0
+/// A fleet's load: the shared LoadOptions (broadcast/experiment.h) plus
+/// how clients issue queries. Fleet traces carry QueryTrace::client_id and
+/// use the client's own query counter as query_index; within a shard they
+/// replay in completion order of the shard's event loop. With mobility,
+/// query q's step draws from FleetMobilityStream(q) on the client's key
+/// and the walk resets on churn. The region cache persists across a
+/// client's queries within a generation, is flushed when the client
+/// observes an epoch switch (RunFleetVersioned), and dies on churn.
+struct FleetOptions : LoadOptions {
   /// Concurrent client slots, >= 1. Memory is O(num_clients); one
   /// process comfortably holds millions (the per-client footprint is a
   /// few hundred bytes — see DESIGN.md §13).
@@ -74,25 +82,6 @@ struct FleetOptions {
   /// generation, new RNG identity) after an exponential re-join delay of
   /// the same mean as the thinking time.
   double churn = 0.0;
-  uint64_t seed = 42;
-  QueryDistribution distribution = QueryDistribution::kUniformRegion;
-  /// Per-region access weights for kWeightedRegion.
-  std::vector<double> region_weights;
-  size_t data_instance_size = kDataInstanceSize;
-  int m = 0;  ///< index repetitions per cycle; 0 = optimal
-  /// Threads to run client shards on; 0 = hardware concurrency. Results
-  /// do not depend on this value — only wall-clock time does.
-  int num_threads = 0;
-  /// Channel fault injection; every query plays the access protocol's
-  /// degradation ladder (broadcast/access.h).
-  LossOptions loss;
-  /// Opt-in per-query tracing (not owned). Each shard buffers privately;
-  /// traces are replayed into the sink in shard order after the parallel
-  /// section (ordered by slot, then by completion within the shard's
-  /// event loop — deterministic for any thread count). Fleet traces
-  /// carry QueryTrace::client_id and use the client's own query counter
-  /// as query_index.
-  TraceSink* trace_sink = nullptr;
   /// Opt-in windowed telemetry (not owned; broadcast/telemetry.h).
   /// RunFleet calls Reset(cycle_packets, num_shards) before the parallel
   /// section, each shard engine records into its private TelemetryShard,
@@ -101,80 +90,30 @@ struct FleetOptions {
   /// engine's event sites pay one predicted branch each and FleetResult
   /// is bit-identical to a run without telemetry (golden-pinned).
   FleetTelemetry* telemetry = nullptr;
-  /// Opt-in moving clients: each client's consecutive query points follow
-  /// a mobility walk (workload/mobility.h) instead of i.i.d. sampler
-  /// draws. Query q's step draws from the dedicated stream
-  /// FleetMobilityStream(q) on the client's key — disjoint from the
-  /// 3q+{1,2,3} families — so mobility-off runs are bit-identical to
-  /// today. The walk resets on churn (a new occupant starts fresh).
-  workload::MobilityOptions mobility;
-  /// Opt-in per-client semantic region cache (broadcast/region_cache.h),
-  /// consulted before tuning in. A hit completes the query at its arrival
-  /// time with zero latency and zero tuning. The cache persists across a
-  /// client's queries within a generation, is flushed when the client
-  /// observes an epoch switch (RunFleetVersioned), and dies on churn. It
-  /// draws no RNG; cache.enabled false is bit-identical to today.
-  CacheOptions cache;
 };
 
-/// Aggregated results of one fleet run. All means are per *completed*
-/// (or given-up) query; a run whose horizon is too short for any query
-/// to finish reports zero queries and all-zero means, never NaN.
-struct FleetResult {
-  std::string index_name;
-  int packet_capacity = 0;
-  int m = 0;
-  int index_packets = 0;
-  int64_t data_packets = 0;
-  int64_t cycle_packets = 0;
+/// Aggregated results of one fleet run. The shared QueryStats count every
+/// *completed* (or given-up) query; a run whose horizon is too short for
+/// any query to finish reports zero queries and all-zero means, never NaN.
+/// Channel-shape fields describe epoch 0's channel.
+struct FleetResult : QueryStats {
   int64_t horizon_packets = 0;  ///< round(sim_cycles * cycle_packets)
-
   int64_t num_clients = 0;  ///< concurrent slots simulated
   int64_t sessions = 0;     ///< client sessions that joined (>= num_clients
                             ///< when churn replaces departures in time)
   int64_t departures = 0;   ///< sessions that left through churn
-  int64_t queries = 0;      ///< queries completed or explicitly given up
-
-  double mean_latency = 0.0;
-  double mean_tuning_index = 0.0;
-  double mean_tuning_total = 0.0;
-  double mean_retries = 0.0;
-  double mean_lost_packets = 0.0;
-  double mean_corrupted_packets = 0.0;
-  int64_t total_retries = 0;
-  int64_t total_lost_packets = 0;
-  int64_t total_corrupted_packets = 0;
-  int64_t unrecoverable_queries = 0;
-  int64_t fallback_queries = 0;
   /// Version-skew rung accounting (RunFleetVersioned; all zero for
   /// RunFleet): epoch switches observed across all queries, queries that
   /// gave up with GiveUpStage::kEpochChurn, and the per-query mean.
   int64_t total_epoch_switches = 0;
   int64_t epoch_churn_queries = 0;
   double mean_epoch_switches = 0.0;
-  /// Region-cache accounting (FleetOptions::cache); cache_enabled echoes
-  /// the option so exporters know whether zero counters mean "cache off"
-  /// or "cache cold". Hits are counted in `queries` and in every mean
-  /// with zero latency and zero tuning — that IS the saving.
+  /// Echoes FleetOptions::cache.enabled, so exporters know whether zero
+  /// cache counters mean "cache off" or "cache cold".
   bool cache_enabled = false;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_invalidations = 0;
-  double min_latency = 0.0;
-  double max_latency = 0.0;
-  double min_tuning_total = 0.0;
-  double max_tuning_total = 0.0;
-  /// Per-query distributions under the same histogram names as
-  /// RunExperiment (kLatencyHist, kTuningIndexHist, kTuningTotalHist,
-  /// kRetriesHist, kLostPacketsHist, kCorruptedPacketsHist; versioned
-  /// runs add kEpochSwitchesHist).
-  MetricsRegistry metrics;
-};
 
-/// Per-query epoch-switch distribution, recorded only by
-/// RunFleetVersioned (legacy RunFleet results stay bit-identical).
-inline constexpr char kEpochSwitchesHist[] = "epoch_switches";
+  bool operator==(const FleetResult&) const = default;
+};
 
 /// RNG identity of one client session: MixStream(seed, client_id) with
 /// client_id = slot + generation * num_clients. Exposed so tests can

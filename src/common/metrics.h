@@ -73,6 +73,8 @@ class Histogram {
   /// histogram.
   double Percentile(double p) const;
 
+  bool operator==(const Histogram&) const = default;
+
  private:
   std::array<uint64_t, kNumBuckets> counts_{};
   uint64_t count_ = 0;
@@ -87,6 +89,8 @@ class Counter {
   void Add(uint64_t n = 1) { value_ += n; }
   void Merge(const Counter& other) { value_ += other.value_; }
   uint64_t value() const { return value_; }
+
+  bool operator==(const Counter&) const = default;
 
  private:
   uint64_t value_ = 0;
@@ -116,6 +120,8 @@ class MetricsRegistry {
     return histograms_;
   }
   const std::map<std::string, Counter>& counters() const { return counters_; }
+
+  bool operator==(const MetricsRegistry&) const = default;
 
  private:
   std::map<std::string, Histogram> histograms_;

@@ -41,14 +41,9 @@ class VectorTraceSink : public TraceSink {
 BroadcastChannel MakeFleetChannel(const AirIndex& index,
                                   const sub::Subdivision& sub,
                                   const FleetOptions& fopt) {
-  ChannelOptions copt;
-  copt.packet_capacity = fopt.packet_capacity;
-  copt.data_instance_size = fopt.data_instance_size;
-  copt.m = fopt.m;
-  copt.loss = fopt.loss;
-  auto ch_r =
-      BroadcastChannel::Create(index.NumIndexPackets(), sub.NumRegions(),
-                               copt);
+  auto ch_r = BroadcastChannel::Create(index.NumIndexPackets(),
+                                      sub.NumRegions(),
+                                      fopt.channel_options());
   EXPECT_TRUE(ch_r.ok()) << ch_r.status().ToString();
   return std::move(ch_r).value();
 }
