@@ -1,6 +1,7 @@
 #include "broadcast/channel.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 
 #include "broadcast/access.h"
@@ -32,15 +33,22 @@ Result<BroadcastChannel> BroadcastChannel::Create(
     return Status::InvalidArgument("negative index size");
   }
   DTREE_RETURN_IF_ERROR(ValidateLossOptions(options.loss));
+  // Ceiling division that cannot wrap (size + capacity - 1 would near
+  // SIZE_MAX), checked before the narrowing to int.
+  const size_t cap = static_cast<size_t>(options.packet_capacity);
+  const size_t bucket = options.data_instance_size / cap +
+                        (options.data_instance_size % cap != 0 ? 1 : 0);
+  if (bucket < 1 || bucket > static_cast<size_t>(INT_MAX)) {
+    return Status::InvalidArgument(
+        "data instance size leaves no data packets or overflows a bucket");
+  }
 
   BroadcastChannel ch;
   ch.loss_ = options.loss;
   ch.packet_capacity_ = options.packet_capacity;
   ch.index_packets_ = index_packets;
   ch.num_regions_ = num_regions;
-  ch.bucket_packets_ = static_cast<int>(
-      (options.data_instance_size + options.packet_capacity - 1) /
-      options.packet_capacity);
+  ch.bucket_packets_ = static_cast<int>(bucket);
   ch.data_packets_ =
       static_cast<int64_t>(num_regions) * ch.bucket_packets_;
 

@@ -12,8 +12,12 @@
 // arithmetic — the same f32→double promotions (exact), the same §4.4
 // early-termination comparisons in the same order, the same
 // division-based ray-crossing intercept, the same reconstructed-bound
-// rule — and the same packet accounting the wire read-log produces, which
-// equals DTree::Probe's span accounting. tests/arena_test pins both.
+// rule — and the same packet accounting the wire read-log produces, so it
+// is bit-identical to QueryFromPackets everywhere. It matches the
+// in-memory DTree::Probe only outside the geom::kMergeEps * 100 band
+// around region borders: the wire stores f32 coordinates, so a point
+// closer to a border than their rounding may descend the other way.
+// tests/arena_test pins both halves.
 
 #ifndef DTREE_DTREE_ARENA_H_
 #define DTREE_DTREE_ARENA_H_
@@ -77,9 +81,10 @@ class DTreeArena final : public bcast::FlatProbeEngine {
 
 /// Server-side arena for a built D-tree: serializes the tree (flat) and
 /// decodes the bytes back, annotating nodes with origins so probe traces
-/// — region, packets, AND origins — are identical to tree.Probe's. The
-/// returned ArenaIndex reports the tree's own name/packet/byte identity,
-/// making experiment output byte-identical with the arena enabled.
+/// — region, packets, AND origins — equal tree.Probe's for every point
+/// outside the kMergeEps * 100 border band (and the wire decoder's
+/// everywhere). The returned ArenaIndex reports the tree's own
+/// name/packet/byte identity.
 Result<bcast::ArenaIndex> BuildDTreeArenaIndex(const DTree& tree);
 
 /// Client-side arena straight from received CRC-framed packets (the

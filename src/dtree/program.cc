@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "broadcast/access.h"
 #include "common/check.h"
 #include "dtree/serialize.h"
 
@@ -119,13 +120,17 @@ Status BroadcastProgram::ParseHeader(int64_t frame, uint8_t* type,
 Result<BroadcastProgram::SessionResult> BroadcastProgram::RunClient(
     const geom::Point& p, double arrival) const {
   const int64_t cycle = num_frames();
-  if (arrival < 0.0 || arrival >= static_cast<double>(cycle)) {
+  // NaN passes both range comparisons; only the finiteness check keeps it
+  // out of the integer conversion below.
+  if (!std::isfinite(arrival) || arrival < 0.0 ||
+      arrival >= static_cast<double>(cycle)) {
     return Status::InvalidArgument("arrival outside the broadcast cycle");
   }
   SessionResult out;
 
-  // --- Initial probe.
-  const int64_t probe = static_cast<int64_t>(std::ceil(arrival));
+  // --- Initial probe: the first packet start after the arrival, exactly
+  // as the access protocol hears it.
+  const int64_t probe = bcast::FirstHeardPacket(arrival);
   uint8_t type;
   uint32_t delta;
   DTREE_RETURN_IF_ERROR(ParseHeader(probe % cycle, &type, &delta));

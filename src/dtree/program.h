@@ -71,10 +71,10 @@ class BroadcastProgram {
   };
 
   /// Runs a complete client session from the bytes: tunes in at `arrival`
-  /// (continuous, within one cycle), reads the probe frame's next-index
-  /// pointer, decodes the D-tree from index frames, waits for the data
-  /// bucket, and verifies the payload stamp. Fails on any byte-level
-  /// inconsistency.
+  /// (continuous, within one cycle; anything else, NaN included, is
+  /// InvalidArgument), reads the probe frame's next-index pointer, decodes
+  /// the D-tree from index frames, waits for the data bucket, and verifies
+  /// the payload stamp. Fails on any byte-level inconsistency.
   Result<SessionResult> RunClient(const geom::Point& p,
                                   double arrival) const;
 

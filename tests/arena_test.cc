@@ -13,8 +13,11 @@
 // the build with kDataLoss — the degradation ladder's trigger — and the
 // arena is never constructed over unverified bytes.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,6 +57,32 @@ std::vector<Point> AreaQueries(const sub::Subdivision& sub, int n,
   for (int i = 0; i < n; ++i) {
     out.push_back(
         {rng.Uniform(a.min_x, a.max_x), rng.Uniform(a.min_y, a.max_y)});
+  }
+  return out;
+}
+
+// Points scattered across region borders: a uniform point on a random
+// edge of a random region's cell, pushed along the edge normal by up to
+// `reach` either way, kept when it stays inside the service area.
+std::vector<Point> BorderQueries(const sub::Subdivision& sub, int n,
+                                 double reach, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> out;
+  out.reserve(static_cast<size_t>(n));
+  while (static_cast<int>(out.size()) < n) {
+    const geom::Polygon cell = sub.RegionPolygon(
+        static_cast<int>(rng.UniformInt(0, sub.NumRegions() - 1)));
+    Point a, b;
+    cell.Edge(static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int64_t>(cell.NumVertices()) - 1)),
+              &a, &b);
+    const double len = std::hypot(b.x - a.x, b.y - a.y);
+    if (len == 0.0) continue;
+    const double t = rng.Uniform(0.0, 1.0);
+    const double d = rng.Uniform(-reach, reach);
+    const Point p{a.x + t * (b.x - a.x) - d * (b.y - a.y) / len,
+                  a.y + t * (b.y - a.y) + d * (b.x - a.x) / len};
+    if (sub.service_area().Contains(p)) out.push_back(p);
   }
   return out;
 }
@@ -150,6 +179,67 @@ TEST(DTreeArenaTest, MatchesDecoderAtScale100k) {
   ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
   RunDTreeDifferential(d_r.value().subdivision, 256,
                        /*early_termination=*/true, 512, 104);
+}
+
+// The server-side arena's full contract, on PARK: it is bit-identical to
+// the wire decoder everywhere, and matches DTree::Probe — region, packets
+// and origins — wherever the point lies outside the kMergeEps * 100 band
+// around region borders. Inside the band the two can differ, because the
+// wire format stores coordinates as f32 while the in-memory tree keeps
+// doubles. Uniform points almost never land there, so half the queries
+// straddle the band on purpose.
+TEST(DTreeArenaTest, MatchesDecoderEverywhereAndProbeOutsideTheBorderBand) {
+  auto park_r = workload::MakeParkDataset();
+  ASSERT_TRUE(park_r.ok()) << park_r.status().ToString();
+  const sub::Subdivision& sub = park_r.value().subdivision;
+  const double band = geom::kMergeEps * 100.0;
+  for (int capacity : {64, 256, 1024}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    core::DTree::Options o;
+    o.packet_capacity = capacity;
+    auto tree_r = core::DTree::Build(sub, o);
+    ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
+    const core::DTree& tree = tree_r.value();
+    auto packets_r = core::SerializeDTreeFlat(tree);
+    ASSERT_TRUE(packets_r.ok()) << packets_r.status().ToString();
+    auto arena_r = core::BuildDTreeArenaIndex(tree);
+    ASSERT_TRUE(arena_r.ok()) << arena_r.status().ToString();
+
+    std::vector<Point> queries = AreaQueries(sub, 20000, 105);
+    const std::vector<Point> border = BorderQueries(sub, 20000, 3 * band, 106);
+    queries.insert(queries.end(), border.begin(), border.end());
+    std::vector<int> read;
+    bcast::ProbeTrace trace;
+    int disagreements = 0;
+    for (const Point& p : queries) {
+      read.clear();
+      const Result<int> wire = core::QueryFromPackets(
+          packets_r.value(), capacity, /*early_termination=*/true, p, &read);
+      const Status st = arena_r.value().ProbeInto(p, &trace);
+      ExpectSameOutcome(wire, read, st, trace, /*compare_packets=*/true, p);
+      if (::testing::Test::HasFatalFailure()) return;
+
+      const Result<bcast::ProbeTrace> memory = tree.Probe(p);
+      ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+      const bcast::ProbeTrace& m = memory.value();
+      if (m.region == trace.region && m.packets == trace.packets &&
+          m.origins.size() == trace.origins.size() &&
+          std::equal(m.origins.begin(), m.origins.end(),
+                     trace.origins.begin(),
+                     [](const bcast::ProbePacketOrigin& a,
+                        const bcast::ProbePacketOrigin& b) {
+                       return a.node == b.node && a.depth == b.depth;
+                     })) {
+        continue;
+      }
+      ++disagreements;
+      EXPECT_LE(sub.DistanceToNearestBorder(p), band)
+          << "arena and DTree::Probe differ at (" << p.x << ", " << p.y
+          << ") outside the border band";
+    }
+    RecordProperty("probe_disagreements_cap" + std::to_string(capacity),
+                   disagreements);
+  }
 }
 
 // --- Baselines ------------------------------------------------------------

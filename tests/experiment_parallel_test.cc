@@ -1,13 +1,16 @@
 // Determinism and sampler-edge-case coverage for the parallel experiment
 // driver: the sharded, stream-seeded query loop must return bit-identical
-// metrics for every thread count, and QuerySampler must handle degenerate
-// weight vectors exactly as documented.
+// metrics for every thread count, QuerySampler must handle degenerate
+// weight vectors exactly as documented, and the result equality the
+// benches' thread-invariance checks rely on must see every field.
 
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "broadcast/experiment.h"
+#include "broadcast/fleet.h"
 #include "common/rng.h"
 #include "dtree/dtree.h"
 #include "test_util.h"
@@ -257,6 +260,102 @@ TEST(ParallelExperimentTest, AllUnrecoverableShardsAggregateSanely) {
   auto parallel = RunExperiment(tree.value(), sub, nullptr, opt);
   ASSERT_TRUE(parallel.ok());
   ExpectIdentical(serial.value(), parallel.value());
+}
+
+TEST(ParallelExperimentTest, ReportsQueriesAndLostPacketTotals) {
+  // The fields RunExperiment now shares with the fleet: `queries` counts
+  // every query, cache hits included, and the lost-read total equals the
+  // sum its per-query histogram accumulated alongside.
+  const sub::Subdivision sub = test::RandomVoronoi(60, 515);
+  core::DTree::Options topt;
+  topt.packet_capacity = 128;
+  auto tree = core::DTree::Build(sub, topt);
+  ASSERT_TRUE(tree.ok());
+  ExperimentOptions opt;
+  opt.packet_capacity = 128;
+  opt.num_queries = 3000;
+  opt.seed = 5;
+  opt.num_threads = 4;
+  opt.loss.model = LossModel::kIid;
+  opt.loss.loss_rate = 0.1;
+  opt.loss.seed = 9;
+  auto res = RunExperiment(tree.value(), sub, nullptr, opt);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const ExperimentResult& r = res.value();
+  EXPECT_EQ(r.queries, opt.num_queries);
+  const Histogram* lost = r.metrics.FindHistogram(kLostPacketsHist);
+  ASSERT_NE(lost, nullptr);
+  EXPECT_GT(r.total_lost_packets, 0);
+  EXPECT_EQ(static_cast<double>(r.total_lost_packets), lost->Sum());
+
+  opt.mobility.enabled = true;
+  opt.cache.enabled = true;
+  auto cached = RunExperiment(tree.value(), sub, nullptr, opt);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_GT(cached.value().cache_hits, 0);
+  EXPECT_EQ(cached.value().queries, opt.num_queries);
+}
+
+/// Two histograms with the same count, sum, min and max whose bucket
+/// counts differ.
+std::pair<Histogram, Histogram> BucketOnlyTwins() {
+  std::pair<Histogram, Histogram> twins;
+  for (double v : {1.0, 2.0, 3.0, 4.0}) twins.first.Add(v);
+  for (double v : {1.0, 2.5, 2.5, 4.0}) twins.second.Add(v);
+  return twins;
+}
+
+/// Defaulted equality reaches every layer of a result: a QueryStats
+/// field, a field of the derived result, and one histogram's buckets.
+template <typename R>
+void ExpectEqualityComparesEveryLayer(const R& r, void (*bump_derived)(R*)) {
+  R b = r;
+  EXPECT_TRUE(b == r);
+  b.total_retries += 1;
+  EXPECT_FALSE(b == r);
+  b = r;
+  bump_derived(&b);
+  EXPECT_FALSE(b == r);
+  const auto [h1, h2] = BucketOnlyTwins();
+  R x = r;
+  R y = r;
+  *x.metrics.histogram(kRetriesHist) = h1;
+  *y.metrics.histogram(kRetriesHist) = h2;
+  EXPECT_FALSE(x == y);
+  *y.metrics.histogram(kRetriesHist) = h1;
+  EXPECT_TRUE(x == y);
+}
+
+TEST(ResultEqualityTest, OneFieldOrOneBucketMakesResultsUnequal) {
+  const Histogram twin_a = BucketOnlyTwins().first;
+  const Histogram twin_b = BucketOnlyTwins().second;
+  ASSERT_EQ(twin_a.TotalCount(), twin_b.TotalCount());
+  ASSERT_EQ(twin_a.Sum(), twin_b.Sum());
+  ASSERT_EQ(twin_a.Min(), twin_b.Min());
+  ASSERT_EQ(twin_a.Max(), twin_b.Max());
+  EXPECT_FALSE(twin_a == twin_b);
+
+  const sub::Subdivision sub = test::RandomVoronoi(40, 616);
+  core::DTree::Options topt;
+  topt.packet_capacity = 128;
+  auto tree = core::DTree::Build(sub, topt);
+  ASSERT_TRUE(tree.ok());
+  ExperimentOptions eopt;
+  eopt.packet_capacity = 128;
+  eopt.num_queries = 500;
+  auto exp = RunExperiment(tree.value(), sub, nullptr, eopt);
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  ExpectEqualityComparesEveryLayer<ExperimentResult>(
+      exp.value(), [](ExperimentResult* r) { r->normalized_latency += 1.0; });
+
+  FleetOptions fopt;
+  fopt.packet_capacity = 128;
+  fopt.num_clients = 50;
+  fopt.sim_cycles = 2.0;
+  auto fleet = RunFleet(tree.value(), sub, fopt);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  ExpectEqualityComparesEveryLayer<FleetResult>(
+      fleet.value(), [](FleetResult* r) { r->sessions += 1; });
 }
 
 TEST(RngStreamTest, StreamsAreDecorrelatedAndReproducible) {

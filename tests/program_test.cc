@@ -2,6 +2,10 @@
 // be structurally sound, and a client session over raw frames must agree
 // with the analytic channel simulator packet for packet.
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "broadcast/channel.h"
 #include "dtree/dtree.h"
 #include "dtree/program.h"
@@ -96,30 +100,63 @@ TEST(BroadcastProgramTest, RejectsMismatchedChannel) {
 class ProgramAgreementTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
+void ExpectClientMatchesSimulate(const Rig& su, const Point& p,
+                                 double arrival) {
+  SCOPED_TRACE("arrival " + std::to_string(arrival));
+  auto session_r = su.program.RunClient(p, arrival);
+  ASSERT_TRUE(session_r.ok()) << session_r.status().ToString();
+  const auto& session = session_r.value();
+
+  auto trace_r = su.tree.Probe(p);
+  ASSERT_TRUE(trace_r.ok());
+  auto outcome_r = su.channel.Simulate(trace_r.value(), arrival);
+  ASSERT_TRUE(outcome_r.ok());
+  const auto& outcome = outcome_r.value();
+
+  EXPECT_EQ(session.region, trace_r.value().region);
+  EXPECT_DOUBLE_EQ(session.latency, outcome.latency);
+  EXPECT_EQ(session.tuning_index, outcome.tuning_index);
+  EXPECT_EQ(session.tuning_data, outcome.tuning_data);
+  EXPECT_EQ(session.tuning_total(), outcome.tuning_total());
+}
+
 TEST_P(ProgramAgreementTest, ByteClientMatchesAnalyticSimulator) {
   const auto [n, capacity, m] = GetParam();
   Rig su = MakeRig(n, capacity, 1234 + n + capacity, m);
+  const int64_t cycle = su.channel.cycle_packets();
   Rng rng(64);
   for (int q = 0; q < 250; ++q) {
     const Point p = test::UnambiguousQueryPoint(su.sub, &rng, 1e-3);
-    const double arrival = rng.Uniform(
-        0.0, static_cast<double>(su.channel.cycle_packets()));
+    ExpectClientMatchesSimulate(
+        su, p, rng.Uniform(0.0, static_cast<double>(cycle)));
+  }
+  // Integer arrivals: the packet starting exactly at the arrival is
+  // already in flight, so a client tuning in one packet before an index
+  // segment must still catch that segment's first packet as its probe.
+  std::vector<double> arrivals = {0.0};
+  for (int j = 0; j < su.channel.m(); ++j) {
+    arrivals.push_back(static_cast<double>(
+        (su.channel.IndexSegmentStart(j) - 1 + cycle) % cycle));
+  }
+  for (int q = 0; q < 20; ++q) {
+    const Point p = test::UnambiguousQueryPoint(su.sub, &rng, 1e-3);
+    for (double arrival : arrivals) {
+      ExpectClientMatchesSimulate(su, p, arrival);
+    }
+  }
+}
 
-    auto session_r = su.program.RunClient(p, arrival);
-    ASSERT_TRUE(session_r.ok()) << session_r.status().ToString();
-    const auto& session = session_r.value();
-
-    auto trace_r = su.tree.Probe(p);
-    ASSERT_TRUE(trace_r.ok());
-    auto outcome_r = su.channel.Simulate(trace_r.value(), arrival);
-    ASSERT_TRUE(outcome_r.ok());
-    const auto& outcome = outcome_r.value();
-
-    EXPECT_EQ(session.region, trace_r.value().region);
-    EXPECT_DOUBLE_EQ(session.latency, outcome.latency);
-    EXPECT_EQ(session.tuning_index, outcome.tuning_index);
-    EXPECT_EQ(session.tuning_data, outcome.tuning_data);
-    EXPECT_EQ(session.tuning_total(), outcome.tuning_total());
+TEST(BroadcastProgramTest, RejectsBadArrivalsWithAStatus) {
+  Rig su = MakeRig(30, 128, 64, 3);
+  const double cycle = static_cast<double>(su.program.num_frames());
+  const double inf = std::numeric_limits<double>::infinity();
+  const Point p = su.sub.RegionPolygon(0).Centroid();
+  for (double arrival :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf, -1.0, cycle}) {
+    auto r = su.program.RunClient(p, arrival);
+    ASSERT_FALSE(r.ok()) << "arrival " << arrival;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << "arrival " << arrival << ": " << r.status().ToString();
   }
 }
 
