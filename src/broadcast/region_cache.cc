@@ -24,14 +24,11 @@ const RegionCache::Entry* RegionCache::Lookup(const geom::Point& p) {
       // Ambiguity band: the point is (nearly) on the cell boundary, where
       // the cache's polygon and the index's own geometry could disagree
       // at floating-point granularity. Refuse to answer.
-      ++stats_.misses;
       return nullptr;
     }
-    ++stats_.hits;
     if (it != lru_.begin()) lru_.splice(lru_.begin(), lru_, it);
     return &lru_.front();
   }
-  ++stats_.misses;
   return nullptr;
 }
 
@@ -64,7 +61,6 @@ int RegionCache::Insert(const geom::Polygon& cell, int region,
     lru_.pop_back();
     ++evicted;
   }
-  stats_.evictions += evicted;
   return evicted;
 }
 
@@ -74,7 +70,6 @@ int RegionCache::OnEpochObserved(uint16_t epoch) {
   const int dropped = static_cast<int>(lru_.size());
   lru_.clear();
   bytes_ = 0;
-  stats_.invalidations += dropped;
   return dropped;
 }
 

@@ -67,13 +67,6 @@ struct CacheOptions {
 /// Validates ranges; called by the experiment and fleet drivers.
 Status ValidateCacheOptions(const CacheOptions& options);
 
-struct CacheStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t evictions = 0;      ///< entries dropped by the byte budget
-  int64_t invalidations = 0;  ///< entries dropped by epoch-change flushes
-};
-
 /// One client's region cache. Not thread-safe; clients are shard-local.
 class RegionCache {
  public:
@@ -89,7 +82,7 @@ class RegionCache {
   /// Point-in-cached-region lookup, consulted *before* tuning in. On a
   /// hit the entry moves to the front of the LRU order and a pointer to
   /// it is returned (valid until the next mutating call); on a miss
-  /// returns nullptr. Counts exactly one hit or miss in stats().
+  /// returns nullptr.
   const Entry* Lookup(const geom::Point& p);
 
   /// Caches `cell` as the valid scope of answer `region` read at `epoch`.
@@ -101,16 +94,15 @@ class RegionCache {
 
   /// Reports a trusted epoch stamp (a CRC-valid read or a completed
   /// answer). A stamp differing from the cache's epoch is version skew:
-  /// every entry is flushed and counted as an invalidation. Same-epoch
-  /// stamps are no-ops (a retry under loss keeps the cache intact).
-  /// Returns the number of entries invalidated.
+  /// every entry is flushed. Same-epoch stamps are no-ops (a retry under
+  /// loss keeps the cache intact). Returns the number of entries
+  /// invalidated.
   int OnEpochObserved(uint16_t epoch);
 
-  /// Drops every entry with no stats impact beyond the entry count going
-  /// to zero (churn: the client is gone, nothing was "invalidated").
+  /// Drops every entry without counting an invalidation (churn: the
+  /// client is gone, nothing it trusted was invalidated).
   void Clear();
 
-  const CacheStats& stats() const { return stats_; }
   size_t bytes() const { return bytes_; }
   size_t entries() const { return lru_.size(); }
   uint16_t epoch() const { return epoch_; }
@@ -130,7 +122,6 @@ class RegionCache {
   std::list<Entry> lru_;
   size_t bytes_ = 0;
   uint16_t epoch_ = 0;
-  CacheStats stats_;
 };
 
 }  // namespace dtree::bcast
