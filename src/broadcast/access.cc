@@ -539,18 +539,18 @@ Result<BroadcastChannel::QueryOutcome> SimulateNoIndexQuery(
 }
 
 void MirrorOutcome(const BroadcastChannel::QueryOutcome& out, bool versioned,
-                   QueryTrace* qt) {
-  qt->latency = out.latency;
-  qt->tuning_total = out.tuning_total();
-  qt->retries = out.retries;
-  qt->lost_packets = out.lost_packets;
-  qt->corrupted_packets = out.corrupted_packets;
-  qt->fallback_scan = out.fallback_scan;
-  qt->unrecoverable = out.unrecoverable;
+                   QuerySummary* s) {
+  s->latency = out.latency;
+  s->tuning_total = out.tuning_total();
+  s->retries = out.retries;
+  s->lost_packets = out.lost_packets;
+  s->corrupted_packets = out.corrupted_packets;
+  s->fallback_scan = out.fallback_scan;
+  s->unrecoverable = out.unrecoverable;
   if (versioned) {
-    qt->versioned = true;
-    qt->epoch = out.epoch;
-    qt->epoch_switches = out.epoch_switches;
+    s->versioned = true;
+    s->epoch = out.epoch;
+    s->epoch_switches = out.epoch_switches;
   }
 }
 

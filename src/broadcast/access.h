@@ -186,10 +186,10 @@ Result<BroadcastChannel::QueryOutcome> SimulateNoIndexQuery(
     const BroadcastChannel& channel, int region, double arrival,
     uint64_t loss_stream);
 
-/// Mirrors an outcome's summary fields into its trace; the epoch fields
-/// only when `versioned`.
+/// Mirrors an outcome's summary fields into `s` (a trace, or the fleet's
+/// telemetry summary); the epoch fields only when `versioned`.
 void MirrorOutcome(const BroadcastChannel::QueryOutcome& out, bool versioned,
-                   QueryTrace* qt);
+                   QuerySummary* s);
 
 /// Marks `qt` as answered from the region cache under `epoch`: its only
 /// event is kCacheHit at the packet the client would have probed.

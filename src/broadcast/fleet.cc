@@ -317,19 +317,10 @@ class ShardEngine final : public AccessDriver {
     }
     sums_->Add(out);
     if (tel_ != nullptr) {
-      QueryOutcomeSummary summary;
-      summary.latency = out.latency;
-      summary.tuning_total = out.tuning_total();
-      summary.retries = out.retries;
-      summary.lost_packets = out.lost_packets;
-      summary.corrupted_packets = out.corrupted_packets;
-      summary.fallback_scan = out.fallback_scan;
-      summary.unrecoverable = out.unrecoverable;
-      summary.versioned = versioned_;
-      summary.epoch = out.epoch;
-      summary.epoch_switches = out.epoch_switches;
-      if (out.unrecoverable) summary.give_up = GiveUpStageName(out.give_up);
-      tel_->QueryDone(done, c.client_id, c.query_index, summary);
+      QuerySummary summary;
+      MirrorOutcome(out, versioned_, &summary);
+      tel_->QueryDone(done, c.client_id, c.query_index, summary,
+                      out.unrecoverable ? GiveUpStageName(out.give_up) : "");
     }
 
     if (cache_on_ && !out.cache_hit && !out.unrecoverable) {

@@ -1,38 +1,41 @@
-// Fleet-scale telemetry: windowed time-series metrics keyed by
-// broadcast-cycle index, a per-cycle-position read heatmap, and a
-// per-shard flight recorder — the continuous view of the paper's two
-// headline metrics (tuning time and access latency) that a battery-
-// powered receiver fleet must monitor, not just average at end-of-run.
+// Fleet-scale telemetry: one fixed record per broadcast-cycle window
+// (counters, histograms, an in-flight gauge and a read heatmap binned by
+// cycle position), and a per-shard flight recorder — the continuous view
+// of the paper's two headline metrics (tuning time and access latency)
+// that a battery-powered receiver fleet must monitor, not just average
+// at end-of-run.
 //
 // Architecture (same determinism contract as the fleet engine itself):
 //   * FleetTelemetry owns one TelemetryShard per fleet shard. Each shard
 //     engine records into its private shard single-threaded on the hot
 //     path — plain counter bumps and histogram adds, no locking, no RNG,
-//     no per-event allocation in the steady state (windowed maps allocate
-//     on first touch of a window; the flight ring is preallocated).
-//   * After the parallel section, MergeShards() folds the shards in shard
-//     order; every exported byte (timeline JSONL, Prometheus text, flight
-//     records) is therefore identical for any thread count.
+//     no per-event allocation in the steady state (a window record is
+//     allocated on the first touch of its window; the flight ring is
+//     preallocated).
+//   * After the parallel section, MergeShards() folds the shards' window
+//     records in shard order; every exported byte (timeline JSONL,
+//     Prometheus text, flight records) is therefore identical for any
+//     thread count.
 //   * Telemetry is opt-in via FleetOptions::telemetry. When unset the
 //     engine's hot loop pays one predicted null check per event site and
 //     nothing else: FleetResult stays bit-identical to a run without the
 //     telemetry layer compiled at all (golden-pinned in tests).
 //
-// What is recorded, per broadcast-cycle window:
-//   counters   queries_issued / queries_completed / unrecoverable /
-//              fallback / retries / lost_packets / corrupted_packets /
-//              arrivals / departures / index_reads / data_reads
+// What one window record (TelemetryWindow) holds:
+//   counters   issued / completed / unrecoverable / fallback / retries /
+//              lost / corrupted / arrivals / departures / index_reads /
+//              data_reads / epoch_switches, plus four cache counters
 //   histograms latency, tuning (at the completion window), doze (packets
 //              slept, split across the windows the doze overlaps — the
 //              dozing-vs-active occupancy signal: doze_sum/window_width
 //              is the mean number of dozing clients during the window,
 //              (index_reads+data_reads)/window_width the mean number
 //              actively listening)
-//   gauges     shard_inflight — min/max in-flight queries observed in
-//              any single shard (per-shard load-balance envelope)
-//   heatmap    per window, index-class vs data-class packet reads binned
-//              by position within the broadcast cycle — the demand signal
-//              popularity-aware scheduling (ROADMAP item 3) consumes.
+//   gauge      inflight — min/max in-flight queries observed in any
+//              single shard (per-shard load-balance envelope)
+//   heatmap    index-class vs data-class packet reads binned by position
+//              within the broadcast cycle — the demand signal
+//              popularity-aware scheduling consumes.
 //
 // Flight recorder: each shard keeps a fixed-size ring of recent events
 // (reads, faults, dozes) tagged with the issuing client. When a query
@@ -43,6 +46,7 @@
 #ifndef DTREE_BROADCAST_TELEMETRY_H_
 #define DTREE_BROADCAST_TELEMETRY_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,36 +54,11 @@
 #include <vector>
 
 #include "broadcast/trace.h"
-#include "common/timeseries.h"
+#include "common/metrics.h"
 
 namespace dtree::bcast {
 
 struct FleetResult;  // broadcast/fleet.h
-
-/// Per-window metric names in FleetTelemetry::series().
-inline constexpr char kTsQueriesIssued[] = "queries_issued";
-inline constexpr char kTsQueriesCompleted[] = "queries_completed";
-inline constexpr char kTsUnrecoverable[] = "unrecoverable";
-inline constexpr char kTsFallback[] = "fallback";
-inline constexpr char kTsRetries[] = "retries";
-inline constexpr char kTsLostPackets[] = "lost_packets";
-inline constexpr char kTsCorruptedPackets[] = "corrupted_packets";
-inline constexpr char kTsArrivals[] = "arrivals";
-inline constexpr char kTsDepartures[] = "departures";
-inline constexpr char kTsIndexReads[] = "index_reads";
-inline constexpr char kTsDataReads[] = "data_reads";
-inline constexpr char kTsEpochSwitches[] = "epoch_switches";
-// Region-cache activity (broadcast/region_cache.h); recorded only when
-// the run has the cache enabled, and the exporters emit the cache keys
-// only then, so cache-off telemetry bytes are unchanged.
-inline constexpr char kTsCacheHits[] = "cache_hits";
-inline constexpr char kTsCacheMisses[] = "cache_misses";
-inline constexpr char kTsCacheEvictions[] = "cache_evictions";
-inline constexpr char kTsCacheInvalidations[] = "cache_invalidations";
-inline constexpr char kTsLatency[] = "latency";
-inline constexpr char kTsTuning[] = "tuning";
-inline constexpr char kTsDoze[] = "doze";
-inline constexpr char kTsShardInflight[] = "shard_inflight";
 
 struct TelemetryOptions {
   /// Cycle-position bins of the per-window read heatmap, > 0.
@@ -116,33 +95,49 @@ struct TelemetryTotals {
 
 TelemetryTotals TotalsFromFleet(const FleetResult& result);
 
-/// Completed-query summary handed to TelemetryShard::QueryDone; mirrors
-/// BroadcastChannel::QueryOutcome without depending on channel.h.
-struct QueryOutcomeSummary {
-  double latency = 0.0;
-  int tuning_total = 0;
-  int retries = 0;
-  int lost_packets = 0;
-  int corrupted_packets = 0;
-  bool fallback_scan = false;
-  bool unrecoverable = false;
-  /// Versioned-broadcast summary (RunFleetVersioned / versioned traces):
-  /// when `versioned` the flight record carries the query's final epoch
-  /// and switch count; legacy runs omit the fields byte-for-byte.
-  bool versioned = false;
-  uint16_t epoch = 0;
-  int epoch_switches = 0;
-  /// Stable GiveUpStageName when unrecoverable; "" omits the field from
-  /// the flight record (trace-driven feeds do not know the stage).
-  const char* give_up = "";
-};
+/// Everything telemetry records about one broadcast-cycle window. A
+/// record exists once any event touched its window; parts no event
+/// touched stay empty and export as zeros.
+struct TelemetryWindow {
+  /// The counters, in export order. The cache counters come last: they
+  /// are recorded only with the region cache on, and exported only when
+  /// FleetTelemetry::cache_enabled().
+  enum Counter : uint8_t {
+    kIssued,
+    kCompleted,
+    kUnrecoverable,
+    kFallback,
+    kRetries,
+    kLost,
+    kCorrupted,
+    kArrivals,
+    kDepartures,
+    kIndexReads,
+    kDataReads,
+    kEpochSwitches,
+    kCacheHits,
+    kCacheMisses,
+    kCacheEvictions,
+    kCacheInvalidations,
+    kNumCounters,
+  };
 
-/// Per-window read heatmap row: packets read per cycle-position bin,
-/// split index-class (probe + index descent + fallback-scan listening)
-/// vs data-class (bucket retrievals).
-struct HeatmapRow {
-  std::vector<int64_t> index_reads;
-  std::vector<int64_t> data_reads;
+  std::array<uint64_t, kNumCounters> counters{};
+  /// Completed queries' latency and tuning, at the completion window.
+  Histogram latency;
+  Histogram tuning;
+  /// Packets slept, split across the windows each doze overlaps.
+  Histogram doze;
+  /// One shard's in-flight queries, sampled at every issue and completion.
+  MinMaxGauge inflight;
+  /// Packets read per cycle-position bin: index-class (probe, index
+  /// descent, fallback-scan listening) and data-class (bucket reads).
+  /// Both are empty until the window's first read.
+  std::vector<int64_t> heat_index;
+  std::vector<int64_t> heat_data;
+
+  /// Adds another shard's record of the same window; call in shard order.
+  void Merge(const TelemetryWindow& other);
 };
 
 /// One shard's private telemetry accumulator. All methods are called
@@ -163,9 +158,10 @@ class TelemetryShard {
   void Record(const TraceEvent& e, int64_t client, uint32_t q);
   /// The query is over (answered or given up) at absolute time `done`.
   /// Unrecoverable queries dump the client's surviving flight-ring
-  /// events as one JSONL black-box record.
+  /// events as one JSONL black-box record, naming `give_up` (the
+  /// GiveUpStageName) unless it is "" (trace feeds do not know it).
   void QueryDone(double done, int64_t client, uint32_t q,
-                 const QueryOutcomeSummary& out);
+                 const QuerySummary& out, const char* give_up);
   /// Region-cache lookup outcome at time t (one per issued query when the
   /// cache is enabled). Not a fault event: losses and corruption never
   /// touch the cache, and cache activity has its own counters.
@@ -186,52 +182,39 @@ class TelemetryShard {
     TraceEventKind kind = TraceEventKind::kProbe;
   };
 
-  /// Cached (window -> instance) so steady-state recording skips the
-  /// name lookup; refreshed whenever the event's window moves.
-  struct CachedCounter {
-    int64_t window = INT64_MIN;
-    Counter* c = nullptr;
-  };
-  struct CachedHistogram {
-    int64_t window = INT64_MIN;
-    Histogram* h = nullptr;
-  };
+  TelemetryShard(int64_t cycle_packets, int bins, int ring_capacity);
 
-  TelemetryShard(double window_width, int64_t cycle_packets, int bins,
-                 int ring_capacity);
+  /// Window owning time t: floor(t / cycle_packets). Negative and NaN
+  /// times clamp into window 0.
+  int64_t WindowOf(double t) const;
+  /// Window w's record, created on first touch. The last one touched is
+  /// cached, so steady-state recording skips the map lookup.
+  TelemetryWindow& At(int64_t w);
+  void Count(double t, TelemetryWindow::Counter c, int n = 1) {
+    At(WindowOf(t)).counters[c] += static_cast<uint64_t>(n);
+  }
 
   /// The client dozed for `dur` packets, resuming at `resume_at`; the
   /// slept packets are split across every window the doze overlaps.
-  void Doze(double resume_at, double dur, int64_t client, uint32_t q);
+  void Doze(double resume_at, double dur, int64_t client);
   /// `packets` consecutive packet reads starting at `pos`;
   /// `data_read` selects the heatmap class (kProbe / kIndexRead /
   /// kFallbackScan listening are index-class, kBucketRead data-class).
   void Read(TraceEventKind kind, int64_t pos, int packets, bool data_read,
-            int64_t client, uint32_t q);
-  /// A fault or recovery event at `pos`: kLoss, kCorruption, kRetune or
-  /// kEpochSwitch.
-  void Fault(TraceEventKind kind, int64_t pos, int64_t client, uint32_t q);
-
-  Counter* Cnt(CachedCounter* slot, const char* name, int64_t window);
-  Histogram* Hist(CachedHistogram* slot, const char* name, int64_t window);
-  HeatmapRow* Row(int64_t window);
-  void BinRead(int64_t pos, int packets, bool data_read);
+            int64_t client);
+  /// A fault or recovery event, counted in `c` of its packet's window.
+  void Fault(const TraceEvent& e, TelemetryWindow::Counter c,
+             int64_t client);
   void RecordFlight(TraceEventKind kind, int64_t pos, int packets,
                     double dur, int64_t client);
   void DumpFlight(double done, int64_t client, uint32_t q,
-                  const QueryOutcomeSummary& out);
+                  const QuerySummary& out, const char* give_up);
 
-  TimeSeries series_;
   int64_t cycle_packets_;
   int bins_;
-  std::map<int64_t, HeatmapRow> heatmap_;
-  int64_t heat_window_ = INT64_MIN;
-  HeatmapRow* heat_row_ = nullptr;
-  CachedCounter c_issued_, c_completed_, c_unrec_, c_fallback_, c_retries_,
-      c_lost_, c_corrupted_, c_arrivals_, c_departures_, c_index_reads_,
-      c_data_reads_, c_epoch_switches_, c_cache_hits_, c_cache_misses_,
-      c_cache_evictions_, c_cache_invalidations_;
-  CachedHistogram h_latency_, h_tuning_, h_doze_;
+  std::map<int64_t, TelemetryWindow> windows_;
+  int64_t cached_window_ = INT64_MIN;
+  TelemetryWindow* cached_ = nullptr;
   int64_t inflight_ = 0;
   std::vector<FlightEvent> ring_;  ///< preallocated, ring_pos_ wraps
   size_t ring_pos_ = 0;
@@ -271,12 +254,14 @@ class FleetTelemetry {
 
   // --- Merged views; valid after MergeShards(). ---
   int64_t cycle_packets() const { return cycle_packets_; }
-  const TimeSeries& series() const { return series_; }
-  const std::map<int64_t, HeatmapRow>& heatmap() const { return heatmap_; }
+  /// Every touched window's record, ascending by window index.
+  const std::map<int64_t, TelemetryWindow>& windows() const {
+    return windows_;
+  }
   /// Concatenated black-box JSONL records, shard order.
   const std::string& flight_records() const { return flight_; }
   int64_t flight_record_count() const { return flight_records_; }
-  /// Totals summed from the merged series (telemetry's own view; compare
+  /// Totals summed from the merged windows (telemetry's own view; compare
   /// against TotalsFromFleet to cross-check the engine).
   TelemetryTotals Totals() const;
 
@@ -295,8 +280,7 @@ class FleetTelemetry {
   TelemetryOptions options_;
   int64_t cycle_packets_ = 1;
   std::vector<std::unique_ptr<TelemetryShard>> shards_;
-  TimeSeries series_{1.0};
-  std::map<int64_t, HeatmapRow> heatmap_;
+  std::map<int64_t, TelemetryWindow> windows_;
   std::string flight_;
   int64_t flight_records_ = 0;
   bool merged_ = false;

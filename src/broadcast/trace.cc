@@ -34,21 +34,17 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "?";
 }
 
-namespace {
-
 void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[128];
+  char buf[160];
   va_list args;
   va_start(args, fmt);
   const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   DTREE_DCHECK(n >= 0 && n < static_cast<int>(sizeof(buf)));
-  out->append(buf, static_cast<size_t>(std::max(n, 0)));
+  out->append(buf, static_cast<size_t>(
+                       std::clamp(n, 0, static_cast<int>(sizeof(buf)) - 1)));
 }
 
-/// Escapes the label for embedding in a JSON string. Labels are cell ids
-/// (dataset/index/capacity), so this only ever sees printable ASCII, but
-/// quotes and backslashes must not break the line format.
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
   for (char c : s) {
@@ -61,8 +57,6 @@ void AppendJsonString(std::string* out, const std::string& s) {
   }
   out->push_back('"');
 }
-
-}  // namespace
 
 std::string FormatQueryTraceJson(const QueryTrace& trace,
                                  const std::string& label) {

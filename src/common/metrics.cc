@@ -74,32 +74,36 @@ double Histogram::Percentile(double p) const {
   return max_;  // unreachable when counts are consistent
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name) {
-  return &histograms_[name];
+void MinMaxGauge::Record(double v) {
+  if (count_ == 0) {
+    min_ = max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+  ++count_;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
-  return &counters_[name];
+void MinMaxGauge::Merge(const MinMaxGauge& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+  count_ += other.count_;
+}
+
+Histogram* MetricsRegistry::histogram(const std::string& name) {
+  return &histograms_[name];
 }
 
 const Histogram* MetricsRegistry::FindHistogram(
     const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::MergeOrdered(const MetricsRegistry& other) {
-  for (const auto& [name, hist] : other.histograms_) {
-    histograms_[name].Merge(hist);
-  }
-  for (const auto& [name, ctr] : other.counters_) {
-    counters_[name].Merge(ctr);
-  }
 }
 
 }  // namespace dtree

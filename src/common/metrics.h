@@ -1,5 +1,5 @@
-// Deterministic metric primitives: a log-bucketed Histogram, a Counter,
-// and a MetricsRegistry of named instances.
+// Deterministic metric primitives: a log-bucketed Histogram, a min/max
+// gauge, and a MetricsRegistry of named histograms.
 //
 // The bucket layout is fixed at compile time (kSubBuckets buckets per
 // octave over [1, 2^kOctaves), plus an underflow and an overflow bucket),
@@ -9,12 +9,12 @@
 // associative — so every count-derived statistic (percentiles, bucket
 // tables) is shard-order-independent. The double-valued accumulators
 // (sum) are NOT order-independent; consumers that need bit-identical
-// means must merge shards in a fixed order, exactly like the experiment
-// driver's partial-sum merge (see MetricsRegistry::MergeOrdered).
+// means must merge shards in a fixed order, exactly like the drivers'
+// shard-ordered merge (broadcast/experiment.h, MergeShards).
 //
 // There is deliberately no locking: the intended pattern is one private
-// Histogram (or registry) per shard, written single-threaded on the hot
-// path, merged after the parallel section.
+// Histogram per shard, written single-threaded on the hot path, merged
+// after the parallel section.
 
 #ifndef DTREE_COMMON_METRICS_H_
 #define DTREE_COMMON_METRICS_H_
@@ -83,49 +83,45 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Monotone event counter.
-class Counter {
+/// Min/max gauge over recorded values. Unlike a Histogram it keeps no
+/// distribution, just the envelope, so it suits sampled instantaneous
+/// quantities (queue depths, in-flight counts) where only the extremes
+/// matter. Merging takes min/max, so its statistics are
+/// merge-order-independent.
+class MinMaxGauge {
  public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  void Merge(const Counter& other) { value_ += other.value_; }
-  uint64_t value() const { return value_; }
+  void Record(double v);
+  void Merge(const MinMaxGauge& other);
 
-  bool operator==(const Counter&) const = default;
+  bool empty() const { return count_ == 0; }
+  uint64_t count() const { return count_; }
+  /// 0 when no value was recorded (like Histogram::Min/Max).
+  double min() const { return count_ == 0 ? 0.0 : min_; }
+  double max() const { return count_ == 0 ? 0.0 : max_; }
 
  private:
-  uint64_t value_ = 0;
+  uint64_t count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
-/// Named histograms and counters. Shards each own a registry, write it
-/// lock-free, and the owner merges them with MergeOrdered in shard order
-/// — the same determinism contract as the experiment driver's partial-sum
-/// merge: integer statistics are order-independent by construction, and
-/// the fixed merge order pins the floating-point sums too.
+/// Named histograms, created on first use with stable pointers
+/// (node-based map).
 class MetricsRegistry {
  public:
-  /// Returns the named instance, creating it on first use. Pointers stay
-  /// valid for the registry's lifetime (node-based map).
+  /// Returns the named histogram, creating it on first use.
   Histogram* histogram(const std::string& name);
-  Counter* counter(const std::string& name);
-
   /// nullptr when the name was never written.
   const Histogram* FindHistogram(const std::string& name) const;
-  const Counter* FindCounter(const std::string& name) const;
-
-  /// Merges `other` into this registry, matching by name. Call once per
-  /// shard, in shard order.
-  void MergeOrdered(const MetricsRegistry& other);
 
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
-  const std::map<std::string, Counter>& counters() const { return counters_; }
 
   bool operator==(const MetricsRegistry&) const = default;
 
  private:
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, Counter> counters_;
 };
 
 }  // namespace dtree

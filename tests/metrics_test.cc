@@ -1,4 +1,4 @@
-// Histogram / Counter / MetricsRegistry: fixed bucket layout, exact
+// Histogram / MinMaxGauge / MetricsRegistry: fixed bucket layout, exact
 // min/max/mean, bounded-relative-error percentiles, and shard-order
 // independence of every count-derived statistic.
 
@@ -144,37 +144,67 @@ TEST(HistogramTest, SingleSamplePercentilesCollapseToTheSample) {
   }
 }
 
-TEST(CounterTest, AddAndMerge) {
-  Counter a;
-  a.Add();
-  a.Add(41);
-  Counter b;
-  b.Add(8);
-  a.Merge(b);
-  EXPECT_EQ(a.value(), 50u);
+TEST(MinMaxGaugeTest, EmptyReportsZeroEnvelope) {
+  MinMaxGauge g;
+  EXPECT_TRUE(g.empty());
+  EXPECT_EQ(g.count(), 0u);
+  EXPECT_EQ(g.min(), 0.0);
+  EXPECT_EQ(g.max(), 0.0);
+}
+
+TEST(MinMaxGaugeTest, SingleSampleEnvelopeIsTheSample) {
+  MinMaxGauge g;
+  g.Record(-7.5);
+  EXPECT_EQ(g.count(), 1u);
+  EXPECT_EQ(g.min(), -7.5);
+  EXPECT_EQ(g.max(), -7.5);
+}
+
+TEST(MinMaxGaugeTest, MergeWithEmptyAndOrderInvariance) {
+  MinMaxGauge a;
+  a.Record(2.0);
+  a.Record(9.0);
+  MinMaxGauge empty;
+  a.Merge(empty);  // no-op
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(a.min(), 2.0);
+  EXPECT_EQ(a.max(), 9.0);
+  MinMaxGauge b;
+  b.Merge(a);  // empty absorbs a's envelope exactly
+  EXPECT_EQ(b.min(), 2.0);
+  EXPECT_EQ(b.max(), 9.0);
+
+  MinMaxGauge c;
+  c.Record(-1.0);
+  MinMaxGauge ab = a;
+  ab.Merge(c);
+  MinMaxGauge ba = c;
+  ba.Merge(a);
+  EXPECT_EQ(ab.min(), ba.min());
+  EXPECT_EQ(ab.max(), ba.max());
+  EXPECT_EQ(ab.count(), ba.count());
 }
 
 TEST(MetricsRegistryTest, CreatesOnDemandAndMergesByName) {
   MetricsRegistry shard0;
   MetricsRegistry shard1;
   shard0.histogram("latency")->Add(10.0);
-  shard0.counter("queries")->Add(1);
   shard1.histogram("latency")->Add(20.0);
   shard1.histogram("tuning")->Add(5.0);
-  shard1.counter("queries")->Add(2);
 
   MetricsRegistry merged;
-  merged.MergeOrdered(shard0);
-  merged.MergeOrdered(shard1);
+  for (const MetricsRegistry* shard : {&shard0, &shard1}) {
+    for (const auto& [name, h] : shard->histograms()) {
+      merged.histogram(name)->Merge(h);
+    }
+  }
   ASSERT_NE(merged.FindHistogram("latency"), nullptr);
   EXPECT_EQ(merged.FindHistogram("latency")->TotalCount(), 2u);
   EXPECT_EQ(merged.FindHistogram("latency")->Min(), 10.0);
   EXPECT_EQ(merged.FindHistogram("latency")->Max(), 20.0);
   ASSERT_NE(merged.FindHistogram("tuning"), nullptr);
   EXPECT_EQ(merged.FindHistogram("tuning")->TotalCount(), 1u);
-  EXPECT_EQ(merged.FindCounter("queries")->value(), 3u);
   EXPECT_EQ(merged.FindHistogram("absent"), nullptr);
-  EXPECT_EQ(merged.FindCounter("absent"), nullptr);
 }
 
 TEST(MetricsRegistryTest, PointersStableAcrossInsertion) {
