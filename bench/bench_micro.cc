@@ -5,14 +5,15 @@
 //
 // Flat-arena probe throughput (EXPERIMENTS.md E14): passing
 // --bench-json=PATH switches on a self-verifying measurement pass that
-// pits the per-probe byte decoders against the flat-arena engines
-// (DESIGN.md §12) on SCALE-U subdivisions up to N=100k, then writes the
-// ns/probe table to PATH. Before any timing, every configuration is
-// checked query-by-query against the byte decoder — the bit-identical
-// oracle — and any mismatch exits nonzero, so a CI bench run doubles as
-// a correctness gate. Remaining arguments pass through to
-// google-benchmark (use --benchmark_filter=NONE to run only the
-// measurement pass).
+// times the flat-arena engines (DESIGN.md §12) on SCALE-U subdivisions up
+// to N=100k — the D-tree's against its per-probe byte decoder — then
+// writes the ns/probe table to PATH. Before any timing, every
+// configuration is checked query-by-query: the D-tree arena against its
+// byte decoder (the bit-identical oracle), each baseline arena's region
+// against its tree's in-memory Probe outside the border band. Any
+// mismatch exits nonzero, so a CI bench run doubles as a correctness
+// gate. Remaining arguments pass through to google-benchmark (use
+// --benchmark_filter=NONE to run only the measurement pass).
 
 #include <benchmark/benchmark.h>
 
@@ -264,7 +265,8 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
-// --bench-json measurement pass: decode-per-probe vs flat arena, verified.
+// --bench-json measurement pass: flat arenas (and the D-tree's per-probe
+// decoder), verified.
 // ---------------------------------------------------------------------------
 
 struct ProbeMeasurement {
@@ -272,9 +274,8 @@ struct ProbeMeasurement {
   int n = 0;
   size_t arena_bytes = 0;
   int verified_queries = 0;
-  double decode_ns = 0.0;
+  double decode_ns = 0.0;  ///< 0 for the baselines: no per-probe decoder
   double arena_ns = 0.0;
-  double speedup = 0.0;
 };
 
 double NowSeconds() {
@@ -300,15 +301,35 @@ double TimeProbeNs(const std::vector<geom::Point>& queries, Fn&& fn) {
   return elapsed * 1e9 / static_cast<double>(calls);
 }
 
-/// Compares the byte decoder (oracle) against the arena engine on every
-/// query, then times both. `decode` returns the region via Result and
-/// appends the read-log to its vector argument. When `compare_packets` is
-/// false only the region is pinned (the R*-tree arena intentionally logs
-/// memory-Probe-style packets, not the wire walk's header peeks).
+/// Times the arena engine over the verified queries and prints the row.
+void MeasureArena(const bcast::FlatProbeEngine& engine,
+                  const std::vector<geom::Point>& queries,
+                  ProbeMeasurement* out) {
+  bcast::ProbeTrace trace;
+  out->arena_bytes = engine.ArenaBytes();
+  out->verified_queries = static_cast<int>(queries.size());
+  out->arena_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+    benchmark::DoNotOptimize(engine.ProbeInto(p, &trace));
+  });
+  std::printf("%-10s n=%-7d ", out->index.c_str(), out->n);
+  if (out->decode_ns > 0.0) {
+    std::printf("decode %8.1f ns/probe   ", out->decode_ns);
+  }
+  std::printf("arena %8.1f ns/probe   ", out->arena_ns);
+  if (out->decode_ns > 0.0) {
+    std::printf("speedup %5.2fx   ", out->decode_ns / out->arena_ns);
+  }
+  std::printf("arena %zu bytes\n", out->arena_bytes);
+  std::fflush(stdout);
+}
+
+/// D-tree guard: compares the byte decoder (the bit-identical oracle)
+/// against the arena engine on every query — outcome, region and packet
+/// log — then times both. `decode` returns the region via Result and
+/// appends the read-log to its vector argument.
 template <typename DecodeFn>
 bool GuardAndMeasure(const std::string& index_name, int n,
                      DecodeFn&& decode, const bcast::FlatProbeEngine& engine,
-                     bool compare_packets,
                      const std::vector<geom::Point>& queries,
                      ProbeMeasurement* out) {
   std::vector<int> read;
@@ -338,7 +359,7 @@ bool GuardAndMeasure(const std::string& index_name, int n,
                    trace.region);
       return false;
     }
-    if (compare_packets && read != trace.packets) {
+    if (read != trace.packets) {
       std::fprintf(stderr,
                    "FAIL %s n=%d query %zu: packet log diverges "
                    "(oracle %zu packets, arena %zu)\n",
@@ -350,21 +371,11 @@ bool GuardAndMeasure(const std::string& index_name, int n,
 
   out->index = index_name;
   out->n = n;
-  out->arena_bytes = engine.ArenaBytes();
-  out->verified_queries = static_cast<int>(queries.size());
   out->decode_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
     read.clear();
     benchmark::DoNotOptimize(decode(p, &read));
   });
-  out->arena_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
-    benchmark::DoNotOptimize(engine.ProbeInto(p, &trace));
-  });
-  out->speedup = out->decode_ns / out->arena_ns;
-  std::printf("%-10s n=%-7d decode %8.1f ns/probe   arena %8.1f ns/probe   "
-              "speedup %5.2fx   arena %zu bytes\n",
-              index_name.c_str(), n, out->decode_ns, out->arena_ns,
-              out->speedup, out->arena_bytes);
-  std::fflush(stdout);
+  MeasureArena(engine, queries, out);
   return true;
 }
 
@@ -394,9 +405,55 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
                                           tree.options().early_termination,
                                           p, read);
           },
-          arena_r.value(), /*compare_packets=*/true, queries, &m)) {
+          arena_r.value(), queries, &m)) {
     return false;
   }
+  results->push_back(m);
+  return true;
+}
+
+/// Baseline guard: each baseline's arena is its family's only wire
+/// reader, so it is checked against the tree's in-memory Probe — the
+/// regions must agree at every query outside the kMergeEps * 100 border
+/// band, where the wire's f32 coordinates may pick the neighbouring
+/// region — then timed. `build_arena` is the family's Build*ArenaIndex.
+template <typename Tree, typename BuildArenaFn>
+bool MeasureBaseline(const std::string& index_name,
+                     const sub::Subdivision& sub, int n,
+                     BuildArenaFn build_arena,
+                     const std::vector<geom::Point>& queries,
+                     std::vector<ProbeMeasurement>* results) {
+  typename Tree::Options o;
+  o.packet_capacity = kPacketCapacity;
+  auto tree_r = Tree::Build(sub, o);
+  if (!tree_r.ok()) return false;
+  auto arena_r = build_arena(tree_r.value(), sub.NumRegions());
+  if (!arena_r.ok()) return false;
+  const bcast::FlatProbeEngine& engine = arena_r.value().engine();
+  bcast::ProbeTrace trace;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const geom::Point& p = queries[i];
+    const Result<bcast::ProbeTrace> memory = tree_r.value().Probe(p);
+    const Status st = engine.ProbeInto(p, &trace);
+    const bool agree =
+        memory.ok() && st.ok() ? memory.value().region == trace.region
+                               : memory.status().code() == st.code();
+    if (agree || sub.DistanceToNearestBorder(p) <= geom::kMergeEps * 100.0) {
+      continue;
+    }
+    std::fprintf(stderr,
+                 "FAIL %s n=%d query %zu (%.17g, %.17g): Probe '%s' region "
+                 "%d vs arena '%s' region %d outside the border band\n",
+                 index_name.c_str(), n, i, p.x, p.y,
+                 memory.status().ToString().c_str(),
+                 memory.ok() ? memory.value().region : -1,
+                 st.ToString().c_str(), trace.region);
+    return false;
+  }
+  ProbeMeasurement m;
+  m.index = index_name;
+  m.n = n;
+  MeasureArena(engine, queries, &m);
   results->push_back(m);
   return true;
 }
@@ -404,81 +461,15 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
 bool MeasureBaselines(const sub::Subdivision& sub, int n,
                       std::vector<ProbeMeasurement>* results) {
   const auto queries = SampleQueries(sub, kVerifyQueries);
-  const int num_regions = sub.NumRegions();
-  {
-    baselines::TrapMap::Options o;
-    o.packet_capacity = kPacketCapacity;
-    auto map_r = baselines::TrapMap::Build(sub, o);
-    if (!map_r.ok()) return false;
-    auto packets_r = map_r.value().SerializePackets();
-    if (!packets_r.ok()) return false;
-    const auto& packets = packets_r.value();
-    auto arena_r = baselines::TrapMapArena::Build(
-        packets, kPacketCapacity, /*framed=*/false, num_regions);
-    if (!arena_r.ok()) return false;
-    ProbeMeasurement m;
-    if (!GuardAndMeasure(
-            "trapmap", n,
-            [&](const geom::Point& p, std::vector<int>* read) {
-              return baselines::TrapMap::QueryFromPackets(
-                  packets, kPacketCapacity, /*framed=*/false, num_regions, p,
-                  read);
-            },
-            arena_r.value(), /*compare_packets=*/true, queries, &m)) {
-      return false;
-    }
-    results->push_back(m);
-  }
-  {
-    baselines::TrianTree::Options o;
-    o.packet_capacity = kPacketCapacity;
-    auto tree_r = baselines::TrianTree::Build(sub, o);
-    if (!tree_r.ok()) return false;
-    auto packets_r = tree_r.value().SerializePackets();
-    if (!packets_r.ok()) return false;
-    const auto& packets = packets_r.value();
-    const auto roots = tree_r.value().RootLocations();
-    auto arena_r = baselines::TrianTreeArena::Build(
-        packets, kPacketCapacity, /*framed=*/false, roots, num_regions);
-    if (!arena_r.ok()) return false;
-    ProbeMeasurement m;
-    if (!GuardAndMeasure(
-            "kirkpatrick", n,
-            [&](const geom::Point& p, std::vector<int>* read) {
-              return baselines::TrianTree::QueryFromPackets(
-                  packets, kPacketCapacity, /*framed=*/false, roots,
-                  num_regions, p, read);
-            },
-            arena_r.value(), /*compare_packets=*/true, queries, &m)) {
-      return false;
-    }
-    results->push_back(m);
-  }
-  {
-    baselines::RStarTree::Options o;
-    o.packet_capacity = kPacketCapacity;
-    auto tree_r = baselines::RStarTree::Build(sub, o);
-    if (!tree_r.ok()) return false;
-    auto packets_r = tree_r.value().SerializePackets();
-    if (!packets_r.ok()) return false;
-    const auto& packets = packets_r.value();
-    auto arena_r = baselines::RStarArena::Build(
-        packets, kPacketCapacity, /*framed=*/false, num_regions);
-    if (!arena_r.ok()) return false;
-    ProbeMeasurement m;
-    if (!GuardAndMeasure(
-            "rstar", n,
-            [&](const geom::Point& p, std::vector<int>* read) {
-              return baselines::RStarTree::QueryFromPackets(
-                  packets, kPacketCapacity, /*framed=*/false, num_regions, p,
-                  read);
-            },
-            arena_r.value(), /*compare_packets=*/false, queries, &m)) {
-      return false;
-    }
-    results->push_back(m);
-  }
-  return true;
+  return MeasureBaseline<baselines::TrapMap>(
+             "trapmap", sub, n, baselines::BuildTrapMapArenaIndex, queries,
+             results) &&
+         MeasureBaseline<baselines::TrianTree>(
+             "kirkpatrick", sub, n, baselines::BuildTrianTreeArenaIndex,
+             queries, results) &&
+         MeasureBaseline<baselines::RStarTree>(
+             "rstar", sub, n, baselines::BuildRStarArenaIndex, queries,
+             results);
 }
 
 bool WriteJson(const std::string& path,
@@ -495,12 +486,16 @@ bool WriteJson(const std::string& path,
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const ProbeMeasurement& m = results[i];
-    std::fprintf(f,
-                 "    {\"index\": \"%s\", \"n\": %d, "
-                 "\"decode_ns_per_probe\": %.1f, "
-                 "\"arena_ns_per_probe\": %.1f, \"speedup\": %.2f, "
-                 "\"arena_bytes\": %zu, \"verified_queries\": %d}%s\n",
-                 m.index.c_str(), m.n, m.decode_ns, m.arena_ns, m.speedup,
+    std::fprintf(f, "    {\"index\": \"%s\", \"n\": %d, ", m.index.c_str(),
+                 m.n);
+    if (m.decode_ns > 0.0) {
+      std::fprintf(f, "\"decode_ns_per_probe\": %.1f, ", m.decode_ns);
+    }
+    std::fprintf(f, "\"arena_ns_per_probe\": %.1f, ", m.arena_ns);
+    if (m.decode_ns > 0.0) {
+      std::fprintf(f, "\"speedup\": %.2f, ", m.decode_ns / m.arena_ns);
+    }
+    std::fprintf(f, "\"arena_bytes\": %zu, \"verified_queries\": %d}%s\n",
                  m.arena_bytes, m.verified_queries,
                  i + 1 < results.size() ? "," : "");
   }
@@ -509,10 +504,10 @@ bool WriteJson(const std::string& path,
   return true;
 }
 
-/// Runs the verified decode-vs-arena measurement matrix and writes the
-/// JSON table. Returns false (-> nonzero exit) on any verification
-/// failure: the arena engines must agree with the byte decoders on every
-/// sampled query before a single number is reported.
+/// Runs the verified arena measurement matrix and writes the JSON table.
+/// Returns false (-> nonzero exit) on any verification failure: every
+/// arena engine must pass its guard on every sampled query before a
+/// single number is reported.
 bool RunProbeThroughputPass(const std::string& json_path) {
   std::vector<ProbeMeasurement> results;
   for (int n : {1000, 20000, 100000}) {

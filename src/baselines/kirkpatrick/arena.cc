@@ -100,7 +100,7 @@ Result<TrianTreeArena> TrianTreeArena::Build(
       tri.v[i] = geom::Point{x, y};
     }
     // f32 rounding can flip the orientation of a sliver triangle;
-    // Contains() assumes CCW (exactly as the per-probe decoder).
+    // Contains() assumes CCW.
     tri.EnsureCCW();
     a.tri_.push_back(tri);
     a.count_.push_back(count);
@@ -185,8 +185,8 @@ Status TrianTreeArena::ProbeInto(const geom::Point& p,
       if (--budget < 0) {
         return Status::DataLoss("trian-tree decode budget exhausted");
       }
-      // The wire decoder always reads the whole node, so the read-log
-      // gains the node's full packet span whether or not it matches.
+      // A client reads the whole node, so the log gains the node's full
+      // packet span whether or not it matches.
       for (int k = first_packet_[c]; k <= last_packet_[c]; ++k) {
         if (trace->packets.empty() || trace->packets.back() != k) {
           trace->packets.push_back(k);
@@ -197,7 +197,7 @@ Status TrianTreeArena::ProbeInto(const geom::Point& p,
         break;
       }
       // Numeric crack between adjacent triangles: remember the nearest
-      // (same fallback the per-probe decoder applies).
+      // (same fallback TrianTree::Probe applies).
       const double d = DistanceToTriangle(tri_[c], p);
       if (d < best_dist) {
         best_dist = d;

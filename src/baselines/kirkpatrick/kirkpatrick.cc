@@ -426,114 +426,4 @@ std::vector<std::pair<int, size_t>> TrianTree::RootLocations() const {
   return roots;
 }
 
-Result<int> TrianTree::QueryFromPackets(
-    const std::vector<std::vector<uint8_t>>& packets, int packet_capacity,
-    bool framed, const std::vector<std::pair<int, size_t>>& roots,
-    int num_regions, const geom::Point& p, std::vector<int>* packets_read) {
-  if (packets.empty()) return Status::InvalidArgument("no packets");
-  if (packet_capacity < 1) {
-    return Status::InvalidArgument("packet capacity must be positive");
-  }
-  if (roots.empty()) return Status::InvalidArgument("no root locations");
-  for (const auto& [pkt, off] : roots) {
-    if (pkt < 0 || pkt >= static_cast<int>(packets.size()) ||
-        off >= static_cast<size_t>(packet_capacity)) {
-      return Status::InvalidArgument("root location outside the stream");
-    }
-  }
-
-  // One decoded node's routing payload.
-  struct DecodedNode {
-    int count = 0;
-    std::vector<uint32_t> ptrs;
-  };
-  // Reads and validates the node at (packet, offset).
-  auto decode = [&](int packet, size_t offset, Triangle* tri,
-                    DecodedNode* node) -> Status {
-    bcast::PacketReader r(packets, packet_capacity, framed, packet, offset,
-                          packets_read);
-    uint16_t bid;
-    DTREE_RETURN_IF_ERROR(r.ReadU16(&bid));
-    node->count = bid >> 12;
-    for (int i = 0; i < 3; ++i) {
-      float x, y;
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&x));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&y));
-      tri->v[i] = Point{x, y};
-    }
-    // f32 rounding can flip the orientation of a sliver triangle;
-    // Contains() assumes CCW.
-    tri->EnsureCCW();
-    const int nptrs = std::max(1, node->count);
-    node->ptrs.resize(static_cast<size_t>(nptrs));
-    for (int i = 0; i < nptrs; ++i) {
-      DTREE_RETURN_IF_ERROR(r.ReadU32(&node->ptrs[static_cast<size_t>(i)]));
-    }
-    return Status::OK();
-  };
-
-  std::vector<std::pair<int, size_t>> candidates(roots.begin(), roots.end());
-  int budget = bcast::DecodeBudget(packets.size());
-  for (;;) {
-    int found_count = -1;
-    std::vector<uint32_t> found_ptrs;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (const auto& [pkt, off] : candidates) {
-      if (--budget < 0) {
-        return Status::DataLoss("trian-tree decode budget exhausted");
-      }
-      Triangle tri;
-      DecodedNode node;
-      DTREE_RETURN_IF_ERROR(decode(pkt, off, &tri, &node));
-      if (tri.Contains(p)) {
-        found_count = node.count;
-        found_ptrs = std::move(node.ptrs);
-        break;
-      }
-      // Numeric crack between adjacent triangles: remember the nearest
-      // (same fallback the in-memory Probe applies).
-      const double d = DistanceToTriangle(tri, p);
-      if (d < best_dist) {
-        best_dist = d;
-        found_count = node.count;
-        found_ptrs = std::move(node.ptrs);
-      }
-    }
-    if (found_count < 0) {
-      return Status::DataLoss("query point escaped the triangulation");
-    }
-    if (found_count == 0) {
-      const uint32_t ptr = found_ptrs[0];
-      if (!bcast::IsDataPointer(ptr)) {
-        return Status::DataLoss("base triangle without a data pointer");
-      }
-      if (ptr == bcast::kOutsideRegionPtr) {
-        return Status::NotFound("query point outside the service area");
-      }
-      const int region = bcast::DataPointerRegion(ptr);
-      if (region >= num_regions) {
-        return Status::DataLoss("data pointer to out-of-range region " +
-                                std::to_string(region));
-      }
-      return region;
-    }
-    candidates.clear();
-    for (uint32_t ptr : found_ptrs) {
-      if (bcast::IsDataPointer(ptr)) {
-        return Status::DataLoss("unexpected data pointer in an internal "
-                                "trian-tree node");
-      }
-      const int pkt = bcast::NodePointerPacket(ptr);
-      const size_t off = bcast::NodePointerOffset(ptr);
-      if (pkt >= static_cast<int>(packets.size())) {
-        return Status::DataLoss("node pointer outside the packet stream");
-      }
-      if (off >= static_cast<size_t>(packet_capacity)) {
-        return Status::DataLoss("node pointer offset outside the packet");
-      }
-      candidates.emplace_back(pkt, off);
-    }
-  }
-}
-
 }  // namespace dtree::baselines

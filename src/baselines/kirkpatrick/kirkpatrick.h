@@ -76,27 +76,17 @@ class TrianTree final : public bcast::AirIndex {
   /// One broadcast cycle's worth of index packets, each exactly
   /// `packet_capacity` bytes (zero-padded). InvalidArgument when a node
   /// has more children than the 4-bit count field can carry.
+  /// TrianTreeArena (kirkpatrick/arena.h) is the client-side reader of
+  /// these bytes.
   Result<std::vector<std::vector<uint8_t>>> SerializePackets() const;
 
-  /// Decoder entry points: (packet, byte offset) of every root triangle
+  /// Reader entry points: (packet, byte offset) of every root triangle
   /// node, in probe order. The roots are not contiguous on the channel
   /// (broadcast order is level-descending and the surviving top-level
   /// triangles span levels), so a real client learns these locations from
   /// the broadcast schedule header — trusted metadata, unlike the packet
   /// bytes themselves.
   std::vector<std::pair<int, size_t>> RootLocations() const;
-
-  /// Hardened client-side query straight from (untrusted) packet bytes:
-  /// every read is bounds-checked, every pointer field range-checked, and
-  /// the total node-decode work is bounded by bcast::DecodeBudget, so
-  /// malformed or corrupted packets yield a Status (kDataLoss), never a
-  /// crash or hang. With `framed` (bcast::FramePackets output) each
-  /// packet's CRC-32 is verified on first touch. Returns the region id;
-  /// NotFound for points outside the service area.
-  static Result<int> QueryFromPackets(
-      const std::vector<std::vector<uint8_t>>& packets, int packet_capacity,
-      bool framed, const std::vector<std::pair<int, size_t>>& roots,
-      int num_regions, const geom::Point& p, std::vector<int>* packets_read);
 
   // --- introspection -------------------------------------------------------
   int num_triangles() const { return static_cast<int>(tris_.size()); }

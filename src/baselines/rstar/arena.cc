@@ -88,9 +88,7 @@ Result<RStarArena> RStarArena::Build(bcast::PacketSource packets,
     if (!leaf) {
       for (int i = 0; i < count; ++i) {
         const int child = ptrs[static_cast<size_t>(i)];
-        // Strictly forward: rules out pointer cycles on corrupt bytes
-        // (the per-probe decoder applies the same check to the children
-        // it descends).
+        // Strictly forward: rules out pointer cycles on corrupt bytes.
         if (child <= pkt || child >= static_cast<int>(packets.num_packets())) {
           return Status::DataLoss(
               "child pointer does not move forward on the channel");
@@ -107,8 +105,10 @@ Result<RStarArena> RStarArena::Build(bcast::PacketSource packets,
     }
 
     // Leaf: replay the writer's shape placement cursor once, here, so
-    // probes never re-walk it. This is the per-probe decoder's walk
-    // verbatim, minus the query-dependent parts.
+    // probes never re-walk it. The writer places each shape at the
+    // current fill offset when it fits the packet's remainder and
+    // otherwise bumps it to a fresh packet (zero padding in between); the
+    // shape header tells a real shape from padding.
     int spkt = pkt + 1;
     size_t soff = 0;
     for (int i = 0; i < count; ++i) {
@@ -129,6 +129,9 @@ Result<RStarArena> RStarArena::Build(bcast::PacketSource packets,
         DTREE_RETURN_IF_ERROR(sr.ReadU16(&sptr));
         DTREE_RETURN_IF_ERROR(sr.ReadU16(&nverts));
         const size_t size = kShapeHeader + nverts * 2 * sizeof(float);
+        // A shape at a nonzero offset always fits its packet's remainder;
+        // anything else here is padding (or corruption): the shape was
+        // bumped to the next packet.
         if (sptr != eptr || nverts < 3 ||
             static_cast<size_t>(nverts) > max_verts ||
             (soff != 0 && size > cap - soff)) {
@@ -148,6 +151,7 @@ Result<RStarArena> RStarArena::Build(bcast::PacketSource packets,
           a.rx_.push_back(x);
           a.ry_.push_back(y);
         }
+        // Advance the cursor past this shape exactly as the writer did.
         int num = 1;
         if (soff == 0) {
           size_t rest = size;
@@ -218,9 +222,8 @@ Status RStarArena::ProbeInto(const geom::Point& p,
       continue;
     }
     for (uint32_t i = eb; i < ee; ++i) {
-      // The wire decoder spends budget replaying the placement walk for
-      // every leaf entry, wanted or not; charge the recorded cost so
-      // budget exhaustion fires exactly where it would on the wire.
+      // A client's placement walk passes every leaf entry, wanted or
+      // not; charge each entry the walk's recorded cost.
       budget -= attempts_[i];
       if (budget < 0) {
         return Status::DataLoss("r*-tree decode budget exhausted");

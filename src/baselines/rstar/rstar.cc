@@ -424,159 +424,6 @@ Result<std::vector<std::vector<uint8_t>>> RStarTree::SerializePackets()
   return packets;
 }
 
-Result<int> RStarTree::QueryFromPackets(
-    const std::vector<std::vector<uint8_t>>& packets, int packet_capacity,
-    bool framed, int num_regions, const geom::Point& p,
-    std::vector<int>* packets_read) {
-  if (packets.empty()) return Status::InvalidArgument("no packets");
-  if (packet_capacity < static_cast<int>(kNodeHeader + 2 * kEntrySize)) {
-    return Status::InvalidArgument(
-        "packet capacity cannot hold an R*-tree node");
-  }
-  const int max_count =
-      (packet_capacity - static_cast<int>(kNodeHeader)) /
-      static_cast<int>(kEntrySize);
-  // A real shape's ring fits the stream; a corrupted count larger than
-  // this would just walk off the end anyway.
-  const size_t max_verts =
-      packets.size() * static_cast<size_t>(packet_capacity) / 8;
-  int budget = bcast::DecodeBudget(packets.size());
-  int best_fallback = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  struct WireEntry {
-    BBox box;
-    uint16_t ptr = 0;
-  };
-  std::vector<int> stack{0};
-  while (!stack.empty()) {
-    const int pkt = stack.back();
-    stack.pop_back();
-    if (--budget < 0) {
-      return Status::DataLoss("r*-tree decode budget exhausted");
-    }
-    bcast::PacketReader r(packets, packet_capacity, framed, pkt, 0,
-                          packets_read);
-    uint16_t bid;
-    DTREE_RETURN_IF_ERROR(r.ReadU16(&bid));
-    const bool leaf = (bid & 0x8000u) != 0;
-    const int count = bid & 0x7fff;
-    if (count > max_count) {
-      return Status::DataLoss("r*-tree node entry count " +
-                              std::to_string(count) +
-                              " exceeds the packet capacity");
-    }
-    std::vector<WireEntry> entries(static_cast<size_t>(count));
-    for (WireEntry& e : entries) {
-      float min_x, min_y, max_x, max_y;
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&min_x));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&min_y));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&max_x));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&max_y));
-      DTREE_RETURN_IF_ERROR(r.ReadU16(&e.ptr));
-      e.box = BBox{min_x, min_y, max_x, max_y};
-    }
-    if (!leaf) {
-      // Push matching children in reverse so the leftmost (earliest on
-      // the channel) is explored first, mirroring the in-memory Probe.
-      for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        if (!it->box.Contains(p)) continue;
-        const int child = it->ptr;
-        // Strictly forward: rules out pointer cycles on corrupt bytes.
-        if (child <= pkt || child >= static_cast<int>(packets.size())) {
-          return Status::DataLoss(
-              "child pointer does not move forward on the channel");
-        }
-        stack.push_back(child);
-      }
-      continue;
-    }
-    // Leaf: its shape objects follow it in entry order, starting at the
-    // next packet. The writer places each shape at the current fill
-    // offset when it fits the packet's remainder and otherwise bumps it
-    // to a fresh packet (zero padding in between); mirror that placement
-    // rule, using the shape header to tell a real shape from padding.
-    const size_t cap = static_cast<size_t>(packet_capacity);
-    constexpr size_t kShapeHeader = 3 * sizeof(uint16_t);
-    int spkt = pkt + 1;
-    size_t soff = 0;
-    for (const WireEntry& e : entries) {
-      uint16_t sptr = 0, nverts = 0;
-      bool placed = false;
-      for (int attempt = 0; attempt < 2 && !placed; ++attempt) {
-        if (--budget < 0) {
-          return Status::DataLoss("r*-tree decode budget exhausted");
-        }
-        if (soff + kShapeHeader > cap) {  // header never straddles
-          ++spkt;
-          soff = 0;
-          continue;
-        }
-        bcast::PacketReader sr(packets, packet_capacity, framed, spkt, soff,
-                               packets_read);
-        uint16_t sbid;
-        DTREE_RETURN_IF_ERROR(sr.ReadU16(&sbid));
-        DTREE_RETURN_IF_ERROR(sr.ReadU16(&sptr));
-        DTREE_RETURN_IF_ERROR(sr.ReadU16(&nverts));
-        const size_t size = kShapeHeader + nverts * 2 * sizeof(float);
-        // A shape at a nonzero offset always fits its packet's
-        // remainder; anything else here is the writer's padding (or
-        // corruption) and means the shape was bumped.
-        if (sptr != e.ptr || nverts < 3 ||
-            static_cast<size_t>(nverts) > max_verts ||
-            (soff != 0 && size > cap - soff)) {
-          if (soff == 0) {
-            return Status::DataLoss(
-                "shape header does not match its leaf entry");
-          }
-          ++spkt;
-          soff = 0;
-          continue;
-        }
-        const bool want = e.box.Contains(p);
-        std::vector<Point> ring;
-        if (want) ring.reserve(nverts);
-        for (int v = 0; v < nverts; ++v) {
-          float x, y;
-          DTREE_RETURN_IF_ERROR(sr.ReadF32(&x));
-          DTREE_RETURN_IF_ERROR(sr.ReadF32(&y));
-          if (want) ring.push_back(Point{x, y});
-        }
-        // Advance the cursor past this shape exactly as the writer did.
-        if (soff == 0) {
-          size_t rest = size;
-          while (rest > cap) {
-            rest -= cap;
-            ++spkt;
-          }
-          soff = rest;
-        } else {
-          soff += size;
-        }
-        placed = true;
-        if (!want) continue;
-        const int region = sptr;
-        if (region >= num_regions) {
-          return Status::DataLoss("data pointer to out-of-range region " +
-                                  std::to_string(region));
-        }
-        const geom::Polygon poly(std::move(ring));
-        if (poly.Contains(p)) return region;
-        const double d = poly.DistanceToBoundary(p);
-        if (d < best_dist) {
-          best_dist = d;
-          best_fallback = region;
-        }
-      }
-      if (!placed) {
-        return Status::DataLoss(
-            "shape header does not match its leaf entry");
-      }
-    }
-  }
-  if (best_fallback >= 0) return best_fallback;
-  return Status::DataLoss("query point escaped every leaf MBR");
-}
-
 int RStarTree::Locate(const geom::Point& p) const {
   Result<bcast::ProbeTrace> r = Probe(p);
   DTREE_CHECK(r.ok());

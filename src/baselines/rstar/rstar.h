@@ -69,20 +69,9 @@ class RStarTree final : public bcast::AirIndex {
   // The root node is always the first DFS node, i.e. packet 0.
 
   /// One broadcast cycle's worth of index packets, each exactly
-  /// `packet_capacity` bytes (zero-padded).
+  /// `packet_capacity` bytes (zero-padded). RStarArena (rstar/arena.h) is
+  /// the client-side reader of these bytes.
   Result<std::vector<std::vector<uint8_t>>> SerializePackets() const;
-
-  /// Hardened client-side query straight from (untrusted) packet bytes:
-  /// every read is bounds-checked, every pointer field range-checked
-  /// (child packets must move strictly forward, so no pointer cycle is
-  /// possible), and total decode work is bounded by bcast::DecodeBudget —
-  /// malformed or corrupted packets yield a Status (kDataLoss), never a
-  /// crash or hang. With `framed` (bcast::FramePackets output) each
-  /// packet's CRC-32 is verified on first touch. Returns the region id.
-  static Result<int> QueryFromPackets(
-      const std::vector<std::vector<uint8_t>>& packets, int packet_capacity,
-      bool framed, int num_regions, const geom::Point& p,
-      std::vector<int>* packets_read);
 
   // --- introspection -------------------------------------------------------
   int max_entries() const { return max_entries_; }

@@ -79,9 +79,8 @@ Result<TrapMapArena> TrapMapArena::Build(bcast::PacketSource packets,
       a.qy_.push_back(0.0);
     }
 
-    // Remap children exactly as the per-probe decoder validates them:
-    // data pointers must label a real region, node pointers must land
-    // inside the stream.
+    // Validate and remap children: data pointers must label a real
+    // region, node pointers must land inside the stream.
     auto remap = [&](uint32_t ptr) -> Result<uint32_t> {
       if (ptr & kDataPtrBit) {
         const int region = static_cast<int>(ptr & ~kDataPtrBit);

@@ -421,7 +421,7 @@ Result<std::vector<std::vector<uint8_t>>> TrapMap::SerializePackets()
   std::vector<std::vector<uint8_t>> packets(
       paging_.num_packets,
       std::vector<uint8_t>(static_cast<size_t>(capacity), 0));
-  // The decoder enters at (0, 0); creation order broadcasts the root
+  // A reader enters at (0, 0); creation order broadcasts the root
   // first, so this holds by construction.
   const bcast::NodeSpan& rs = paging_.spans[node_bfs_pos_[root_]];
   if (rs.first_packet != 0 || rs.offset != 0) {
@@ -478,63 +478,6 @@ Result<std::vector<std::vector<uint8_t>>> TrapMap::SerializePackets()
     cursor.Write(w.bytes());
   }
   return packets;
-}
-
-Result<int> TrapMap::QueryFromPackets(
-    const std::vector<std::vector<uint8_t>>& packets, int packet_capacity,
-    bool framed, int num_regions, const Point& p,
-    std::vector<int>* packets_read) {
-  if (packets.empty()) return Status::InvalidArgument("no packets");
-  if (packet_capacity < 1) {
-    return Status::InvalidArgument("packet capacity must be positive");
-  }
-  int packet = 0;
-  size_t offset = 0;
-  int budget = bcast::DecodeBudget(packets.size());
-  for (;;) {
-    if (--budget < 0) {
-      return Status::DataLoss("trap-tree decode budget exhausted");
-    }
-    bcast::PacketReader r(packets, packet_capacity, framed, packet, offset,
-                          packets_read);
-    uint16_t bid;
-    uint32_t left, right;
-    DTREE_RETURN_IF_ERROR(r.ReadU16(&bid));
-    DTREE_RETURN_IF_ERROR(r.ReadU32(&left));
-    DTREE_RETURN_IF_ERROR(r.ReadU32(&right));
-    uint32_t next;
-    if ((bid & 0x8000u) == 0) {
-      float x;
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&x));
-      next = p.x < static_cast<double>(x) ? left : right;
-    } else {
-      float px, py, qx, qy;
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&px));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&py));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&qx));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&qy));
-      const double v = geom::OrientValue(Point{px, py}, Point{qx, qy}, p);
-      next = v > 0.0 ? left : right;
-    }
-    if (bcast::IsDataPointer(next)) {
-      const int region = bcast::DataPointerRegion(next);
-      // Every trapezoid carries a real region label (kOutsideRegionPtr is
-      // never written), so an out-of-range id means corrupted bytes.
-      if (region >= num_regions) {
-        return Status::DataLoss("data pointer to out-of-range region " +
-                                std::to_string(region));
-      }
-      return region;
-    }
-    packet = bcast::NodePointerPacket(next);
-    offset = bcast::NodePointerOffset(next);
-    if (packet >= static_cast<int>(packets.size())) {
-      return Status::DataLoss("node pointer outside the packet stream");
-    }
-    if (offset >= static_cast<size_t>(packet_capacity)) {
-      return Status::DataLoss("node pointer offset outside the packet");
-    }
-  }
 }
 
 Result<bcast::ProbeTrace> TrapMap::Probe(const Point& p) const {

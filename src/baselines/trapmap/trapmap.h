@@ -75,7 +75,7 @@ class TrapMap final : public bcast::AirIndex {
   //                   y-node: 4 x f32 segment p.x p.y q.x q.y (22 B total)
   //
   // The root node always serializes at packet 0, offset 0 (creation order
-  // broadcasts it first), so the decoder needs no out-of-band entry point.
+  // broadcasts it first), so a reader needs no out-of-band entry point.
   // Caveat: an x-node branches on the lexicographic (x, y) order in memory
   // but only x fits the 4-byte wire payload, so an on-the-wire query with
   // p.x exactly equal to the endpoint's x may take the other branch — a
@@ -83,19 +83,9 @@ class TrapMap final : public bcast::AirIndex {
 
   /// One broadcast cycle's worth of index packets, each exactly
   /// `packet_capacity` bytes (zero-padded). InvalidArgument for the
-  /// degenerate map with no internal DAG nodes.
+  /// degenerate map with no internal DAG nodes. TrapMapArena
+  /// (trapmap/arena.h) is the client-side reader of these bytes.
   Result<std::vector<std::vector<uint8_t>>> SerializePackets() const;
-
-  /// Hardened client-side query straight from (untrusted) packet bytes:
-  /// every read is bounds-checked, every pointer field range-checked, and
-  /// total decode work is bounded by bcast::DecodeBudget, so malformed or
-  /// corrupted packets yield a Status (kDataLoss), never a crash or hang.
-  /// With `framed` (bcast::FramePackets output) each packet's CRC-32 is
-  /// verified on first touch. Returns the region id.
-  static Result<int> QueryFromPackets(
-      const std::vector<std::vector<uint8_t>>& packets, int packet_capacity,
-      bool framed, int num_regions, const geom::Point& p,
-      std::vector<int>* packets_read);
 
   // --- introspection -------------------------------------------------------
   int num_dag_nodes() const;

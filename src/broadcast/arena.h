@@ -1,17 +1,19 @@
 // Flat-arena probe engines: cache-conscious decoded form of an air index.
 //
-// The packet decoders (dtree/serialize.h, baselines/*) re-parse wire bytes
-// on every probe — correct, hardened, and the bit-identical oracle, but
-// slow: each query re-reads headers, re-promotes f32 coordinates and
-// chases per-packet heap allocations. A FlatProbeEngine decodes the
-// CRC-verified cycle ONCE into a structure-of-arrays arena (node records
-// in contiguous typed arrays, child links as 32-bit indices, partition
-// coordinates in separate x[]/y[] arrays) and serves every subsequent
-// probe from that arena. Engines replicate the wire decoder's exact
-// arithmetic — same f32→double promotions, same comparison order, same
-// ray-crossing formula — so an arena probe returns byte-identical results
-// to the per-probe decoder (enforced by tests/arena_test and by the
-// bench_micro verification guard).
+// The D-tree's per-probe packet decoder (dtree/serialize.h) re-parses
+// wire bytes on every probe — correct, hardened, and its arena's
+// bit-identical oracle, but slow: each query re-reads headers,
+// re-promotes f32 coordinates and chases per-packet heap allocations. A
+// FlatProbeEngine decodes the CRC-verified cycle ONCE into a
+// structure-of-arrays arena (node records in contiguous typed arrays,
+// child links as 32-bit indices, partition coordinates in separate
+// x[]/y[] arrays) and serves every subsequent probe from that arena. The
+// D-tree engine replicates its decoder's exact arithmetic — same
+// f32→double promotions, same comparison order, same ray-crossing
+// formula — so its probes return byte-identical results to the decoder.
+// Each baseline's engine (baselines/*/arena.h) is that family's only
+// wire reader; its Build is the hardened decode. tests/arena_test and the
+// bench_micro verification guard enforce both contracts.
 //
 // ArenaIndex adapts an engine back to the AirIndex interface while
 // reporting the wrapped index's identity (name, packet count, byte size),
@@ -38,9 +40,10 @@ class FlatProbeEngine {
  public:
   virtual ~FlatProbeEngine() = default;
 
-  /// Fills `*trace` with the same region and packet log the wire decoder
-  /// (and the wrapped index's Probe) would produce for p. Must clear any
-  /// previous contents of the trace's vectors without shrinking them.
+  /// Fills `*trace` with p's region and packet log, as read from the
+  /// decoded wire bytes (see each engine's header for how that relates to
+  /// the wrapped index's Probe). Must clear any previous contents of the
+  /// trace's vectors without shrinking them.
   virtual Status ProbeInto(const geom::Point& p,
                            ProbeTrace* trace) const = 0;
 
