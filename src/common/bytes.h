@@ -104,7 +104,7 @@ class ByteReader {
   }
 
   Status ReadF32(float* out) {
-    uint32_t bits;
+    uint32_t bits = 0;
     DTREE_RETURN_IF_ERROR(ReadU32(&bits));
     std::memcpy(out, &bits, sizeof(*out));
     return Status::OK();

@@ -323,6 +323,9 @@ TEST(CorruptionChannelTest, TraceEventsMirrorOutcome) {
         case TraceEventKind::kEpochSwitch:
           ADD_FAILURE() << "single-epoch traces never switch";
           break;
+        case TraceEventKind::kCacheHit:
+          ADD_FAILURE() << "cacheless traces never hit a region cache";
+          break;
       }
     }
     EXPECT_EQ(losses, out.lost_packets);

@@ -212,7 +212,9 @@ TEST(MetricsRegistryTest, PointersStableAcrossInsertion) {
   Histogram* a = reg.histogram("a");
   a->Add(1.0);
   for (int i = 0; i < 100; ++i) {
-    reg.histogram("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    reg.histogram(name);
   }
   EXPECT_EQ(a, reg.histogram("a"));
   EXPECT_EQ(a->TotalCount(), 1u);

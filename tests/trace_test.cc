@@ -69,6 +69,9 @@ EventTally Tally(const QueryTrace& qt) {
       case TraceEventKind::kEpochSwitch:
         ADD_FAILURE() << "single-epoch traces never switch";
         break;
+      case TraceEventKind::kCacheHit:
+        ADD_FAILURE() << "cacheless traces never hit a region cache";
+        break;
     }
   }
   return t;
