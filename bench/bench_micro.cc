@@ -191,15 +191,15 @@ void BM_DTreeProbeDecode(benchmark::State& state) {
   core::DTree::Options o;
   o.packet_capacity = 256;
   auto tree = core::DTree::Build(sub, o).value();
-  auto packets = core::SerializeDTreeFlat(tree).value();
+  auto packets = core::SerializeDTree(tree).value();
   const std::vector<geom::Point> queries = SampleQueries(sub, 1024);
   std::vector<int> read;
   size_t i = 0;
   for (auto _ : state) {
     read.clear();
     benchmark::DoNotOptimize(core::QueryFromPackets(
-        packets, 256, tree.options().early_termination, queries[i & 1023],
-        &read));
+        packets, 256, /*framed=*/false, tree.options().early_termination,
+        queries[i & 1023], &read));
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
@@ -212,7 +212,7 @@ void BM_DTreeProbeArena(benchmark::State& state) {
   core::DTree::Options o;
   o.packet_capacity = 256;
   auto tree = core::DTree::Build(sub, o).value();
-  auto packets = core::SerializeDTreeFlat(tree).value();
+  auto packets = core::SerializeDTree(tree).value();
   auto arena =
       core::DTreeArena::Build(packets, 256, /*framed=*/false,
                               tree.options().early_termination,
@@ -389,7 +389,7 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
   auto tree_r = core::DTree::Build(sub, o);
   if (!tree_r.ok()) return false;
   const core::DTree& tree = tree_r.value();
-  auto packets_r = core::SerializeDTreeFlat(tree);
+  auto packets_r = core::SerializeDTree(tree);
   if (!packets_r.ok()) return false;
   const bcast::PacketBuffer& packets = packets_r.value();
   auto arena_r = core::DTreeArena::Build(
@@ -401,9 +401,9 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
   if (!GuardAndMeasure(
           "dtree", n,
           [&](const geom::Point& p, std::vector<int>* read) {
-            return core::QueryFromPackets(packets, kPacketCapacity,
-                                          tree.options().early_termination,
-                                          p, read);
+            return core::QueryFromPackets(
+                packets, kPacketCapacity, /*framed=*/false,
+                tree.options().early_termination, p, read);
           },
           arena_r.value(), queries, &m)) {
     return false;

@@ -42,14 +42,14 @@ int main() {
   const auto& packets = packets_r.value();
   std::printf("serialized %d nodes into %zu packets of %d bytes "
               "(%zu payload bytes)\n",
-              tree.num_nodes(), packets.size(), opt.packet_capacity,
+              tree.num_nodes(), packets.num_packets(), opt.packet_capacity,
               tree.IndexBytes());
 
   // Hex dump of the first packet (bid, header, pointers, partition...).
   std::printf("\npacket 0:");
-  for (size_t i = 0; i < packets[0].size(); ++i) {
+  for (size_t i = 0; i < packets.packet_bytes(); ++i) {
     if (i % 16 == 0) std::printf("\n  %04zx ", i);
-    std::printf("%02x ", packets[0][i]);
+    std::printf("%02x ", packets.packet(0)[i]);
   }
   std::printf("\n\n");
 
@@ -59,6 +59,7 @@ int main() {
                         rng.Uniform(area.min_y, area.max_y)};
     std::vector<int> read;
     auto region_r = core::QueryFromPackets(packets, opt.packet_capacity,
+                                           /*framed=*/false,
                                            /*early_termination=*/true, p,
                                            &read);
     if (!region_r.ok()) {

@@ -197,7 +197,7 @@ Status TrianTreeArena::ProbeInto(const geom::Point& p,
         break;
       }
       // Numeric crack between adjacent triangles: remember the nearest
-      // (same fallback TrianTree::Probe applies).
+      // (same fallback TrianTree::ProbeInto applies).
       const double d = DistanceToTriangle(tri_[c], p);
       if (d < best_dist) {
         best_dist = d;
@@ -231,7 +231,7 @@ size_t TrianTreeArena::ArenaBytes() const {
 
 Result<bcast::ArenaIndex> BuildTrianTreeArenaIndex(const TrianTree& tree,
                                                    int num_regions) {
-  Result<std::vector<std::vector<uint8_t>>> packets = tree.SerializePackets();
+  Result<bcast::PacketBuffer> packets = tree.SerializePackets();
   if (!packets.ok()) return packets.status();
   Result<TrianTreeArena> arena =
       TrianTreeArena::Build(packets.value(), tree.PacketCapacity(),

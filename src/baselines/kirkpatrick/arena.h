@@ -3,10 +3,10 @@
 // TrianTree's wire bytes: every reachable node decoded once —
 // CRC-verified in framed mode — into contiguous triangle / child-pointer
 // arrays, so the per-level candidate scan runs over typed memory instead
-// of re-parsing wire bytes. ProbeInto runs TrianTree::Probe's
+// of re-parsing wire bytes. ProbeInto runs TrianTree::ProbeInto's
 // Contains-then-nearest candidate scan over the promoted-f32 triangles
 // (after EnsureCCW) and logs each candidate's full node span,
-// deduplicated when consecutive, as TrianTree::Probe does.
+// deduplicated when consecutive, as TrianTree::ProbeInto does.
 //
 // Contract, pinned by tests/arena_test.cc and tests/failsafe_fuzz_test.cc:
 // outside the kMergeEps * 100 border band the region is brute-force

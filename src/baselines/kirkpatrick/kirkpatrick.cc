@@ -312,14 +312,17 @@ double DistanceToTriangle(const Triangle& t, const Point& p) {
 
 }  // namespace
 
-Result<bcast::ProbeTrace> TrianTree::Probe(const geom::Point& p) const {
-  bcast::ProbeTrace trace;
+Status TrianTree::ProbeInto(const geom::Point& p,
+                            bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
   auto touch = [&](int tri_id) {
     const bcast::NodeSpan& span = paging_.spans[tri_bfs_pos_[tri_id]];
     for (int k = 0; k < span.num_packets; ++k) {
       const int packet = span.first_packet + k;
-      if (trace.packets.empty() || trace.packets.back() != packet) {
-        trace.packets.push_back(packet);
+      if (trace->packets.empty() || trace->packets.back() != packet) {
+        trace->packets.push_back(packet);
       }
     }
   };
@@ -349,11 +352,11 @@ Result<bcast::ProbeTrace> TrianTree::Probe(const geom::Point& p) const {
       found = nearest;
     }
     if (tris_[found].children.empty()) {
-      trace.region = tris_[found].region;
-      if (trace.region < 0) {
+      trace->region = tris_[found].region;
+      if (trace->region < 0) {
         return Status::NotFound("query point outside the service area");
       }
-      return trace;
+      return Status::OK();
     }
     candidates = &tris_[found].children;
   }
@@ -366,12 +369,9 @@ int TrianTree::Locate(const geom::Point& p) const {
   return r.value().region;
 }
 
-Result<std::vector<std::vector<uint8_t>>> TrianTree::SerializePackets()
-    const {
-  const int capacity = options_.packet_capacity;
-  std::vector<std::vector<uint8_t>> packets(
-      paging_.num_packets,
-      std::vector<uint8_t>(static_cast<size_t>(capacity), 0));
+Result<bcast::PacketBuffer> TrianTree::SerializePackets() const {
+  bcast::PacketBuffer packets(static_cast<size_t>(paging_.num_packets),
+                              static_cast<size_t>(options_.packet_capacity));
   for (size_t bfs = 0; bfs < bfs_order_.size(); ++bfs) {
     const int id = bfs_order_[bfs];
     const TriNode& n = tris_[id];
@@ -410,8 +410,8 @@ Result<std::vector<std::vector<uint8_t>>> TrianTree::SerializePackets()
                               " != accounted size " +
                               std::to_string(NodeSize(n.children.size())));
     }
-    bcast::PacketCursor cursor(&packets, capacity, s.first_packet, s.offset);
-    cursor.Write(w.bytes());
+    packets.Write(static_cast<size_t>(s.first_packet), s.offset,
+                  w.bytes().data(), w.size());
   }
   return packets;
 }

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "broadcast/air_index.h"
+#include "broadcast/packet_buffer.h"
 #include "broadcast/pager.h"
 #include "common/status.h"
 #include "geom/triangle.h"
@@ -58,7 +59,8 @@ class TrianTree final : public bcast::AirIndex {
   int NumIndexPackets() const override { return paging_.num_packets; }
   size_t IndexBytes() const override { return paging_.used_bytes; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   /// In-memory query without packet accounting.
   int Locate(const geom::Point& p) const;
@@ -78,7 +80,7 @@ class TrianTree final : public bcast::AirIndex {
   /// has more children than the 4-bit count field can carry.
   /// TrianTreeArena (kirkpatrick/arena.h) is the client-side reader of
   /// these bytes.
-  Result<std::vector<std::vector<uint8_t>>> SerializePackets() const;
+  Result<bcast::PacketBuffer> SerializePackets() const;
 
   /// Reader entry points: (packet, byte offset) of every root triangle
   /// node, in probe order. The roots are not contiguous on the channel

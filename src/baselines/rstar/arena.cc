@@ -263,7 +263,7 @@ size_t RStarArena::ArenaBytes() const {
 
 Result<bcast::ArenaIndex> BuildRStarArenaIndex(const RStarTree& tree,
                                                int num_regions) {
-  Result<std::vector<std::vector<uint8_t>>> packets = tree.SerializePackets();
+  Result<bcast::PacketBuffer> packets = tree.SerializePackets();
   if (!packets.ok()) return packets.status();
   Result<RStarArena> arena =
       RStarArena::Build(packets.value(), tree.PacketCapacity(),

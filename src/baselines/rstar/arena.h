@@ -6,7 +6,7 @@
 // tests over SoA coordinate arrays instead of re-walking the shape
 // placement cursor per query.
 //
-// ProbeInto runs RStarTree::Probe's depth-first search over the
+// ProbeInto runs RStarTree::ProbeInto's depth-first search over the
 // promoted, outward-rounded f32 wire MBRs and rings, with the same
 // nearest-boundary fallback and the same packet accounting: the visited
 // nodes' packets plus the wanted shapes' spans.
@@ -16,7 +16,7 @@
 // sub::PointLocator's; outcomes on fixed inputs match golden digests; and
 // hostile bytes fail with a Status, never a crash or a hang. Within an
 // f32 ulp of a vertex coordinate (~6e-5 near 1000) an outward-rounded
-// wire MBR edge admits points that RStarTree::Probe's double MBR
+// wire MBR edge admits points that RStarTree::ProbeInto's double MBR
 // excludes, so the packet log, though not the region, may differ from
 // the in-memory one there.
 

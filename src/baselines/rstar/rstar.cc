@@ -364,11 +364,10 @@ Status RStarTree::Layout(const sub::Subdivision& sub) {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<uint8_t>>> RStarTree::SerializePackets()
-    const {
+Result<bcast::PacketBuffer> RStarTree::SerializePackets() const {
   const int capacity = options_.packet_capacity;
-  std::vector<std::vector<uint8_t>> packets(
-      num_packets_, std::vector<uint8_t>(static_cast<size_t>(capacity), 0));
+  bcast::PacketBuffer packets(static_cast<size_t>(num_packets_),
+                              static_cast<size_t>(capacity));
   if (node_packet_.empty() || node_packet_[root_] != 0) {
     return Status::Internal("r*-tree root not at packet 0");
   }
@@ -396,8 +395,8 @@ Result<std::vector<std::vector<uint8_t>>> RStarTree::SerializePackets()
         w.size() > static_cast<size_t>(capacity)) {
       return Status::Internal("serialized r*-tree node size mismatch");
     }
-    bcast::PacketCursor cursor(&packets, capacity, node_packet_[id], 0);
-    cursor.Write(w.bytes());
+    packets.Write(static_cast<size_t>(node_packet_[id]), 0, w.bytes().data(),
+                  w.size());
   }
   for (size_t r = 0; r < shapes_.size(); ++r) {
     const bcast::NodeSpan& s = shape_span_[r];
@@ -417,31 +416,33 @@ Result<std::vector<std::vector<uint8_t>>> RStarTree::SerializePackets()
     if (w.size() != accounted) {
       return Status::Internal("serialized shape size mismatch");
     }
-    bcast::PacketCursor cursor(&packets, capacity, s.first_packet,
-                               s.offset);
-    cursor.Write(w.bytes());
+    packets.Write(static_cast<size_t>(s.first_packet), s.offset,
+                  w.bytes().data(), w.size());
   }
   return packets;
 }
 
 int RStarTree::Locate(const geom::Point& p) const {
   Result<bcast::ProbeTrace> r = Probe(p);
-  DTREE_CHECK(r.ok());
-  return r.value().region;
+  return r.ok() ? r.value().region : -1;
 }
 
-Result<bcast::ProbeTrace> RStarTree::Probe(const geom::Point& p) const {
-  bcast::ProbeTrace trace;
-  auto touch = [&trace](int packet) {
-    if (trace.packets.empty() || trace.packets.back() != packet) {
-      trace.packets.push_back(packet);
+Status RStarTree::ProbeInto(const geom::Point& p,
+                            bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
+  auto touch = [trace](int packet) {
+    if (trace->packets.empty() || trace->packets.back() != packet) {
+      trace->packets.push_back(packet);
     }
   };
 
   int best_fallback = -1;
   double best_fallback_dist = std::numeric_limits<double>::infinity();
 
-  std::vector<int> stack{root_};
+  thread_local std::vector<int> stack;
+  stack.assign(1, root_);
   int steps = 0;
   while (!stack.empty()) {
     if (++steps > bcast::kProbeStepBudget) {
@@ -466,8 +467,8 @@ Result<bcast::ProbeTrace> RStarTree::Probe(const geom::Point& p) const {
       for (int k = 0; k < span.num_packets; ++k) touch(span.first_packet + k);
       const geom::Polygon& poly = shapes_[e.region];
       if (poly.Contains(p)) {
-        trace.region = e.region;
-        return trace;
+        trace->region = e.region;
+        return Status::OK();
       }
       const double d = poly.DistanceToBoundary(p);
       if (d < best_fallback_dist) {
@@ -479,8 +480,8 @@ Result<bcast::ProbeTrace> RStarTree::Probe(const geom::Point& p) const {
   if (best_fallback >= 0) {
     // Numeric gap between adjacent shapes: resolve to the nearest tested
     // region (the answer is ambiguous within tolerance anyway).
-    trace.region = best_fallback;
-    return trace;
+    trace->region = best_fallback;
+    return Status::OK();
   }
   return Status::Internal("query point escaped every leaf MBR");
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "broadcast/air_index.h"
+#include "broadcast/packet_buffer.h"
 #include "broadcast/pager.h"
 #include "common/status.h"
 #include "geom/polygon.h"
@@ -42,10 +43,12 @@ class RStarTree final : public bcast::AirIndex {
   int NumIndexPackets() const override { return num_packets_; }
   size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   /// In-memory point location (DFS with containment tests), no packet
-  /// accounting.
+  /// accounting. Returns -1 when the probe fails, e.g. for a point in no
+  /// leaf MBR (outside the service area), as TrianTree::Locate does.
   int Locate(const geom::Point& p) const;
 
   // --- byte-level broadcast form -------------------------------------------
@@ -71,7 +74,7 @@ class RStarTree final : public bcast::AirIndex {
   /// One broadcast cycle's worth of index packets, each exactly
   /// `packet_capacity` bytes (zero-padded). RStarArena (rstar/arena.h) is
   /// the client-side reader of these bytes.
-  Result<std::vector<std::vector<uint8_t>>> SerializePackets() const;
+  Result<bcast::PacketBuffer> SerializePackets() const;
 
   // --- introspection -------------------------------------------------------
   int max_entries() const { return max_entries_; }

@@ -157,7 +157,7 @@ size_t TrapMapArena::ArenaBytes() const {
 
 Result<bcast::ArenaIndex> BuildTrapMapArenaIndex(const TrapMap& map,
                                                  int num_regions) {
-  Result<std::vector<std::vector<uint8_t>>> packets = map.SerializePackets();
+  Result<bcast::PacketBuffer> packets = map.SerializePackets();
   if (!packets.ok()) return packets.status();
   Result<TrapMapArena> arena =
       TrapMapArena::Build(packets.value(), map.PacketCapacity(),

@@ -5,7 +5,7 @@
 // typed arrays instead of re-parsing wire bytes per query. ProbeInto
 // branches on the promoted f32 wire values (x-node: p.x < x; y-node:
 // OrientValue over the segment endpoints > 0) and logs one packet per
-// visited DAG node, deduplicated when consecutive, as TrapMap::Probe
+// visited DAG node, deduplicated when consecutive, as TrapMap::ProbeInto
 // does.
 //
 // Contract, pinned by tests/arena_test.cc and tests/failsafe_fuzz_test.cc:
@@ -13,7 +13,7 @@
 // sub::PointLocator's; outcomes on fixed inputs match golden digests; and
 // hostile bytes fail with a Status, never a crash or a hang. Within half
 // an f32 ulp of a vertex coordinate (~3e-5 near 1000) the wire's rounded
-// x-node walls can send a probe down other x-nodes than TrapMap::Probe
+// x-node walls can send a probe down other x-nodes than TrapMap::ProbeInto
 // takes, so the packet log, though not the region, may differ from the
 // in-memory one there.
 

@@ -411,16 +411,14 @@ Status TrapMap::Page() {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<uint8_t>>> TrapMap::SerializePackets()
-    const {
+Result<bcast::PacketBuffer> TrapMap::SerializePackets() const {
   if (bfs_order_.empty()) {
     return Status::InvalidArgument(
         "degenerate trap-tree with no internal nodes cannot be serialized");
   }
   const int capacity = options_.packet_capacity;
-  std::vector<std::vector<uint8_t>> packets(
-      paging_.num_packets,
-      std::vector<uint8_t>(static_cast<size_t>(capacity), 0));
+  bcast::PacketBuffer packets(static_cast<size_t>(paging_.num_packets),
+                              static_cast<size_t>(capacity));
   // A reader enters at (0, 0); creation order broadcasts the root
   // first, so this holds by construction.
   const bcast::NodeSpan& rs = paging_.spans[node_bfs_pos_[root_]];
@@ -474,30 +472,36 @@ Result<std::vector<std::vector<uint8_t>>> TrapMap::SerializePackets()
                               " != accounted size " +
                               std::to_string(is_y ? kYNodeSize : kXNodeSize));
     }
-    bcast::PacketCursor cursor(&packets, capacity, s.first_packet, s.offset);
-    cursor.Write(w.bytes());
+    packets.Write(static_cast<size_t>(s.first_packet), s.offset,
+                  w.bytes().data(), w.size());
   }
   return packets;
 }
 
-Result<bcast::ProbeTrace> TrapMap::Probe(const Point& p) const {
-  bcast::ProbeTrace trace;
-  std::vector<int> visited;
-  const int trap = LocateTrapezoid(p, &visited);
+Status TrapMap::ProbeInto(const Point& p, bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
+  // The descent logs the visited DAG nodes into the packet list; each is
+  // then overwritten in place by its packet, consecutive repeats dropped.
+  std::vector<int>& log = trace->packets;
+  const int trap = LocateTrapezoid(p, &log);
   if (trap < 0) {
     return Status::Internal("trap-tree descent exceeded the probe budget");
   }
-  trace.region = traps_[trap].region;
-  for (int node : visited) {
-    const int pos = node_bfs_pos_[node];
+  size_t kept = 0;
+  for (size_t i = 0; i < log.size(); ++i) {
+    const int pos = node_bfs_pos_[log[i]];
     DTREE_CHECK(pos >= 0);
     const bcast::NodeSpan& span = paging_.spans[pos];
     DTREE_CHECK(span.num_packets == 1);
-    if (trace.packets.empty() || trace.packets.back() != span.first_packet) {
-      trace.packets.push_back(span.first_packet);
+    if (kept == 0 || log[kept - 1] != span.first_packet) {
+      log[kept++] = span.first_packet;
     }
   }
-  return trace;
+  log.resize(kept);
+  trace->region = traps_[trap].region;
+  return Status::OK();
 }
 
 int TrapMap::num_dag_nodes() const {

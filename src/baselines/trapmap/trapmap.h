@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "broadcast/air_index.h"
+#include "broadcast/packet_buffer.h"
 #include "broadcast/pager.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -57,7 +58,8 @@ class TrapMap final : public bcast::AirIndex {
   int NumIndexPackets() const override { return paging_.num_packets; }
   size_t IndexBytes() const override { return paging_.used_bytes; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   /// In-memory point location through the DAG, no packet accounting.
   /// Returns -1 when the descent exceeds the probe step budget (a
@@ -85,7 +87,7 @@ class TrapMap final : public bcast::AirIndex {
   /// `packet_capacity` bytes (zero-padded). InvalidArgument for the
   /// degenerate map with no internal DAG nodes. TrapMapArena
   /// (trapmap/arena.h) is the client-side reader of these bytes.
-  Result<std::vector<std::vector<uint8_t>>> SerializePackets() const;
+  Result<bcast::PacketBuffer> SerializePackets() const;
 
   // --- introspection -------------------------------------------------------
   int num_dag_nodes() const;

@@ -2,11 +2,10 @@
 
 namespace dtree::bcast {
 
-Status AirIndex::ProbeInto(const geom::Point& p, ProbeTrace* trace) const {
-  Result<ProbeTrace> r = Probe(p);
-  if (!r.ok()) return r.status();
-  *trace = std::move(r).value();
-  return Status::OK();
+Result<ProbeTrace> AirIndex::Probe(const geom::Point& p) const {
+  ProbeTrace trace;
+  DTREE_RETURN_IF_ERROR(ProbeInto(p, &trace));
+  return trace;
 }
 
 Status ValidateTrace(const ProbeTrace& trace, int num_index_packets,

@@ -5,7 +5,9 @@
 // out in a fixed broadcast order (packet id == position within the index
 // segment). Probing with a query point yields the data region id plus the
 // ordered list of index packets the client had to listen to — the paper's
-// tuning-time measure for the index search step.
+// tuning-time measure for the index search step. ProbeInto, which fills a
+// caller-owned trace, is the one probe an index implements; Probe wraps
+// it for callers that want a fresh trace.
 
 #ifndef DTREE_BROADCAST_AIR_INDEX_H_
 #define DTREE_BROADCAST_AIR_INDEX_H_
@@ -18,9 +20,9 @@
 
 namespace dtree::bcast {
 
-/// Hard budget on descent steps for one Probe. Every implementation's
+/// Hard budget on descent steps for one probe. Every implementation's
 /// probe loop is bounded by it (a correct descent takes orders of
-/// magnitude fewer steps); on exhaustion Probe returns Status::Internal
+/// magnitude fewer steps); on exhaustion ProbeInto returns Status::Internal
 /// instead of hanging, so a client always terminates.
 inline constexpr int kProbeStepBudget = 1 << 20;
 
@@ -40,6 +42,8 @@ inline constexpr int ProbePacketBudget(int num_index_packets) {
 struct ProbePacketOrigin {
   int node = -1;
   int depth = -1;
+
+  bool operator==(const ProbePacketOrigin&) const = default;
 };
 
 /// Result of one index search over the air.
@@ -58,6 +62,8 @@ struct ProbeTrace {
   /// can attribute reads (the D-tree); empty elsewhere. Purely
   /// observational: the channel simulation never depends on it.
   std::vector<ProbePacketOrigin> origins;
+
+  bool operator==(const ProbeTrace&) const = default;
 };
 
 /// Abstract paged air index.
@@ -76,25 +82,26 @@ class AirIndex {
   /// Packet capacity this index was paged for.
   virtual int PacketCapacity() const = 0;
 
-  /// Simulates the client's index search for query point p.
+  /// Simulates the client's index search for query point p, filling
+  /// `*trace` in place: implementations clear its region, packets and
+  /// origins first and never shrink the vectors, so a caller probing many
+  /// queries reuses one trace and the steady-state loop allocates
+  /// nothing. `*trace` is unspecified on error.
   ///
-  /// Concurrency contract: Probe must be safe to call from multiple
-  /// threads at once on the same (fully built) index. Implementations may
-  /// not mutate shared state — no lazy construction, no internal caches,
-  /// no `mutable` members touched on the probe path. The parallel
-  /// experiment driver (bcast::RunExperiment) shards its query stream
-  /// across a thread pool and relies on this; all four structures in this
-  /// repository (D-tree, R*-tree, trap-tree, trian-tree) satisfy it by
-  /// being immutable after Build().
-  virtual Result<ProbeTrace> Probe(const geom::Point& p) const = 0;
+  /// Concurrency contract: ProbeInto must be safe to call from multiple
+  /// threads at once on the same (fully built) index, each thread with
+  /// its own trace. Implementations may not mutate shared state — no
+  /// lazy construction, no internal caches, no `mutable` members touched
+  /// on the probe path (per-thread `thread_local` scratch is fine). The
+  /// parallel experiment driver (bcast::RunExperiment) and the fleet
+  /// engine shard their queries across a thread pool and rely on this;
+  /// every index in this repository (D-tree, R*-tree, trap-tree,
+  /// trian-tree and their arenas) satisfies it by being immutable after
+  /// Build().
+  virtual Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const = 0;
 
-  /// Allocation-light variant: fills `*trace` (clearing any previous
-  /// contents but keeping its vectors' capacity), so a caller probing many
-  /// queries can reuse one trace instead of constructing fresh vectors per
-  /// query. Same semantics and concurrency contract as Probe; `*trace` is
-  /// unspecified on error. The default forwards to Probe; hot-path
-  /// implementations override it.
-  virtual Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const;
+  /// Convenience for one-off probes: ProbeInto a new trace.
+  Result<ProbeTrace> Probe(const geom::Point& p) const;
 };
 
 /// Validates a trace: region resolved, packet ids within range, and — when

@@ -2,23 +2,24 @@
 //
 // The D-tree's per-probe packet decoder (dtree/serialize.h) re-parses
 // wire bytes on every probe — correct, hardened, and its arena's
-// bit-identical oracle, but slow: each query re-reads headers,
-// re-promotes f32 coordinates and chases per-packet heap allocations. A
-// FlatProbeEngine decodes the CRC-verified cycle ONCE into a
-// structure-of-arrays arena (node records in contiguous typed arrays,
-// child links as 32-bit indices, partition coordinates in separate
-// x[]/y[] arrays) and serves every subsequent probe from that arena. The
-// D-tree engine replicates its decoder's exact arithmetic — same
-// f32→double promotions, same comparison order, same ray-crossing
-// formula — so its probes return byte-identical results to the decoder.
-// Each baseline's engine (baselines/*/arena.h) is that family's only
-// wire reader; its Build is the hardened decode. tests/arena_test and the
-// bench_micro verification guard enforce both contracts.
+// bit-identical oracle, but slow: each query re-reads headers and
+// re-promotes f32 coordinates. A FlatProbeEngine decodes the
+// CRC-verified cycle (one PacketBuffer) ONCE into a structure-of-arrays
+// arena (node records in contiguous typed arrays, child links as 32-bit
+// indices, partition coordinates in separate x[]/y[] arrays) and serves
+// every subsequent probe from that arena. The D-tree engine replicates
+// its decoder's exact arithmetic — same f32→double promotions, same
+// comparison order, same ray-crossing formula — so its probes return
+// byte-identical results to the decoder. Each baseline's engine
+// (baselines/*/arena.h) is that family's only wire reader; its Build is
+// the hardened decode. tests/arena_test and the bench_micro verification
+// guard enforce both contracts.
 //
-// ArenaIndex adapts an engine back to the AirIndex interface while
-// reporting the wrapped index's identity (name, packet count, byte size),
-// so BroadcastChannel::Simulate and bcast::RunExperiment produce
-// byte-identical output with the arena enabled. See DESIGN.md §12.
+// ArenaIndex adapts an engine back to the AirIndex interface — its
+// ProbeInto is the engine's — while reporting the wrapped index's
+// identity (name, packet count, byte size), so BroadcastChannel::Simulate
+// and bcast::RunExperiment produce byte-identical output with the arena
+// enabled. See DESIGN.md §12.
 
 #ifndef DTREE_BROADCAST_ARENA_H_
 #define DTREE_BROADCAST_ARENA_H_
@@ -35,14 +36,14 @@
 namespace dtree::bcast {
 
 /// A decoded, immutable, probe-only form of one air index. Thread-safe
-/// for concurrent ProbeInto calls (same contract as AirIndex::Probe).
+/// for concurrent ProbeInto calls (same contract as AirIndex::ProbeInto).
 class FlatProbeEngine {
  public:
   virtual ~FlatProbeEngine() = default;
 
   /// Fills `*trace` with p's region and packet log, as read from the
   /// decoded wire bytes (see each engine's header for how that relates to
-  /// the wrapped index's Probe). Must clear any previous contents of the
+  /// the wrapped index's ProbeInto). Must clear any previous contents of the
   /// trace's vectors without shrinking them.
   virtual Status ProbeInto(const geom::Point& p,
                            ProbeTrace* trace) const = 0;
@@ -76,7 +77,6 @@ class ArenaIndex final : public AirIndex {
   size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return packet_capacity_; }
 
-  Result<ProbeTrace> Probe(const geom::Point& p) const override;
   Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const override {
     return engine_->ProbeInto(p, trace);
   }

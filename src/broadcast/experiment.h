@@ -299,7 +299,7 @@ struct ExperimentResult : QueryStats {
 /// the answer is numerically ambiguous).
 ///
 /// Queries run on options.num_threads threads; `index` must honor the
-/// AirIndex::Probe concurrency contract (all four structures in this
+/// AirIndex::ProbeInto concurrency contract (all four structures in this
 /// repository do).
 Result<ExperimentResult> RunExperiment(const AirIndex& index,
                                        const sub::Subdivision& subdivision,

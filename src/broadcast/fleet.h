@@ -147,7 +147,7 @@ inline uint64_t FleetMobilityStream(uint64_t query_index) {
   return workload::kMobilityStreamBase + query_index;
 }
 
-/// Runs the fleet. `index` must honor the AirIndex::Probe concurrency
+/// Runs the fleet. `index` must honor the AirIndex::ProbeInto concurrency
 /// contract (shards probe from many threads at once); `subdivision` backs
 /// the query sampler. Returns InvalidArgument on malformed options and
 /// propagates any probe / trace-validation failure, first failing shard

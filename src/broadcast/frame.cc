@@ -1,7 +1,9 @@
 #include "broadcast/frame.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -10,11 +12,13 @@ namespace dtree::bcast {
 
 namespace {
 
-uint32_t FrameTrailer(const uint8_t* frame, size_t n) {
-  return static_cast<uint32_t>(frame[n - 4]) |
-         static_cast<uint32_t>(frame[n - 3]) << 8 |
-         static_cast<uint32_t>(frame[n - 2]) << 16 |
-         static_cast<uint32_t>(frame[n - 1]) << 24;
+/// Names the failing packet in a VerifyFrame status, keeping its code
+/// (kDataLoss or kFailedPrecondition).
+Status InPacket(const Status& s, size_t packet) {
+  std::string msg = "packet " + std::to_string(packet) + ": " + s.message();
+  return s.code() == StatusCode::kDataLoss
+             ? Status::DataLoss(std::move(msg))
+             : Status::FailedPrecondition(std::move(msg));
 }
 
 }  // namespace
@@ -31,73 +35,72 @@ uint32_t EncodeNodePointer(int packet, size_t offset) {
          static_cast<uint32_t>(offset);
 }
 
-std::vector<std::vector<uint8_t>> FramePackets(
-    const std::vector<std::vector<uint8_t>>& packets, uint16_t epoch) {
-  std::vector<std::vector<uint8_t>> frames;
-  frames.reserve(packets.size());
-  for (const std::vector<uint8_t>& pkt : packets) {
-    std::vector<uint8_t> frame = pkt;
-    frame.push_back(static_cast<uint8_t>(epoch & 0xff));
-    frame.push_back(static_cast<uint8_t>(epoch >> 8));
+PacketBuffer FramePackets(const PacketBuffer& packets, uint16_t epoch) {
+  const size_t payload = packets.packet_bytes();
+  PacketBuffer frames(packets.num_packets(), payload + kFrameOverheadBytes);
+  for (size_t i = 0; i < packets.num_packets(); ++i) {
+    uint8_t* frame = frames.packet(i);
+    std::copy_n(packets.packet(i), payload, frame);
+    frame[payload] = static_cast<uint8_t>(epoch & 0xff);
+    frame[payload + 1] = static_cast<uint8_t>(epoch >> 8);
     // The CRC covers payload + epoch, so a flipped epoch bit is caught
     // exactly like a flipped payload bit.
-    const uint32_t crc = Crc32(frame.data(), frame.size());
-    for (int i = 0; i < 4; ++i) {
-      frame.push_back(static_cast<uint8_t>((crc >> (8 * i)) & 0xff));
+    const uint32_t crc = Crc32(frame, payload + kFrameEpochBytes);
+    for (size_t k = 0; k < kFrameCrcBytes; ++k) {
+      frame[payload + kFrameEpochBytes + k] =
+          static_cast<uint8_t>((crc >> (8 * k)) & 0xff);
     }
-    frames.push_back(std::move(frame));
   }
   return frames;
 }
 
-Status VerifyFrame(const std::vector<uint8_t>& frame) {
-  if (frame.size() < kFrameOverheadBytes) {
+Status VerifyFrame(const uint8_t* frame, size_t size, int expected_epoch) {
+  if (size < kFrameOverheadBytes) {
     return Status::DataLoss("frame shorter than its epoch + CRC trailer");
   }
-  const size_t covered = frame.size() - kFrameCrcBytes;
-  if (Crc32(frame.data(), covered) != FrameTrailer(frame.data(), frame.size())) {
+  const size_t covered = size - kFrameCrcBytes;
+  const uint32_t trailer = static_cast<uint32_t>(frame[covered]) |
+                           static_cast<uint32_t>(frame[covered + 1]) << 8 |
+                           static_cast<uint32_t>(frame[covered + 2]) << 16 |
+                           static_cast<uint32_t>(frame[covered + 3]) << 24;
+  if (Crc32(frame, covered) != trailer) {
     return Status::DataLoss("frame failed its CRC check");
+  }
+  if (expected_epoch >= 0 &&
+      FrameEpoch(frame, size) != static_cast<uint16_t>(expected_epoch)) {
+    return Status::FailedPrecondition(
+        "frame carries epoch " + std::to_string(FrameEpoch(frame, size)) +
+        ", expected " + std::to_string(expected_epoch));
   }
   return Status::OK();
 }
 
-uint16_t FrameEpoch(const uint8_t* frame, size_t frame_size) {
-  DTREE_CHECK(frame_size >= kFrameOverheadBytes);
-  const size_t at = frame_size - kFrameOverheadBytes;
+uint16_t FrameEpoch(const uint8_t* frame, size_t size) {
+  DTREE_CHECK(size >= kFrameOverheadBytes);
+  const size_t at = size - kFrameOverheadBytes;
   return static_cast<uint16_t>(frame[at]) |
          static_cast<uint16_t>(frame[at + 1]) << 8;
 }
 
-uint16_t FrameEpoch(const std::vector<uint8_t>& frame) {
-  return FrameEpoch(frame.data(), frame.size());
-}
-
-Result<std::vector<std::vector<uint8_t>>> UnframePackets(
-    const std::vector<std::vector<uint8_t>>& frames, int expected_epoch) {
-  std::vector<std::vector<uint8_t>> packets;
-  packets.reserve(frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    Status s = VerifyFrame(frames[i]);
-    if (!s.ok()) {
-      return Status::DataLoss("packet " + std::to_string(i) + ": " +
-                              s.message());
-    }
-    if (expected_epoch >= 0 &&
-        FrameEpoch(frames[i]) != static_cast<uint16_t>(expected_epoch)) {
-      return Status::FailedPrecondition(
-          "packet " + std::to_string(i) + " carries epoch " +
-          std::to_string(FrameEpoch(frames[i])) + ", expected " +
-          std::to_string(expected_epoch));
-    }
-    packets.emplace_back(frames[i].begin(),
-                         frames[i].end() - kFrameOverheadBytes);
+Result<PacketBuffer> UnframePackets(const PacketBuffer& frames,
+                                    int expected_epoch) {
+  const size_t size = frames.packet_bytes();
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    Status s = VerifyFrame(frames.packet(i), size, expected_epoch);
+    if (!s.ok()) return InPacket(s, i);
+  }
+  if (frames.empty()) return PacketBuffer();
+  PacketBuffer packets(frames.num_packets(), size - kFrameOverheadBytes);
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    std::copy_n(frames.packet(i), packets.packet_bytes(), packets.packet(i));
   }
   return packets;
 }
 
-void FlipBit(std::vector<uint8_t>* frame, size_t bit) {
-  DTREE_CHECK(bit / 8 < frame->size());
-  (*frame)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+void FlipBit(PacketBuffer* packets, size_t packet, size_t bit) {
+  DTREE_CHECK(packet < packets->num_packets() &&
+              bit / 8 < packets->packet_bytes());
+  packets->packet(packet)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
 }
 
 uint8_t ExpectedDataBucketByte(int region, size_t j) {
@@ -109,15 +112,13 @@ uint8_t ExpectedDataBucketByte(int region, size_t j) {
   return static_cast<uint8_t>(v & 0xff);
 }
 
-std::vector<std::vector<uint8_t>> MakeDataBucketPackets(
-    int region, size_t data_instance_size, int packet_capacity) {
+PacketBuffer MakeDataBucketPackets(int region, size_t data_instance_size,
+                                   int packet_capacity) {
   DTREE_CHECK(packet_capacity > 0);
   const size_t cap = static_cast<size_t>(packet_capacity);
-  const size_t num_packets = (data_instance_size + cap - 1) / cap;
-  std::vector<std::vector<uint8_t>> packets(num_packets,
-                                            std::vector<uint8_t>(cap, 0));
+  PacketBuffer packets((data_instance_size + cap - 1) / cap, cap);
   for (size_t j = 0; j < data_instance_size; ++j) {
-    packets[j / cap][j % cap] = ExpectedDataBucketByte(region, j);
+    packets.data()[j] = ExpectedDataBucketByte(region, j);
   }
   return packets;
 }
@@ -171,7 +172,7 @@ Status PacketReader::EnterPacket() {
       packet_ >= static_cast<int>(packets_.num_packets())) {
     return Status::OutOfRange("decoder ran off the packet stream");
   }
-  const size_t pkt_size = packets_.size(static_cast<size_t>(packet_));
+  const size_t pkt_size = packets_.packet_bytes();
   const uint8_t* pkt = packets_.data(static_cast<size_t>(packet_));
   const size_t expect = static_cast<size_t>(capacity_) +
                         (framed_ ? kFrameOverheadBytes : 0);
@@ -180,17 +181,9 @@ Status PacketReader::EnterPacket() {
                             std::to_string(pkt_size) +
                             " bytes, expected " + std::to_string(expect));
   }
-  if (framed_ &&
-      Crc32(pkt, pkt_size - kFrameCrcBytes) != FrameTrailer(pkt, pkt_size)) {
-    return Status::DataLoss("packet " + std::to_string(packet_) +
-                            " failed its CRC check");
-  }
-  if (framed_ && expected_epoch_ >= 0 &&
-      FrameEpoch(pkt, pkt_size) != static_cast<uint16_t>(expected_epoch_)) {
-    return Status::FailedPrecondition(
-        "packet " + std::to_string(packet_) + " carries epoch " +
-        std::to_string(FrameEpoch(pkt, pkt_size)) + ", expected " +
-        std::to_string(expected_epoch_));
+  if (framed_) {
+    Status s = VerifyFrame(pkt, pkt_size);
+    if (!s.ok()) return InPacket(s, static_cast<size_t>(packet_));
   }
   cur_ = pkt;
   if (offset_ > static_cast<size_t>(capacity_)) {
@@ -202,17 +195,6 @@ Status PacketReader::EnterPacket() {
     read_log_->push_back(packet_);
   }
   return Status::OK();
-}
-
-void PacketCursor::Write(const std::vector<uint8_t>& bytes) {
-  for (uint8_t b : bytes) {
-    if (offset_ == static_cast<size_t>(capacity_)) {
-      ++packet_;
-      offset_ = 0;
-    }
-    DTREE_CHECK(packet_ < static_cast<int>(packets_->size()));
-    (*packets_)[packet_][offset_++] = b;
-  }
 }
 
 }  // namespace dtree::bcast

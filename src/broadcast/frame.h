@@ -1,23 +1,25 @@
 // Link-layer packet framing and hardened byte access shared by every air
 // index (D-tree, Kirkpatrick, trapezoidal map, R*-tree) and by data
-// buckets.
+// buckets. Every function here takes and returns PacketBuffers
+// (packet_buffer.h), the one container of wire bytes.
 //
 // A broadcast packet is `packet_capacity` payload bytes; FramePackets
 // appends a little-endian u16 broadcast *epoch* (the cycle version the
 // frame was materialized under) followed by a little-endian CRC-32 of
 // payload + epoch (the frame check sequence), exactly as a radio FCS
-// rides outside the MAC payload. The framed decoders verify the CRC the
-// first time they touch a packet, so a corrupted frame surfaces as Status
-// kDataLoss — the signal the client protocol uses to trigger re-tune
-// recovery — rather than silently misrouting the query. Covering the
-// epoch with the CRC means a client can trust the version stamp of every
-// delivered frame: a frame whose epoch differs from the client's tune-in
-// epoch is *valid but stale/new* (kFailedPrecondition from the
-// epoch-checking entry points), which drives the version-skew rung of the
-// degradation ladder instead of being mistaken for corruption. CRC-32
-// detects every burst of <= 32 bits and any 1-3 bit error at our frame
-// sizes; the residual undetected-error probability (~2^-32 for random
-// corruption) is treated as zero by the simulator.
+// rides outside the MAC payload. VerifyFrame is the one frame check
+// (length, CRC, epoch stamp); the framed readers run it the first time
+// they touch a packet, so a corrupted frame surfaces as Status kDataLoss
+// — the signal the client protocol uses to trigger re-tune recovery —
+// rather than silently misrouting the query. Covering the epoch with the
+// CRC means a client can trust the version stamp of every delivered
+// frame: a frame whose epoch differs from the client's tune-in epoch is
+// *valid but stale/new* (kFailedPrecondition from VerifyFrame and
+// UnframePackets), which drives the version-skew rung of the degradation
+// ladder instead of being mistaken for corruption. CRC-32 detects every
+// burst of <= 32 bits and any 1-3 bit error at our frame sizes; the
+// residual undetected-error probability (~2^-32 for random corruption)
+// is treated as zero by the simulator.
 //
 // The shared packet-pointer wire encoding (Table 2's 32-bit pointers):
 //   bit31        1 = data pointer, low 31 bits are the region (bucket) id
@@ -25,11 +27,11 @@
 //   bits0..11    byte offset /
 //
 // PacketReader is the hardened read path: every byte is bounds-checked
-// against the actual packet vector (never the caller-claimed capacity
-// alone), truncated or oversized packets surface as kDataLoss, and in
-// framed mode each packet's CRC is verified on first entry. Decoders built
-// on it return Status on malformed input — never CHECK-crash, read out of
-// bounds, or loop forever (see DecodeBudget).
+// against the view's packet size (never the caller-claimed capacity
+// alone), a packet size that does not match the capacity surfaces as
+// kDataLoss, and in framed mode each packet passes VerifyFrame on first
+// entry. Decoders built on it return Status on malformed input — never
+// CHECK-crash, read out of bounds, or loop forever (see DecodeBudget).
 
 #ifndef DTREE_BROADCAST_FRAME_H_
 #define DTREE_BROADCAST_FRAME_H_
@@ -88,34 +90,34 @@ inline int DecodeBudget(size_t num_packets) {
 }
 
 /// Link-layer framing: appends the little-endian u16 `epoch` stamp and a
-/// little-endian CRC-32 of payload + epoch. Framed packets are
-/// `payload + kFrameOverheadBytes` bytes; the index layout itself is
+/// little-endian CRC-32 of payload + epoch to every packet. Framed packets
+/// are `payload + kFrameOverheadBytes` bytes; the index layout itself is
 /// untouched. Epoch 0 reproduces the single-version broadcast.
-std::vector<std::vector<uint8_t>> FramePackets(
-    const std::vector<std::vector<uint8_t>>& packets, uint16_t epoch = 0);
+PacketBuffer FramePackets(const PacketBuffer& packets, uint16_t epoch = 0);
 
-/// Verifies one framed packet's CRC; kDataLoss on mismatch or short frame.
-Status VerifyFrame(const std::vector<uint8_t>& frame);
+/// The one frame check: kDataLoss when the frame is shorter than its
+/// epoch + CRC trailer or fails its CRC. When `expected_epoch` is >= 0, a
+/// frame whose CRC passes but whose epoch stamp differs returns
+/// kFailedPrecondition — the valid-but-version-skewed signal, deliberately
+/// distinct from kDataLoss so the recovery ladder can take the epoch rung
+/// instead of the corruption rung. The CRC is checked first, so a flipped
+/// epoch bit is always corruption.
+Status VerifyFrame(const uint8_t* frame, size_t size,
+                   int expected_epoch = -1);
 
-/// Epoch stamp of a framed packet. Only meaningful after VerifyFrame (or
-/// the PacketReader CRC check) passed; the frame must be at least
-/// kFrameOverheadBytes long (checked).
-uint16_t FrameEpoch(const uint8_t* frame, size_t frame_size);
-uint16_t FrameEpoch(const std::vector<uint8_t>& frame);
+/// Epoch stamp of a framed packet. Only meaningful after VerifyFrame
+/// passed; the frame must be at least kFrameOverheadBytes long (checked).
+uint16_t FrameEpoch(const uint8_t* frame, size_t size);
 
-/// Verifies and strips every frame; kDataLoss identifies the first
-/// corrupted packet by id. When `expected_epoch` is >= 0, a frame whose
-/// CRC passes but whose epoch stamp differs returns kFailedPrecondition —
-/// the valid-but-version-skewed signal, deliberately distinct from
-/// kDataLoss so the recovery ladder can take the epoch rung instead of
-/// the corruption rung.
-Result<std::vector<std::vector<uint8_t>>> UnframePackets(
-    const std::vector<std::vector<uint8_t>>& frames,
-    int expected_epoch = -1);
+/// Verifies (VerifyFrame, with `expected_epoch`) and strips every frame;
+/// the error names the first failing packet by id.
+Result<PacketBuffer> UnframePackets(const PacketBuffer& frames,
+                                    int expected_epoch = -1);
 
-/// Flips one bit (0 = LSB of byte 0) in place. Test/bench helper for
-/// injecting the bit errors the corruption model represents.
-void FlipBit(std::vector<uint8_t>* frame, size_t bit);
+/// Flips one bit (0 = LSB of the packet's byte 0) of one packet in place.
+/// Test/bench helper for injecting the bit errors the corruption model
+/// represents.
+void FlipBit(PacketBuffer* packets, size_t packet, size_t bit);
 
 /// Deterministic synthetic payload for one data bucket, split into
 /// `ceil(data_instance_size / packet_capacity)` packets of exactly
@@ -123,31 +125,27 @@ void FlipBit(std::vector<uint8_t>* frame, size_t bit);
 /// ExpectedDataBucketByte(region, j), so a client can verify — after the
 /// CRC passes — that a linearly-scanned bucket really is the one it
 /// wanted.
-std::vector<std::vector<uint8_t>> MakeDataBucketPackets(
-    int region, size_t data_instance_size, int packet_capacity);
+PacketBuffer MakeDataBucketPackets(int region, size_t data_instance_size,
+                                   int packet_capacity);
 uint8_t ExpectedDataBucketByte(int region, size_t j);
 
 /// Sequential reader over consecutive packets, hardened for untrusted
-/// input: every byte is bounds-checked against the actual packet vector
-/// (never the caller-claimed capacity alone), truncated packets surface
-/// as kDataLoss, and in framed mode each packet's CRC-32 trailer is
-/// verified the first time the reader enters it.
+/// input: every byte is bounds-checked against the packet size of the
+/// view (never the caller-claimed capacity alone), a packet size other
+/// than the capacity (plus the trailer when framed) surfaces as
+/// kDataLoss, and in framed mode each packet is checked by VerifyFrame
+/// the first time the reader enters it. The reader checks no epoch; a
+/// client that must, calls VerifyFrame or UnframePackets.
 class PacketReader {
  public:
-  /// `packets` is a PacketSource view; a vector-of-vectors packet set
-  /// converts implicitly, so legacy call sites read exactly as before.
-  /// `expected_epoch` >= 0 additionally verifies each framed packet's
-  /// epoch stamp on entry; a CRC-valid frame from another epoch returns
-  /// kFailedPrecondition (see UnframePackets). A non-positive `capacity`
-  /// is rejected with kDataLoss on the first read: a zero-payload stream
-  /// carries no index bytes, and silently walking into the frame trailer
-  /// would hand the decoder epoch/CRC bytes as payload.
+  /// A non-positive `capacity` is rejected with kDataLoss on the first
+  /// read: a zero-payload stream carries no index bytes, and silently
+  /// walking into the frame trailer would hand the decoder epoch/CRC
+  /// bytes as payload.
   PacketReader(PacketSource packets, int capacity, bool framed, int packet,
-               size_t offset, std::vector<int>* read_log,
-               int expected_epoch = -1)
+               size_t offset, std::vector<int>* read_log)
       : packets_(packets), capacity_(capacity), framed_(framed),
-        packet_(packet), offset_(offset), read_log_(read_log),
-        expected_epoch_(expected_epoch) {}
+        packet_(packet), offset_(offset), read_log_(read_log) {}
 
   Status ReadU16(uint16_t* out);
   Status ReadU32(uint32_t* out);
@@ -158,7 +156,7 @@ class PacketReader {
 
   /// Validates the packet the reader is about to consume: it must exist,
   /// carry exactly the advertised capacity (+ trailer when framed), and in
-  /// framed mode its CRC must match. Also appends it to the read log and
+  /// framed mode pass VerifyFrame. Also appends it to the read log and
   /// caches its payload pointer for the per-byte fast path.
   Status EnterPacket();
 
@@ -168,27 +166,7 @@ class PacketReader {
   int packet_;
   size_t offset_;
   std::vector<int>* read_log_;
-  int expected_epoch_;            ///< -1 = no epoch check
   const uint8_t* cur_ = nullptr;  ///< payload of the entered packet
-};
-
-/// Sequential byte sink that spills across consecutive packets.
-/// Serialization-side counterpart of PacketReader; the packet vector is
-/// trusted (we are building it), so overruns are CHECK-failures.
-class PacketCursor {
- public:
-  PacketCursor(std::vector<std::vector<uint8_t>>* packets, int capacity,
-               int packet, size_t offset)
-      : packets_(packets), capacity_(capacity), packet_(packet),
-        offset_(offset) {}
-
-  void Write(const std::vector<uint8_t>& bytes);
-
- private:
-  std::vector<std::vector<uint8_t>>* packets_;
-  int capacity_;
-  int packet_;
-  size_t offset_;
 };
 
 }  // namespace dtree::bcast

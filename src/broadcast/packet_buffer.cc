@@ -1,6 +1,6 @@
 #include "broadcast/packet_buffer.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace dtree::bcast {
 
@@ -9,30 +9,7 @@ void PacketBuffer::Write(size_t packet, size_t offset, const uint8_t* src,
   DTREE_CHECK(packet < num_packets_ && offset <= packet_bytes_);
   const size_t at = packet * packet_bytes_ + offset;
   DTREE_CHECK(at + n <= bytes_.size());
-  std::memcpy(bytes_.data() + at, src, n);
-}
-
-std::vector<std::vector<uint8_t>> PacketBuffer::ToVectors() const {
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(num_packets_);
-  for (size_t i = 0; i < num_packets_; ++i) {
-    out.emplace_back(packet(i), packet(i) + packet_bytes_);
-  }
-  return out;
-}
-
-PacketBuffer PacketBuffer::FromVectors(
-    const std::vector<std::vector<uint8_t>>& packets) {
-  size_t packet_bytes = 0;
-  for (const auto& p : packets) {
-    packet_bytes = std::max(packet_bytes, p.size());
-  }
-  PacketBuffer buf(packets.size(), packet_bytes);
-  for (size_t i = 0; i < packets.size(); ++i) {
-    DTREE_CHECK(packets[i].size() == packet_bytes);
-    std::memcpy(buf.packet(i), packets[i].data(), packet_bytes);
-  }
-  return buf;
+  std::copy_n(src, n, bytes_.data() + at);
 }
 
 }  // namespace dtree::bcast

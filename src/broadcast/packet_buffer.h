@@ -1,17 +1,16 @@
 // Flat packet storage: one contiguous byte buffer holding every packet of
 // a broadcast cycle, plus a non-owning view type the hardened readers use.
 //
-// The legacy representation — std::vector<std::vector<uint8_t>> — costs
-// one heap allocation per packet and scatters consecutive packets across
-// the heap, which the flat-arena probe work (DESIGN.md §12) measured as a
-// real fraction of decode-per-probe time. PacketBuffer keeps the whole
-// cycle in a single allocation (packet i occupies bytes
-// [i * packet_bytes, (i+1) * packet_bytes)); PacketSource abstracts over
-// both representations so decoders written against it serve either without
-// copying. PacketSource also supports a strided view, letting a decoder
-// read index packets in place inside larger framed records (e.g. the
-// headered radio frames of dtree::core::BroadcastProgram) without
-// materializing per-packet copies.
+// PacketBuffer is the one container of wire bytes: every serializer writes
+// one, the framing layer (frame.h) maps one to another, and packet i
+// occupies bytes [i * packet_bytes, (i+1) * packet_bytes) of a single
+// allocation. All packets of a buffer have the same size, which the
+// hardened reader (frame.h's PacketReader) checks against the capacity it
+// was told.
+// PacketSource views a PacketBuffer, or — strided — the packet bodies
+// embedded in larger fixed-size records (e.g. the headered radio frames
+// of dtree::core::BroadcastProgram), so a decoder reads them in place
+// without materializing per-packet copies.
 
 #ifndef DTREE_BROADCAST_PACKET_BUFFER_H_
 #define DTREE_BROADCAST_PACKET_BUFFER_H_
@@ -50,16 +49,12 @@ class PacketBuffer {
   }
 
   /// Writes `n` bytes starting at (packet, offset), spilling across packet
-  /// boundaries exactly like PacketCursor (packets are contiguous, so the
-  /// spill is a single memcpy). The target range is trusted
-  /// (serialization-side); overruns are CHECK-failures.
+  /// boundaries (packets are contiguous, so the spill is one straight
+  /// copy). The target range is trusted (serialization-side); overruns
+  /// are CHECK-failures.
   void Write(size_t packet, size_t offset, const uint8_t* src, size_t n);
 
-  /// Legacy-format adapters (copying), for call sites that still exchange
-  /// vector-of-vectors packet sets.
-  std::vector<std::vector<uint8_t>> ToVectors() const;
-  static PacketBuffer FromVectors(
-      const std::vector<std::vector<uint8_t>>& packets);
+  bool operator==(const PacketBuffer&) const = default;
 
  private:
   size_t packet_bytes_ = 0;
@@ -67,23 +62,18 @@ class PacketBuffer {
   std::vector<uint8_t> bytes_;
 };
 
-/// Non-owning packet view over either representation. Cheap to copy; the
-/// underlying storage must outlive the view.
+/// Non-owning packet view. Cheap to copy; the underlying storage must
+/// outlive the view.
 class PacketSource {
  public:
   PacketSource() = default;
-
-  /// View over the legacy vector-of-vectors representation (implicit: lets
-  /// existing PacketReader call sites compile unchanged).
-  PacketSource(const std::vector<std::vector<uint8_t>>& packets)  // NOLINT
-      : vecs_(&packets), count_(packets.size()) {}
 
   /// View over a PacketBuffer.
   PacketSource(const PacketBuffer& buf)  // NOLINT
       : base_(buf.data()), packet_bytes_(buf.packet_bytes()),
         stride_(buf.packet_bytes()), count_(buf.num_packets()) {}
 
-  /// Strided flat view: packet i is the `packet_bytes`-byte range at
+  /// Strided view: packet i is the `packet_bytes`-byte range at
   /// `base + i * stride + body_offset`. Lets decoders read packet bodies
   /// embedded in larger fixed-size records (radio frames) in place.
   static PacketSource Strided(const uint8_t* base, size_t count,
@@ -98,21 +88,14 @@ class PacketSource {
   }
 
   size_t num_packets() const { return count_; }
+  size_t packet_bytes() const { return packet_bytes_; }
 
   const uint8_t* data(size_t i) const {
     DTREE_DCHECK(i < count_);
-    return vecs_ != nullptr ? (*vecs_)[i].data() : base_ + i * stride_;
-  }
-  /// Actual byte size of packet i (flat views are fixed-size by
-  /// construction; vector views report the real, possibly truncated,
-  /// vector length so hardened readers can reject it).
-  size_t size(size_t i) const {
-    DTREE_DCHECK(i < count_);
-    return vecs_ != nullptr ? (*vecs_)[i].size() : packet_bytes_;
+    return base_ + i * stride_;
   }
 
  private:
-  const std::vector<std::vector<uint8_t>>* vecs_ = nullptr;
   const uint8_t* base_ = nullptr;
   size_t packet_bytes_ = 0;
   size_t stride_ = 0;

@@ -1,8 +1,9 @@
 // Fixed-width little-endian serialization helpers.
 //
 // The air-index packet formats (Table 2 of the paper) use 2-byte ids,
-// 2-byte headers, 2/4-byte pointers, and 4-byte coordinates. ByteWriter /
-// ByteReader provide the corresponding primitives over a growable buffer.
+// 2-byte headers, 2/4-byte pointers, and 4-byte coordinates. ByteWriter
+// provides the corresponding primitives over a growable buffer; the
+// hardened read side is bcast::PacketReader (broadcast/frame.h).
 
 #ifndef DTREE_COMMON_BYTES_H_
 #define DTREE_COMMON_BYTES_H_
@@ -11,7 +12,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/check.h"
 #include "common/status.h"
 
 namespace dtree {
@@ -23,8 +23,6 @@ class ByteWriter {
   /// serializers know it exactly from their size accounting), avoiding the
   /// grow-and-copy churn that dominates large builds.
   void Reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
-
-  void PutU8(uint8_t v) { buf_.push_back(v); }
 
   void PutU16(uint16_t v) {
     buf_.push_back(static_cast<uint8_t>(v & 0xff));
@@ -61,59 +59,9 @@ class ByteWriter {
 
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& bytes() const { return buf_; }
-  std::vector<uint8_t> Release() { return std::move(buf_); }
 
  private:
   std::vector<uint8_t> buf_;
-};
-
-/// Reads fixed-width little-endian fields from a byte span.
-class ByteReader {
- public:
-  ByteReader(const uint8_t* data, size_t size)
-      : data_(data), size_(size), pos_(0) {}
-  explicit ByteReader(const std::vector<uint8_t>& buf)
-      : ByteReader(buf.data(), buf.size()) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t position() const { return pos_; }
-
-  Status ReadU8(uint8_t* out) {
-    if (remaining() < 1) return Status::OutOfRange("ReadU8 past end");
-    *out = data_[pos_++];
-    return Status::OK();
-  }
-
-  Status ReadU16(uint16_t* out) {
-    if (remaining() < 2) return Status::OutOfRange("ReadU16 past end");
-    *out = static_cast<uint16_t>(data_[pos_]) |
-           static_cast<uint16_t>(data_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* out) {
-    if (remaining() < 4) return Status::OutOfRange("ReadU32 past end");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status ReadF32(float* out) {
-    uint32_t bits = 0;
-    DTREE_RETURN_IF_ERROR(ReadU32(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_;
 };
 
 }  // namespace dtree

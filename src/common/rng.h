@@ -64,8 +64,6 @@ class Rng {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   /// SplitMix64 finalizer (Steele et al.); bijective, avalanche-quality
   /// mixing even for adjacent inputs like stream ids 0, 1, 2, ...

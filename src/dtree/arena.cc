@@ -240,7 +240,7 @@ size_t DTreeArena::ArenaBytes() const {
 }
 
 Result<bcast::ArenaIndex> BuildDTreeArenaIndex(const DTree& tree) {
-  Result<bcast::PacketBuffer> flat = SerializeDTreeFlat(tree);
+  Result<bcast::PacketBuffer> flat = SerializeDTree(tree);
   if (!flat.ok()) return flat.status();
 
   DTreeArena::OriginMap origins;
@@ -258,14 +258,6 @@ Result<bcast::ArenaIndex> BuildDTreeArenaIndex(const DTree& tree) {
   if (!arena.ok()) return arena.status();
   return bcast::ArenaIndex(
       tree, std::make_unique<DTreeArena>(std::move(arena).value()));
-}
-
-Result<DTreeArena> DTreeArenaFromFrames(bcast::PacketSource frames,
-                                        int packet_capacity,
-                                        bool early_termination,
-                                        int num_regions) {
-  return DTreeArena::Build(frames, packet_capacity, /*framed=*/true,
-                           early_termination, num_regions);
 }
 
 }  // namespace dtree::core

@@ -14,7 +14,7 @@
 // division-based ray-crossing intercept, the same reconstructed-bound
 // rule — and the same packet accounting the wire read-log produces, so it
 // is bit-identical to QueryFromPackets everywhere. It matches the
-// in-memory DTree::Probe only outside the geom::kMergeEps * 100 band
+// in-memory DTree::ProbeInto only outside the geom::kMergeEps * 100 band
 // around region borders: the wire stores f32 coordinates, so a point
 // closer to a border than their rounding may descend the other way.
 // tests/arena_test pins both halves.
@@ -37,7 +37,7 @@ class DTreeArena final : public bcast::FlatProbeEngine {
  public:
   /// (packet << kOffsetBits | offset) -> origin annotation, used by the
   /// server-side build to attribute packet reads to tree nodes exactly as
-  /// DTree::Probe does. Client-side builds have no such map and emit
+  /// DTree::ProbeInto does. Client-side builds have no such map and emit
   /// traces with empty origins.
   using OriginMap = std::unordered_map<uint32_t, bcast::ProbePacketOrigin>;
 
@@ -79,20 +79,13 @@ class DTreeArena final : public bcast::FlatProbeEngine {
   std::vector<double> ax_, ay_, bx_, by_;
 };
 
-/// Server-side arena for a built D-tree: serializes the tree (flat) and
+/// Server-side arena for a built D-tree: serializes the tree and
 /// decodes the bytes back, annotating nodes with origins so probe traces
 /// — region, packets, AND origins — equal tree.Probe's for every point
 /// outside the kMergeEps * 100 border band (and the wire decoder's
 /// everywhere). The returned ArenaIndex reports the tree's own
 /// name/packet/byte identity.
 Result<bcast::ArenaIndex> BuildDTreeArenaIndex(const DTree& tree);
-
-/// Client-side arena straight from received CRC-framed packets (the
-/// re-tune recovery path): every frame is verified during the build.
-Result<DTreeArena> DTreeArenaFromFrames(bcast::PacketSource frames,
-                                        int packet_capacity,
-                                        bool early_termination,
-                                        int num_regions);
 
 }  // namespace dtree::core
 

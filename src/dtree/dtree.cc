@@ -209,12 +209,15 @@ int DTree::Locate(const geom::Point& p) const {
   }
 }
 
-Result<bcast::ProbeTrace> DTree::Probe(const geom::Point& p) const {
-  bcast::ProbeTrace trace;
+Status DTree::ProbeInto(const geom::Point& p,
+                        bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
   if (root_ < 0) {
     if (num_regions_ != 1) return Status::FailedPrecondition("empty tree");
-    trace.region = 0;
-    return trace;
+    trace->region = 0;
+    return Status::OK();
   }
   int id = root_;
   for (;;) {
@@ -235,22 +238,22 @@ Result<bcast::ProbeTrace> DTree::Probe(const geom::Point& p) const {
     }
     for (int k = 0; k < packets_read; ++k) {
       const int packet = s.first_packet + k;
-      if (trace.packets.empty() || trace.packets.back() != packet) {
-        trace.packets.push_back(packet);
-        trace.origins.push_back({id, n.depth});
+      if (trace->packets.empty() || trace->packets.back() != packet) {
+        trace->packets.push_back(packet);
+        trace->origins.push_back({id, n.depth});
       }
     }
 
     if (first) {
       if (n.left_node < 0) {
-        trace.region = n.left_region;
-        return trace;
+        trace->region = n.left_region;
+        return Status::OK();
       }
       id = n.left_node;
     } else {
       if (n.right_node < 0) {
-        trace.region = n.right_region;
-        return trace;
+        trace->region = n.right_region;
+        return Status::OK();
       }
       id = n.right_node;
     }

@@ -93,7 +93,8 @@ class DTree final : public bcast::AirIndex {
   int NumIndexPackets() const override { return paging_.num_packets; }
   size_t IndexBytes() const override { return paging_.used_bytes; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   // --- direct (in-memory) query -------------------------------------------
   /// Region containing p; pure tree descent, no packet accounting.

@@ -35,7 +35,7 @@ Result<BroadcastProgram> BroadcastProgram::Materialize(
     return Status::InvalidArgument(
         "channel layout does not match the tree's packet count");
   }
-  Result<bcast::PacketBuffer> index_r = SerializeDTreeFlat(tree);
+  Result<bcast::PacketBuffer> index_r = SerializeDTree(tree);
   if (!index_r.ok()) return index_r.status();
   const bcast::PacketBuffer& index_packets = index_r.value();
 
@@ -157,7 +157,8 @@ Result<BroadcastProgram::SessionResult> BroadcastProgram::RunClient(
   thread_local std::vector<int> read;
   read.clear();
   Result<int> region_r =
-      QueryFromPackets(bodies, capacity_, early_termination_, p, &read);
+      QueryFromPackets(bodies, capacity_, /*framed=*/false,
+                       early_termination_, p, &read);
   if (!region_r.ok()) return region_r.status();
   const int region = region_r.value();
   if (region < 0 || region >= num_regions_) {

@@ -1,12 +1,9 @@
 #include "dtree/serialize.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "common/bytes.h"
 #include "common/check.h"
-#include "common/crc32.h"
 #include "dtree/wire.h"
 #include "geom/predicates.h"
 
@@ -22,9 +19,12 @@ using bcast::PacketReader;
 
 constexpr int kMaxScalarCoords = (1 << 14) - 1;
 
-Result<int> QueryImpl(bcast::PacketSource packets, int packet_capacity,
-                      bool framed, bool early_termination,
-                      const geom::Point& p, std::vector<int>* packets_read) {
+}  // namespace
+
+Result<int> QueryFromPackets(bcast::PacketSource packets, int packet_capacity,
+                             bool framed, bool early_termination,
+                             const geom::Point& p,
+                             std::vector<int>* packets_read) {
   if (packets.num_packets() == 0) return Status::InvalidArgument("no packets");
   if (packet_capacity < 1) {
     return Status::InvalidArgument("packet capacity must be positive");
@@ -123,9 +123,7 @@ Result<int> QueryImpl(bcast::PacketSource packets, int packet_capacity,
   return Status::DataLoss("decode descent did not terminate");
 }
 
-}  // namespace
-
-Result<bcast::PacketBuffer> SerializeDTreeFlat(const DTree& tree) {
+Result<bcast::PacketBuffer> SerializeDTree(const DTree& tree) {
   const int capacity = tree.PacketCapacity();
   bcast::PacketBuffer packets(static_cast<size_t>(tree.NumIndexPackets()),
                               static_cast<size_t>(capacity));
@@ -213,28 +211,6 @@ Result<bcast::PacketBuffer> SerializeDTreeFlat(const DTree& tree) {
                   w.bytes().data(), w.size());
   }
   return packets;
-}
-
-Result<std::vector<std::vector<uint8_t>>> SerializeDTree(const DTree& tree) {
-  Result<bcast::PacketBuffer> flat = SerializeDTreeFlat(tree);
-  if (!flat.ok()) return flat.status();
-  return flat.value().ToVectors();
-}
-
-Result<int> QueryFromPackets(bcast::PacketSource packets, int packet_capacity,
-                             bool early_termination, const geom::Point& p,
-                             std::vector<int>* packets_read) {
-  return QueryImpl(packets, packet_capacity, /*framed=*/false,
-                   early_termination, p, packets_read);
-}
-
-Result<int> QueryFromFramedPackets(bcast::PacketSource frames,
-                                   int packet_capacity,
-                                   bool early_termination,
-                                   const geom::Point& p,
-                                   std::vector<int>* packets_read) {
-  return QueryImpl(frames, packet_capacity, /*framed=*/true,
-                   early_termination, p, packets_read);
 }
 
 }  // namespace dtree::core

@@ -16,14 +16,14 @@
 //   per polyline: u16 point count, then count * (f32 x, f32 y); closed
 //   rings repeat their first point.
 //
-// Every decoder entry point is hardened: counts are range-checked on the
-// way in (InvalidArgument instead of silent truncation) and every read on
-// the way out is bounds-checked (a truncated or malformed stream yields a
+// The decoder is hardened: counts are range-checked on the way in
+// (InvalidArgument instead of silent truncation) and every read on the
+// way out is bounds-checked (a truncated or malformed stream yields a
 // Status, never out-of-bounds access). For transmission over a lossy
-// medium the packets can additionally be framed: FramePackets appends a
-// CRC-32 trailer to each packet and the framed decoder verifies it on
-// first touch, so corruption is *detected* (Status kDataLoss) rather than
-// silently misrouting the query.
+// medium the packets can additionally be framed (bcast::FramePackets);
+// the decoder in framed mode runs bcast::VerifyFrame on each packet the
+// first time it touches it, so corruption is *detected* (Status
+// kDataLoss) rather than silently misrouting the query.
 
 #ifndef DTREE_DTREE_SERIALIZE_H_
 #define DTREE_DTREE_SERIALIZE_H_
@@ -37,45 +37,23 @@
 
 namespace dtree::core {
 
-// The CRC-32 framing layer (FramePackets / VerifyFrame / UnframePackets,
-// trailer size kFrameCrcBytes) started here and now lives in
-// broadcast/frame.h, shared by every air index and by data buckets.
-// Re-exported so existing dtree::core callers keep compiling.
-using bcast::kFrameCrcBytes;
-using bcast::FramePackets;
-using bcast::VerifyFrame;
-using bcast::UnframePackets;
+/// One broadcast cycle's worth of index packets: `NumIndexPackets()`
+/// packets of exactly `packet_capacity` bytes (zero-padded) in one
+/// contiguous allocation.
+Result<bcast::PacketBuffer> SerializeDTree(const DTree& tree);
 
-/// One broadcast cycle's worth of index packets in flat storage: a single
-/// contiguous allocation of `NumIndexPackets() * packet_capacity` bytes
-/// (zero-padded), packet i at byte offset i * capacity.
-Result<bcast::PacketBuffer> SerializeDTreeFlat(const DTree& tree);
-
-/// Legacy vector-of-vectors form of the same bytes (copies out of the
-/// flat buffer).
-Result<std::vector<std::vector<uint8_t>>> SerializeDTree(const DTree& tree);
-
-/// Client-side query over raw packets: descends from packet 0 offset 0,
-/// decoding nodes as it goes. Returns the region id and (out parameter)
-/// the ordered list of packet ids read, applying the same early-
-/// termination rule a real client would. Accepts any packet
-/// representation PacketSource can view (vector-of-vectors and
-/// PacketBuffer convert implicitly). Intended for round-trip tests and as
-/// the flat-arena engines' bit-identical oracle.
+/// Client-side query over raw or CRC-framed packets (`framed`: each
+/// packet is FramePackets output, verified when the descent first touches
+/// it, so corruption surfaces as kDataLoss — the signal the lossy-channel
+/// client uses to trigger re-tune recovery). Descends from packet 0
+/// offset 0, decoding nodes as it goes; returns the region id and (out
+/// parameter) the ordered list of packet ids read, applying the same
+/// early-termination rule a real client would. The flat-arena engine's
+/// bit-identical oracle and BroadcastProgram::RunClient's reader.
 Result<int> QueryFromPackets(bcast::PacketSource packets,
-                             int packet_capacity, bool early_termination,
-                             const geom::Point& p,
+                             int packet_capacity, bool framed,
+                             bool early_termination, const geom::Point& p,
                              std::vector<int>* packets_read);
-
-/// Same descent over CRC-framed packets (FramePackets output): each
-/// packet's CRC is verified when the decoder first touches it, so any
-/// corruption on the read path surfaces as kDataLoss — the signal the
-/// lossy-channel client uses to trigger re-tune recovery.
-Result<int> QueryFromFramedPackets(bcast::PacketSource frames,
-                                   int packet_capacity,
-                                   bool early_termination,
-                                   const geom::Point& p,
-                                   std::vector<int>* packets_read);
 
 }  // namespace dtree::core
 

@@ -16,6 +16,10 @@
 // every packet through the CRC-verifying reader, so a flipped bit fails
 // the build with kDataLoss — the degradation ladder's trigger — and the
 // arena is never constructed over unverified bytes.
+//
+// The ProbeInto cases run all four trees and their four arenas: a probe
+// into a used trace equals a probe into a new one, and concurrent probes
+// reproduce the single-threaded outcomes.
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,7 +133,7 @@ void RunDTreeDifferential(const sub::Subdivision& sub, int capacity,
   o.early_termination = early_termination;
   auto tree_r = core::DTree::Build(sub, o);
   ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
-  auto packets_r = core::SerializeDTreeFlat(tree_r.value());
+  auto packets_r = core::SerializeDTree(tree_r.value());
   ASSERT_TRUE(packets_r.ok()) << packets_r.status().ToString();
   auto arena_r = core::DTreeArena::Build(packets_r.value(), capacity,
                                          /*framed=*/false, early_termination,
@@ -140,8 +145,9 @@ void RunDTreeDifferential(const sub::Subdivision& sub, int capacity,
   bcast::ProbeTrace trace;
   for (const Point& p : AreaQueries(sub, num_queries, seed)) {
     read.clear();
-    const Result<int> oracle = core::QueryFromPackets(
-        packets_r.value(), capacity, early_termination, p, &read);
+    const Result<int> oracle =
+        core::QueryFromPackets(packets_r.value(), capacity, /*framed=*/false,
+                               early_termination, p, &read);
     const Status st = arena.ProbeInto(p, &trace);
     ExpectSameOutcome(oracle, read, st, trace, p);
     if (::testing::Test::HasFatalFailure()) return;
@@ -203,7 +209,7 @@ TEST(DTreeArenaTest, MatchesDecoderEverywhereAndProbeOutsideTheBorderBand) {
     auto tree_r = core::DTree::Build(sub, o);
     ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
     const core::DTree& tree = tree_r.value();
-    auto packets_r = core::SerializeDTreeFlat(tree);
+    auto packets_r = core::SerializeDTree(tree);
     ASSERT_TRUE(packets_r.ok()) << packets_r.status().ToString();
     auto arena_r = core::BuildDTreeArenaIndex(tree);
     ASSERT_TRUE(arena_r.ok()) << arena_r.status().ToString();
@@ -217,7 +223,8 @@ TEST(DTreeArenaTest, MatchesDecoderEverywhereAndProbeOutsideTheBorderBand) {
     for (const Point& p : queries) {
       read.clear();
       const Result<int> wire = core::QueryFromPackets(
-          packets_r.value(), capacity, /*early_termination=*/true, p, &read);
+          packets_r.value(), capacity, /*framed=*/false,
+          /*early_termination=*/true, p, &read);
       const Status st = arena_r.value().ProbeInto(p, &trace);
       ExpectSameOutcome(wire, read, st, trace, p);
       if (::testing::Test::HasFatalFailure()) return;
@@ -401,89 +408,143 @@ TEST(BaselineArenaTest, MatchGroundTruthOnScaleDatasets) {
   }
 }
 
+// --- ProbeInto on every index ---------------------------------------------
+
+template <typename Index>
+void AddIndex(Result<Index> r,
+              std::vector<std::unique_ptr<bcast::AirIndex>>* out) {
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  out->push_back(std::make_unique<Index>(std::move(r).value()));
+}
+
+// The four trees (d-tree, trap-tree, trian-tree, r*-tree) and then their
+// four arenas, in that order. Only the D-tree pair fills probe origins.
+std::vector<std::unique_ptr<bcast::AirIndex>> TreesAndArenas(
+    const sub::Subdivision& sub, int capacity) {
+  std::vector<std::unique_ptr<bcast::AirIndex>> out;
+  core::DTree::Options dopt;
+  dopt.packet_capacity = capacity;
+  baselines::TrapMap::Options topt;
+  topt.packet_capacity = capacity;
+  baselines::TrianTree::Options kopt;
+  kopt.packet_capacity = capacity;
+  baselines::RStarTree::Options ropt;
+  ropt.packet_capacity = capacity;
+  AddIndex(core::DTree::Build(sub, dopt), &out);
+  AddIndex(baselines::TrapMap::Build(sub, topt), &out);
+  AddIndex(baselines::TrianTree::Build(sub, kopt), &out);
+  AddIndex(baselines::RStarTree::Build(sub, ropt), &out);
+  if (out.size() != 4) return out;
+  const int n = sub.NumRegions();
+  AddIndex(core::BuildDTreeArenaIndex(
+               static_cast<const core::DTree&>(*out[0])),
+           &out);
+  AddIndex(baselines::BuildTrapMapArenaIndex(
+               static_cast<const baselines::TrapMap&>(*out[1]), n),
+           &out);
+  AddIndex(baselines::BuildTrianTreeArenaIndex(
+               static_cast<const baselines::TrianTree&>(*out[2]), n),
+           &out);
+  AddIndex(baselines::BuildRStarArenaIndex(
+               static_cast<const baselines::RStarTree&>(*out[3]), n),
+           &out);
+  return out;
+}
+
+std::string IndexLabel(const std::vector<std::unique_ptr<bcast::AirIndex>>& v,
+                       size_t k) {
+  return v[k]->name() + (k >= 4 ? " arena" : "");
+}
+
+// Every ProbeInto clears the caller's trace before filling it: probing B
+// into a trace that still holds A's D-tree region, packets and origins
+// gives exactly what probing B into a new trace gives. The baselines
+// attribute no reads, so their origins come back empty.
+TEST(ArenaProbeIntoTest, EveryIndexOverwritesAUsedTrace) {
+  auto d_r = workload::MakeUniformDataset();
+  ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
+  const sub::Subdivision& sub = d_r.value().subdivision;
+  const auto indexes = TreesAndArenas(sub, 128);
+  ASSERT_EQ(indexes.size(), 8u);
+  const std::vector<Point> queries = AreaQueries(sub, 200, 302);
+  for (size_t i = 0; i + 1 < queries.size(); ++i) {
+    bcast::ProbeTrace used;
+    ASSERT_OK(indexes[0]->ProbeInto(queries[i], &used));
+    ASSERT_FALSE(used.origins.empty());
+    for (size_t k = 0; k < indexes.size(); ++k) {
+      SCOPED_TRACE(IndexLabel(indexes, k));
+      bcast::ProbeTrace trace = used;
+      ASSERT_OK(indexes[k]->ProbeInto(queries[i + 1], &trace));
+      const Result<bcast::ProbeTrace> fresh = indexes[k]->Probe(queries[i + 1]);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_EQ(trace.region, fresh.value().region);
+      EXPECT_EQ(trace.packets, fresh.value().packets);
+      EXPECT_TRUE(trace.origins == fresh.value().origins);
+      if (k % 4 != 0) {
+        EXPECT_TRUE(trace.origins.empty());
+      }
+    }
+  }
+}
+
 // --- Thread safety --------------------------------------------------------
 
-// The arenas are immutable after Build and ProbeInto keeps per-call state
+// Every index is immutable after Build and ProbeInto keeps per-call state
 // on the stack (or in thread_local scratch), so concurrent probes from
-// 1/4/8 threads must reproduce the single-threaded outcomes exactly: the
-// D-tree's from its byte decoder, the R*-tree's from its own arena probed
-// on one thread.
+// 1/4/8 threads — each thread reusing one trace across all eight indexes —
+// must reproduce the single-threaded outcomes exactly. The D-tree arena's
+// single-threaded outcome is in turn its byte decoder's.
 TEST(ArenaThreadTest, ConcurrentProbesMatchDecoder) {
   auto d_r = workload::MakeUniformDataset();
   ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
   const sub::Subdivision& sub = d_r.value().subdivision;
   const int capacity = 128;
-  const int n = sub.NumRegions();
-
-  core::DTree::Options dopt;
-  dopt.packet_capacity = capacity;
-  auto tree_r = core::DTree::Build(sub, dopt);
-  ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
-  auto packets_r = core::SerializeDTreeFlat(tree_r.value());
+  const auto indexes = TreesAndArenas(sub, capacity);
+  ASSERT_EQ(indexes.size(), 8u);
+  const auto& tree = static_cast<const core::DTree&>(*indexes[0]);
+  auto packets_r = core::SerializeDTree(tree);
   ASSERT_TRUE(packets_r.ok()) << packets_r.status().ToString();
-  auto dtree_arena_r =
-      core::DTreeArena::Build(packets_r.value(), capacity, /*framed=*/false,
-                              dopt.early_termination, n);
-  ASSERT_TRUE(dtree_arena_r.ok()) << dtree_arena_r.status().ToString();
 
-  baselines::RStarTree::Options ropt;
-  ropt.packet_capacity = capacity;
-  auto rtree_r = baselines::RStarTree::Build(sub, ropt);
-  ASSERT_TRUE(rtree_r.ok()) << rtree_r.status().ToString();
-  auto rpk_r = rtree_r.value().SerializePackets();
-  ASSERT_TRUE(rpk_r.ok()) << rpk_r.status().ToString();
-  auto rstar_arena_r = baselines::RStarArena::Build(rpk_r.value(), capacity,
-                                                    /*framed=*/false, n);
-  ASSERT_TRUE(rstar_arena_r.ok()) << rstar_arena_r.status().ToString();
-
-  // Single-threaded expectations.
+  // Single-threaded expectations, one row per index.
   const std::vector<Point> queries = AreaQueries(sub, 2048, 301);
-  struct Expected {
-    int dtree_region;
-    std::vector<int> dtree_packets;
-    int rstar_region;
-    std::vector<int> rstar_packets;
-  };
-  std::vector<Expected> expected;
-  expected.reserve(queries.size());
+  std::vector<std::vector<bcast::ProbeTrace>> expected(indexes.size());
   for (const Point& p : queries) {
-    Expected e;
+    for (size_t k = 0; k < indexes.size(); ++k) {
+      auto r = indexes[k]->Probe(p);
+      ASSERT_TRUE(r.ok()) << IndexLabel(indexes, k) << ": "
+                          << r.status().ToString();
+      expected[k].push_back(std::move(r).value());
+    }
     std::vector<int> read;
     auto d = core::QueryFromPackets(packets_r.value(), capacity,
-                                    dopt.early_termination, p, &read);
+                                    /*framed=*/false,
+                                    tree.options().early_termination, p,
+                                    &read);
     ASSERT_TRUE(d.ok()) << d.status().ToString();
-    e.dtree_region = d.value();
-    e.dtree_packets = read;
-    bcast::ProbeTrace trace;
-    ASSERT_OK(rstar_arena_r.value().ProbeInto(p, &trace));
-    e.rstar_region = trace.region;
-    e.rstar_packets = trace.packets;
-    expected.push_back(std::move(e));
+    EXPECT_EQ(expected[4].back().region, d.value());
+    EXPECT_EQ(expected[4].back().packets, read);
   }
 
   for (int threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
-    std::atomic<int> mismatches{0};
+    std::vector<std::atomic<int>> mismatches(indexes.size());
     constexpr int kShards = 16;
     pool.ParallelFor(kShards, [&](int shard) {
       bcast::ProbeTrace trace;
       for (size_t i = static_cast<size_t>(shard); i < queries.size();
            i += kShards) {
-        const Point& p = queries[i];
-        if (!dtree_arena_r.value().ProbeInto(p, &trace).ok() ||
-            trace.region != expected[i].dtree_region ||
-            trace.packets != expected[i].dtree_packets) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!rstar_arena_r.value().ProbeInto(p, &trace).ok() ||
-            trace.region != expected[i].rstar_region ||
-            trace.packets != expected[i].rstar_packets) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
+        for (size_t k = 0; k < indexes.size(); ++k) {
+          if (!indexes[k]->ProbeInto(queries[i], &trace).ok() ||
+              !(trace == expected[k][i])) {
+            mismatches[k].fetch_add(1, std::memory_order_relaxed);
+          }
         }
       }
     });
-    EXPECT_EQ(mismatches.load(), 0);
+    for (size_t k = 0; k < indexes.size(); ++k) {
+      EXPECT_EQ(mismatches[k].load(), 0) << IndexLabel(indexes, k);
+    }
   }
 }
 
@@ -510,12 +571,12 @@ TEST(ArenaCorruptionTest, FramedBuildRejectsFlippedBit) {
     auto pk_r = core::SerializeDTree(tree_r.value());
     ASSERT_TRUE(pk_r.ok());
     auto frames = bcast::FramePackets(pk_r.value());
-    ASSERT_TRUE(core::DTreeArenaFromFrames(frames, capacity,
-                                           o.early_termination, n)
+    ASSERT_TRUE(core::DTreeArena::Build(frames, capacity, /*framed=*/true,
+                                        o.early_termination, n)
                     .ok());
-    bcast::FlipBit(&frames[0], 37);
-    auto bad = core::DTreeArenaFromFrames(frames, capacity,
-                                          o.early_termination, n);
+    bcast::FlipBit(&frames, 0, 37);
+    auto bad = core::DTreeArena::Build(frames, capacity, /*framed=*/true,
+                                       o.early_termination, n);
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(static_cast<int>(bad.status().code()),
               static_cast<int>(StatusCode::kDataLoss))
@@ -534,7 +595,7 @@ TEST(ArenaCorruptionTest, FramedBuildRejectsFlippedBit) {
     ASSERT_TRUE(baselines::TrapMapArena::Build(frames, capacity,
                                                /*framed=*/true, n)
                     .ok());
-    bcast::FlipBit(&frames[0], 11);
+    bcast::FlipBit(&frames, 0, 11);
     auto bad = baselines::TrapMapArena::Build(frames, capacity,
                                               /*framed=*/true, n);
     ASSERT_FALSE(bad.ok());
@@ -556,7 +617,7 @@ TEST(ArenaCorruptionTest, FramedBuildRejectsFlippedBit) {
     ASSERT_TRUE(baselines::TrianTreeArena::Build(frames, capacity,
                                                  /*framed=*/true, roots, n)
                     .ok());
-    bcast::FlipBit(&frames[0], 53);
+    bcast::FlipBit(&frames, 0, 53);
     auto bad = baselines::TrianTreeArena::Build(frames, capacity,
                                                 /*framed=*/true, roots, n);
     ASSERT_FALSE(bad.ok());
@@ -577,7 +638,7 @@ TEST(ArenaCorruptionTest, FramedBuildRejectsFlippedBit) {
     ASSERT_TRUE(baselines::RStarArena::Build(frames, capacity,
                                              /*framed=*/true, n)
                     .ok());
-    bcast::FlipBit(&frames[0], 29);
+    bcast::FlipBit(&frames, 0, 29);
     auto bad = baselines::RStarArena::Build(frames, capacity,
                                             /*framed=*/true, n);
     ASSERT_FALSE(bad.ok());
@@ -607,9 +668,9 @@ TEST(ArenaCorruptionTest, FramedBuildMatchesUnframed) {
                                          o.early_termination,
                                          sub.NumRegions());
   ASSERT_TRUE(plain_r.ok());
-  auto framed_r = core::DTreeArenaFromFrames(frames, capacity,
-                                             o.early_termination,
-                                             sub.NumRegions());
+  auto framed_r = core::DTreeArena::Build(frames, capacity, /*framed=*/true,
+                                          o.early_termination,
+                                          sub.NumRegions());
   ASSERT_TRUE(framed_r.ok());
   bcast::ProbeTrace a, b;
   for (const Point& p : AreaQueries(sub, 500, 401)) {

@@ -6,6 +6,7 @@
 #include "broadcast/air_index.h"
 #include "dtree/dtree.h"
 #include "test_util.h"
+#include "workload/datasets.h"
 
 #include "gtest/gtest.h"
 
@@ -247,6 +248,43 @@ TEST(TrianTreeTest, LocateMatchesOracleClustered) {
     const Point p = test::UnambiguousQueryPoint(sub, &rng);
     EXPECT_EQ(tree_r.value().Locate(p), oracle.Locate(p));
   }
+}
+
+// A point outside the service area lies in no R*-tree leaf MBR, so the
+// probe fails and RStarTree::Locate returns -1, as TrianTree::Locate
+// does; it used to abort the process. The D-tree and the trap-tree still
+// descend to some region.
+TEST(AllIndexLocateTest, PointOutsideTheServiceAreaDoesNotAbort) {
+  auto d_r = workload::MakeUniformDataset();
+  ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
+  const sub::Subdivision& sub = d_r.value().subdivision;
+  const Point outside{-50, -50};
+  ASSERT_FALSE(sub.service_area().Contains(outside));
+  const int n = sub.NumRegions();
+
+  core::DTree::Options dopt;
+  dopt.packet_capacity = 256;
+  auto dtree = core::DTree::Build(sub, dopt);
+  ASSERT_TRUE(dtree.ok()) << dtree.status().ToString();
+  RStarTree::Options ropt;
+  ropt.packet_capacity = 256;
+  auto rstar = RStarTree::Build(sub, ropt);
+  ASSERT_TRUE(rstar.ok()) << rstar.status().ToString();
+  TrapMap::Options topt;
+  topt.packet_capacity = 256;
+  auto trap = TrapMap::Build(sub, topt);
+  ASSERT_TRUE(trap.ok()) << trap.status().ToString();
+  TrianTree::Options kopt;
+  kopt.packet_capacity = 256;
+  auto trian = TrianTree::Build(sub, kopt);
+  ASSERT_TRUE(trian.ok()) << trian.status().ToString();
+
+  EXPECT_EQ(rstar.value().Locate(outside), -1);
+  EXPECT_EQ(trian.value().Locate(outside), -1);
+  const int d = dtree.value().Locate(outside);
+  EXPECT_TRUE(d >= 0 && d < n) << "d-tree region " << d;
+  const int t = trap.value().Locate(outside);
+  EXPECT_TRUE(t >= 0 && t < n) << "trap-tree region " << t;
 }
 
 /// The keystone property: all four index structures answer every query

@@ -69,29 +69,14 @@ TEST(ResultTest, MoveOnlyValues) {
 
 TEST(BytesTest, RoundTripAllWidths) {
   ByteWriter w;
-  w.PutU8(0xab);
   w.PutU16(0xbeef);
   w.PutU32(0xdeadbeefu);
-  w.PutF32(3.25f);
-  w.PutF32(-1e-8f);
-  EXPECT_EQ(w.size(), 1u + 2u + 4u + 4u + 4u);
-  const std::vector<uint8_t> buf = w.Release();
-  ByteReader r(buf);
-  uint8_t u8;
-  uint16_t u16;
-  uint32_t u32;
-  float f1, f2;
-  ASSERT_TRUE(r.ReadU8(&u8).ok());
-  ASSERT_TRUE(r.ReadU16(&u16).ok());
-  ASSERT_TRUE(r.ReadU32(&u32).ok());
-  ASSERT_TRUE(r.ReadF32(&f1).ok());
-  ASSERT_TRUE(r.ReadF32(&f2).ok());
-  EXPECT_EQ(u8, 0xab);
-  EXPECT_EQ(u16, 0xbeef);
-  EXPECT_EQ(u32, 0xdeadbeefu);
-  EXPECT_EQ(f1, 3.25f);
-  EXPECT_EQ(f2, -1e-8f);
-  EXPECT_EQ(r.remaining(), 0u);
+  w.PutF32(3.25f);  // binary32 0x40500000
+  w.PutF32(-1e-8f);  // binary32 0xb22bcc77
+  const std::vector<uint8_t> want = {0xef, 0xbe, 0xef, 0xbe, 0xad, 0xde,
+                                     0x00, 0x00, 0x50, 0x40, 0x77, 0xcc,
+                                     0x2b, 0xb2};
+  EXPECT_EQ(w.bytes(), want);
 }
 
 TEST(BytesTest, LittleEndianLayout) {
@@ -106,21 +91,6 @@ TEST(BytesTest, LittleEndianLayout) {
   EXPECT_EQ(b[5], 0x03);
 }
 
-TEST(BytesTest, ReadPastEndFails) {
-  ByteWriter w;
-  w.PutU16(7);
-  const std::vector<uint8_t> buf = w.bytes();
-  ByteReader r(buf);
-  uint32_t u32;
-  EXPECT_EQ(r.ReadU32(&u32).code(), StatusCode::kOutOfRange);
-  uint16_t u16;
-  // The failed read consumed nothing: the u16 is still there.
-  EXPECT_TRUE(r.ReadU16(&u16).ok());
-  EXPECT_EQ(u16, 7);
-  uint8_t u8;
-  EXPECT_EQ(r.ReadU8(&u8).code(), StatusCode::kOutOfRange);
-}
-
 TEST(BytesTest, CheckedU16NarrowingAtTheBoundary) {
   ByteWriter w;
   EXPECT_TRUE(w.PutU16Checked(0, "zero").ok());
@@ -131,13 +101,8 @@ TEST(BytesTest, CheckedU16NarrowingAtTheBoundary) {
   const Status s = w.PutU16Checked(0x10000, "node id");
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("node id"), std::string::npos);
-  EXPECT_EQ(w.size(), 4u);
-  ByteReader r(w.bytes());
-  uint16_t a, b;
-  ASSERT_TRUE(r.ReadU16(&a).ok());
-  ASSERT_TRUE(r.ReadU16(&b).ok());
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 0xffffu);
+  const std::vector<uint8_t> want = {0x00, 0x00, 0xff, 0xff};
+  EXPECT_EQ(w.bytes(), want);
 }
 
 TEST(Crc32Test, KnownVectors) {

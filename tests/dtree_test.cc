@@ -191,17 +191,15 @@ TEST(DTreeSerializeTest, RoundTripQueries) {
     auto packets_r = SerializeDTree(tree);
     ASSERT_TRUE(packets_r.ok()) << packets_r.status().ToString();
     const auto& packets = packets_r.value();
-    ASSERT_EQ(static_cast<int>(packets.size()), tree.NumIndexPackets());
-    for (const auto& pkt : packets) {
-      EXPECT_EQ(pkt.size(), static_cast<size_t>(capacity));
-    }
+    ASSERT_EQ(static_cast<int>(packets.num_packets()), tree.NumIndexPackets());
+    EXPECT_EQ(packets.packet_bytes(), static_cast<size_t>(capacity));
     Rng rng(18);
     for (int q = 0; q < 500; ++q) {
       // Keep a float32-safe margin from borders: coordinates are
       // serialized as binary32 on the air.
       const Point p = test::UnambiguousQueryPoint(sub, &rng, 1e-3);
       std::vector<int> read;
-      auto region_r = QueryFromPackets(packets, capacity,
+      auto region_r = QueryFromPackets(packets, capacity, /*framed=*/false,
                                        tree.options().early_termination, p,
                                        &read);
       ASSERT_TRUE(region_r.ok()) << region_r.status().ToString();

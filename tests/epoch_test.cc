@@ -14,6 +14,7 @@
 //    cold on the same site set: there is no incremental repair path whose
 //    drift could go unnoticed.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -369,19 +370,16 @@ TEST(BroadcastTimelineTest, EpochChurnBudgetExhaustionGivesUp) {
 
 TEST(FrameEpochTest, EpochStampRoundTripsAndGates) {
   Rng rng(102);
-  std::vector<std::vector<uint8_t>> packets(3);
-  for (auto& pkt : packets) {
-    pkt.resize(32);
-    for (auto& byte : pkt) {
-      byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
-    }
+  PacketBuffer packets(3, 32);
+  for (size_t j = 0; j < packets.size_bytes(); ++j) {
+    packets.data()[j] = static_cast<uint8_t>(rng.UniformInt(0, 255));
   }
   const auto frames = FramePackets(packets, 7);
-  ASSERT_EQ(frames.size(), packets.size());
-  for (const auto& frame : frames) {
-    EXPECT_EQ(frame.size(), 32 + kFrameOverheadBytes);
-    EXPECT_OK(VerifyFrame(frame));
-    EXPECT_EQ(FrameEpoch(frame), 7);
+  ASSERT_EQ(frames.num_packets(), packets.num_packets());
+  ASSERT_EQ(frames.packet_bytes(), 32 + kFrameOverheadBytes);
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    EXPECT_OK(VerifyFrame(frames.packet(i), frames.packet_bytes(), 7));
+    EXPECT_EQ(FrameEpoch(frames.packet(i), frames.packet_bytes()), 7);
   }
 
   // Matching (or unchecked) expected epoch strips cleanly.
@@ -396,19 +394,21 @@ TEST(FrameEpochTest, EpochStampRoundTripsAndGates) {
   auto skew = UnframePackets(frames, 6);
   ASSERT_FALSE(skew.ok());
   EXPECT_EQ(skew.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(VerifyFrame(frames.packet(0), frames.packet_bytes(), 6).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(FrameEpochTest, AnySingleBitFlipBeatsTheEpochCheck) {
   // Fault ordering contract: corruption is detected BEFORE the epoch
   // check, so a flipped bit anywhere in the frame — payload, epoch stamp,
   // or CRC — surfaces as kDataLoss regardless of the expected epoch.
-  std::vector<std::vector<uint8_t>> packets(1);
-  packets[0].assign(32, 0xA5);
+  PacketBuffer packets(1, 32);
+  std::fill_n(packets.data(), packets.size_bytes(), 0xA5);
   const auto clean = FramePackets(packets, 7);
-  const size_t bits = clean[0].size() * 8;
+  const size_t bits = clean.packet_bytes() * 8;
   for (size_t bit = 0; bit < bits; ++bit) {
     auto frames = clean;
-    FlipBit(&frames[0], bit);
+    FlipBit(&frames, 0, bit);
     for (int expected : {-1, 6, 7}) {
       auto r = UnframePackets(frames, expected);
       ASSERT_FALSE(r.ok()) << "bit " << bit << " expected " << expected;

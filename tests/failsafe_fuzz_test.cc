@@ -37,15 +37,14 @@ constexpr uint64_t kFixtureSeed = 71;
 
 /// Reader under test: (packets, framed, query, read_log) -> region.
 using QueryFn = std::function<Result<int>(
-    const std::vector<std::vector<uint8_t>>&, bool, const Point&,
-    std::vector<int>*)>;
+    const bcast::PacketBuffer&, bool, const Point&, std::vector<int>*)>;
 
 /// A baseline's QueryFn: builds its arena from the (possibly mutated)
 /// bytes, then probes it; the read log is the probe's packet list.
 /// `build` maps (packets, framed) to Result<Arena>.
 template <typename BuildFn>
 QueryFn ArenaQuery(BuildFn build) {
-  return [build](const std::vector<std::vector<uint8_t>>& pkts, bool framed,
+  return [build](const bcast::PacketBuffer& pkts, bool framed,
                  const Point& p, std::vector<int>* read) -> Result<int> {
     auto arena = build(pkts, framed);
     if (!arena.ok()) return arena.status();
@@ -60,7 +59,7 @@ QueryFn ArenaQuery(BuildFn build) {
 /// in-memory structure away from region borders (f32 narrowing can flip
 /// decisions only within ~1 ulp of a boundary).
 void ExpectCleanRoundTrip(const sub::Subdivision& sub,
-                          const std::vector<std::vector<uint8_t>>& packets,
+                          const bcast::PacketBuffer& packets,
                           const QueryFn& query,
                           const std::function<int(const Point&)>& locate,
                           uint64_t seed) {
@@ -84,7 +83,7 @@ void ExpectCleanRoundTrip(const sub::Subdivision& sub,
 /// baseline, the arena build, which verifies every packet it can reach)
 /// enters the victim and must fail.
 void ExpectSingleFlipDetected(const sub::Subdivision& sub,
-                              const std::vector<std::vector<uint8_t>>& packets,
+                              const bcast::PacketBuffer& packets,
                               const QueryFn& query, uint64_t seed) {
   const auto frames = bcast::FramePackets(packets);
   Rng rng(seed);
@@ -97,22 +96,24 @@ void ExpectSingleFlipDetected(const sub::Subdivision& sub,
     const int victim = read[static_cast<size_t>(rng.UniformInt(
         0, static_cast<int64_t>(read.size()) - 1))];
     auto mutated = frames;
-    auto& frame = mutated[static_cast<size_t>(victim)];
-    bcast::FlipBit(&frame, static_cast<size_t>(rng.UniformInt(
-                               0, static_cast<int64_t>(frame.size()) * 8 - 1)));
+    const int64_t bits = static_cast<int64_t>(mutated.packet_bytes()) * 8;
+    bcast::FlipBit(&mutated, static_cast<size_t>(victim),
+                   static_cast<size_t>(rng.UniformInt(0, bits - 1)));
     auto r = query(mutated, true, p, nullptr);
     ASSERT_FALSE(r.ok()) << "flip in packet " << victim << " went unnoticed";
     EXPECT_EQ(r.status().code(), StatusCode::kDataLoss)
         << r.status().ToString();
     // The frame's own CRC, not only a decode check, catches the flip.
-    EXPECT_EQ(bcast::VerifyFrame(frame).code(), StatusCode::kDataLoss);
+    EXPECT_EQ(bcast::VerifyFrame(mutated.packet(static_cast<size_t>(victim)),
+                                 mutated.packet_bytes())
+                  .code(),
+              StatusCode::kDataLoss);
   }
 }
 
 /// The fuzz loop proper: mutated packets must never crash or hang the
 /// decoder, and the packets-read log stays within the decode budget.
-void RunFuzz(const sub::Subdivision& sub,
-             const std::vector<std::vector<uint8_t>>& packets,
+void RunFuzz(const sub::Subdivision& sub, const bcast::PacketBuffer& packets,
              const QueryFn& query, uint64_t seed) {
   const auto frames = bcast::FramePackets(packets);
   const geom::BBox& a = sub.service_area();
@@ -120,18 +121,19 @@ void RunFuzz(const sub::Subdivision& sub,
   for (int it = 0; it < kFuzzIterations; ++it) {
     const bool framed = (it % 2) == 0;
     auto mutated = framed ? frames : packets;
-    if (it % 10 == 9 && mutated.size() > 1) {
+    if (it % 10 == 9 && mutated.num_packets() > 1) {
       // Truncate the stream: dangling pointers must fail cleanly.
-      mutated.resize(1 + static_cast<size_t>(rng.UniformInt(
-                             0, static_cast<int64_t>(mutated.size()) - 2)));
+      const int64_t n = static_cast<int64_t>(mutated.num_packets());
+      mutated = test::FirstPackets(
+          mutated, 1 + static_cast<size_t>(rng.UniformInt(0, n - 2)));
     } else {
       const int flips = 1 + it % 8;
       for (int f = 0; f < flips; ++f) {
-        auto& pkt = mutated[static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(mutated.size()) - 1))];
-        bcast::FlipBit(&pkt,
-                       static_cast<size_t>(rng.UniformInt(
-                           0, static_cast<int64_t>(pkt.size()) * 8 - 1)));
+        const size_t pkt = static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(mutated.num_packets()) - 1));
+        const int64_t bits = static_cast<int64_t>(mutated.packet_bytes()) * 8;
+        bcast::FlipBit(&mutated, pkt,
+                       static_cast<size_t>(rng.UniformInt(0, bits - 1)));
       }
     }
     const Point p{rng.Uniform(a.min_x, a.max_x),
@@ -146,8 +148,8 @@ void RunFuzz(const sub::Subdivision& sub,
     // Termination stayed within the decode budget: the read log cannot
     // exceed budget many packet entries per decoded node/shape.
     EXPECT_LE(read.size(),
-              static_cast<size_t>(bcast::DecodeBudget(mutated.size())) *
-                  (mutated.size() + 1));
+              static_cast<size_t>(bcast::DecodeBudget(mutated.num_packets())) *
+                  (mutated.num_packets() + 1));
   }
 }
 
@@ -169,7 +171,7 @@ sub::Subdivision* FailsafeFuzzTest::sub_ = nullptr;
 
 struct DTreeFixture {
   core::DTree tree;
-  std::vector<std::vector<uint8_t>> packets;
+  bcast::PacketBuffer packets;
 
   static DTreeFixture Make(const sub::Subdivision& sub) {
     core::DTree::Options o;
@@ -180,11 +182,9 @@ struct DTreeFixture {
   }
   QueryFn query() const {
     const bool et = tree.options().early_termination;
-    return [et](const std::vector<std::vector<uint8_t>>& pkts, bool framed,
-                const Point& p, std::vector<int>* read) {
-      return framed
-                 ? core::QueryFromFramedPackets(pkts, kCapacity, et, p, read)
-                 : core::QueryFromPackets(pkts, kCapacity, et, p, read);
+    return [et](const bcast::PacketBuffer& pkts, bool framed, const Point& p,
+                std::vector<int>* read) {
+      return core::QueryFromPackets(pkts, kCapacity, framed, et, p, read);
     };
   }
 };
@@ -209,7 +209,7 @@ TEST_F(FailsafeFuzzTest, DTreeFuzz) {
 
 struct TrianFixture {
   baselines::TrianTree tree;
-  std::vector<std::vector<uint8_t>> packets;
+  bcast::PacketBuffer packets;
   std::vector<std::pair<int, size_t>> roots;
 
   static TrianFixture Make(const sub::Subdivision& sub) {
@@ -222,8 +222,7 @@ struct TrianFixture {
   }
   QueryFn query(int num_regions) const {
     return ArenaQuery([r = roots, num_regions](
-                          const std::vector<std::vector<uint8_t>>& pkts,
-                          bool framed) {
+                          const bcast::PacketBuffer& pkts, bool framed) {
       return baselines::TrianTreeArena::Build(pkts, kCapacity, framed, r,
                                               num_regions);
     });
@@ -250,7 +249,7 @@ TEST_F(FailsafeFuzzTest, TrianTreeFuzz) {
 
 struct TrapFixture {
   baselines::TrapMap map;
-  std::vector<std::vector<uint8_t>> packets;
+  bcast::PacketBuffer packets;
 
   static TrapFixture Make(const sub::Subdivision& sub) {
     baselines::TrapMap::Options o;
@@ -260,9 +259,8 @@ struct TrapFixture {
     return TrapFixture{std::move(m), std::move(pkts)};
   }
   static QueryFn query(int num_regions) {
-    return ArenaQuery([num_regions](
-                          const std::vector<std::vector<uint8_t>>& pkts,
-                          bool framed) {
+    return ArenaQuery([num_regions](const bcast::PacketBuffer& pkts,
+                                    bool framed) {
       return baselines::TrapMapArena::Build(pkts, kCapacity, framed,
                                             num_regions);
     });
@@ -289,7 +287,7 @@ TEST_F(FailsafeFuzzTest, TrapTreeFuzz) {
 
 struct RStarFixture {
   baselines::RStarTree tree;
-  std::vector<std::vector<uint8_t>> packets;
+  bcast::PacketBuffer packets;
 
   static RStarFixture Make(const sub::Subdivision& sub) {
     baselines::RStarTree::Options o;
@@ -299,9 +297,8 @@ struct RStarFixture {
     return RStarFixture{std::move(t), std::move(pkts)};
   }
   static QueryFn query(int num_regions) {
-    return ArenaQuery([num_regions](
-                          const std::vector<std::vector<uint8_t>>& pkts,
-                          bool framed) {
+    return ArenaQuery([num_regions](const bcast::PacketBuffer& pkts,
+                                    bool framed) {
       return baselines::RStarArena::Build(pkts, kCapacity, framed,
                                           num_regions);
     });
@@ -329,28 +326,35 @@ TEST_F(FailsafeFuzzTest, RStarFuzz) {
 TEST(DataBucketFrameTest, RoundTripAndDetection) {
   const auto bucket = bcast::MakeDataBucketPackets(/*region=*/7,
                                                   /*size=*/1000, kCapacity);
-  ASSERT_EQ(bucket.size(), 8u);  // ceil(1000 / 128)
+  ASSERT_EQ(bucket.num_packets(), 8u);  // ceil(1000 / 128)
+  ASSERT_EQ(bucket.packet_bytes(), static_cast<size_t>(kCapacity));
   for (size_t j = 0; j < 1000; ++j) {
-    EXPECT_EQ(bucket[j / kCapacity][j % kCapacity],
+    EXPECT_EQ(bucket.packet(j / kCapacity)[j % kCapacity],
               bcast::ExpectedDataBucketByte(7, j));
   }
   // Padding is zeroed.
   for (size_t j = 1000; j < 8 * kCapacity; ++j) {
-    EXPECT_EQ(bucket[j / kCapacity][j % kCapacity], 0);
+    EXPECT_EQ(bucket.packet(j / kCapacity)[j % kCapacity], 0);
   }
   auto frames = bcast::FramePackets(bucket);
-  for (const auto& fr : frames) EXPECT_OK(bcast::VerifyFrame(fr));
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    EXPECT_OK(bcast::VerifyFrame(frames.packet(i), frames.packet_bytes()));
+  }
   auto restored = bcast::UnframePackets(frames);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value(), bucket);
   // Any single-bit error in payload or trailer is caught.
   Rng rng(5);
   for (int t = 0; t < 200; ++t) {
-    auto mutated = frames[static_cast<size_t>(t) % frames.size()];
-    bcast::FlipBit(&mutated,
-                   static_cast<size_t>(rng.UniformInt(
-                       0, static_cast<int64_t>(mutated.size()) * 8 - 1)));
-    EXPECT_EQ(bcast::VerifyFrame(mutated).code(), StatusCode::kDataLoss);
+    const size_t victim = static_cast<size_t>(t) % frames.num_packets();
+    auto mutated = frames;
+    const int64_t bits = static_cast<int64_t>(mutated.packet_bytes()) * 8;
+    bcast::FlipBit(&mutated, victim,
+                   static_cast<size_t>(rng.UniformInt(0, bits - 1)));
+    EXPECT_EQ(
+        bcast::VerifyFrame(mutated.packet(victim), mutated.packet_bytes())
+            .code(),
+        StatusCode::kDataLoss);
   }
 }
 
@@ -359,7 +363,7 @@ TEST(DataBucketFrameTest, LinearScanIdentifiesTheBucket) {
   // (CRC-verified) content: only region r's bucket matches r's expected
   // bytes, so the linear scan answers exactly like the indexed path.
   constexpr int kBuckets = 16;
-  std::vector<std::vector<std::vector<uint8_t>>> channel;
+  std::vector<bcast::PacketBuffer> channel;
   for (int r = 0; r < kBuckets; ++r) {
     channel.push_back(
         bcast::FramePackets(bcast::MakeDataBucketPackets(r, 512, kCapacity)));
@@ -371,7 +375,7 @@ TEST(DataBucketFrameTest, LinearScanIdentifiesTheBucket) {
       ASSERT_TRUE(payload.ok());
       bool match = true;
       for (size_t j = 0; j < 512 && match; ++j) {
-        match = payload.value()[j / kCapacity][j % kCapacity] ==
+        match = payload.value().packet(j / kCapacity)[j % kCapacity] ==
                 bcast::ExpectedDataBucketByte(want, j);
       }
       if (match) {
@@ -390,23 +394,23 @@ TEST(FrameMultiBitFlipTest, ExhaustiveDoubleFlipsNeverEscapeTheCrc) {
   // length this codebase broadcasts, so every 2-bit error must surface as
   // kDataLoss — zero escapes, counted exactly. Exhaustive over a small
   // frame keeps the pair count tractable (~46k for a 32-byte payload).
-  std::vector<uint8_t> payload(32);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 37 + 11);
+  bcast::PacketBuffer payload(1, 32);
+  for (size_t i = 0; i < payload.packet_bytes(); ++i) {
+    payload.packet(0)[i] = static_cast<uint8_t>(i * 37 + 11);
   }
-  const auto frames = bcast::FramePackets({payload}, /*epoch=*/9);
-  const auto& frame = frames[0];
-  const size_t bits = frame.size() * 8;
+  const auto frame = bcast::FramePackets(payload, /*epoch=*/9);
+  const size_t bits = frame.packet_bytes() * 8;
   int escapes = 0;
   for (size_t a = 0; a + 1 < bits; ++a) {
     auto mutated = frame;
-    bcast::FlipBit(&mutated, a);
+    bcast::FlipBit(&mutated, 0, a);
     for (size_t b = a + 1; b < bits; ++b) {
-      bcast::FlipBit(&mutated, b);
-      if (bcast::VerifyFrame(mutated).code() != StatusCode::kDataLoss) {
+      bcast::FlipBit(&mutated, 0, b);
+      if (bcast::VerifyFrame(mutated.packet(0), mutated.packet_bytes())
+              .code() != StatusCode::kDataLoss) {
         ++escapes;
       }
-      bcast::FlipBit(&mutated, b);  // restore to the single-flip base
+      bcast::FlipBit(&mutated, 0, b);  // restore to the single-flip base
     }
   }
   EXPECT_EQ(escapes, 0);
@@ -418,13 +422,12 @@ TEST(FrameMultiBitFlipTest, RandomDoubleAndTripleFlipsNeverEscapeTheCrc) {
   // guarantee, so every mutation must be caught — and caught as
   // corruption (kDataLoss), never misread as a version skew, even when
   // the flips land in the epoch stamp and an epoch check is armed.
-  std::vector<uint8_t> payload(kCapacity);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  bcast::PacketBuffer payload(1, kCapacity);
+  for (size_t i = 0; i < payload.packet_bytes(); ++i) {
+    payload.packet(0)[i] = static_cast<uint8_t>(i * 131 + 7);
   }
-  const auto frames = bcast::FramePackets({payload}, /*epoch=*/9);
-  const auto& frame = frames[0];
-  const int64_t bits = static_cast<int64_t>(frame.size()) * 8;
+  const auto frame = bcast::FramePackets(payload, /*epoch=*/9);
+  const int64_t bits = static_cast<int64_t>(frame.packet_bytes()) * 8;
   Rng rng(91);
   int escapes = 0;
   for (int it = 0; it < kFuzzIterations; ++it) {
@@ -439,12 +442,13 @@ TEST(FrameMultiBitFlipTest, RandomDoubleAndTripleFlipsNeverEscapeTheCrc) {
     }
     auto mutated = frame;
     for (int j = 0; j < flips; ++j) {
-      bcast::FlipBit(&mutated, static_cast<size_t>(picked[j]));
+      bcast::FlipBit(&mutated, 0, static_cast<size_t>(picked[j]));
     }
-    if (bcast::VerifyFrame(mutated).code() != StatusCode::kDataLoss) {
+    if (bcast::VerifyFrame(mutated.packet(0), mutated.packet_bytes())
+            .code() != StatusCode::kDataLoss) {
       ++escapes;
     }
-    auto r = bcast::UnframePackets({mutated}, /*expected_epoch=*/9);
+    auto r = bcast::UnframePackets(mutated, /*expected_epoch=*/9);
     EXPECT_EQ(r.status().code(), StatusCode::kDataLoss)
         << "flips=" << flips << " it=" << it;
   }
@@ -454,30 +458,29 @@ TEST(FrameMultiBitFlipTest, RandomDoubleAndTripleFlipsNeverEscapeTheCrc) {
 // --- zero-payload frames -----------------------------------------------------
 
 TEST(ZeroPayloadFrameTest, TrailerOnlyFramesRoundTripButCarryNoBytes) {
-  const std::vector<std::vector<uint8_t>> packets(3);
+  const bcast::PacketBuffer packets(3, 0);
   auto frames = bcast::FramePackets(packets, /*epoch=*/4);
-  ASSERT_EQ(frames.size(), 3u);
-  for (const auto& f : frames) {
-    ASSERT_EQ(f.size(), bcast::kFrameOverheadBytes);
-    EXPECT_OK(bcast::VerifyFrame(f));
-    EXPECT_EQ(bcast::FrameEpoch(f), 4);
+  ASSERT_EQ(frames.num_packets(), 3u);
+  ASSERT_EQ(frames.packet_bytes(), bcast::kFrameOverheadBytes);
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    EXPECT_OK(bcast::VerifyFrame(frames.packet(i), frames.packet_bytes(), 4));
+    EXPECT_EQ(bcast::FrameEpoch(frames.packet(i), frames.packet_bytes()), 4);
   }
   auto restored = bcast::UnframePackets(frames, /*expected_epoch=*/4);
   ASSERT_TRUE(restored.ok());
-  for (const auto& p : restored.value()) EXPECT_TRUE(p.empty());
+  EXPECT_EQ(restored.value(), packets);
 }
 
 TEST(ZeroPayloadFrameTest, PacketReaderRejectsZeroCapacityOnFirstRead) {
   // Regression: a reader over a zero-payload stream must fail with
   // kDataLoss on the very first read instead of walking into the
   // epoch/CRC trailer and handing the decoder framing bytes as payload.
-  const std::vector<std::vector<uint8_t>> packets(2);
+  const bcast::PacketBuffer packets(2, 0);
   const auto frames = bcast::FramePackets(packets, /*epoch=*/9);
   for (int capacity : {0, -1, -128}) {
     std::vector<int> read;
     bcast::PacketReader reader(frames, capacity, /*framed=*/true,
-                               /*packet=*/0, /*offset=*/0, &read,
-                               /*expected_epoch=*/9);
+                               /*packet=*/0, /*offset=*/0, &read);
     uint16_t v = 0xbeef;
     Status s = reader.ReadU16(&v);
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();

@@ -2,6 +2,9 @@
 // corrupted or truncated packet streams must fail with a Status (or, for
 // payload-only corruption, misroute gracefully) — never crash or loop.
 
+#include <algorithm>
+
+#include "broadcast/frame.h"
 #include "common/rng.h"
 #include "dtree/dtree.h"
 #include "dtree/serialize.h"
@@ -12,12 +15,16 @@
 namespace dtree::core {
 namespace {
 
+using bcast::FramePackets;
+using bcast::PacketBuffer;
+using bcast::UnframePackets;
+using bcast::VerifyFrame;
 using geom::Point;
 
 struct Fixture {
   sub::Subdivision sub;
   DTree tree;
-  std::vector<std::vector<uint8_t>> packets;
+  PacketBuffer packets;
   int capacity;
 };
 
@@ -31,23 +38,22 @@ Fixture MakeFixture(int capacity) {
 }
 
 TEST(SerializeRobustnessTest, EmptyStreamIsRejected) {
-  std::vector<std::vector<uint8_t>> packets;
+  const PacketBuffer packets;
   EXPECT_FALSE(
-      QueryFromPackets(packets, 64, true, Point{1, 1}, nullptr).ok());
+      QueryFromPackets(packets, 64, false, true, Point{1, 1}, nullptr).ok());
 }
 
 TEST(SerializeRobustnessTest, TruncatedStreamFailsCleanly) {
   Fixture f = MakeFixture(64);
   // Drop the tail packets: pointers into them must produce OutOfRange /
   // Internal, never a crash.
-  ASSERT_GT(f.packets.size(), 2u);
-  std::vector<std::vector<uint8_t>> truncated(f.packets.begin(),
-                                              f.packets.begin() + 1);
+  ASSERT_GT(f.packets.num_packets(), 2u);
+  const PacketBuffer truncated = test::FirstPackets(f.packets, 1);
   Rng rng(1);
   int failures = 0;
   for (int q = 0; q < 200; ++q) {
     const Point p = test::UnambiguousQueryPoint(f.sub, &rng);
-    auto r = QueryFromPackets(truncated, f.capacity, true, p, nullptr);
+    auto r = QueryFromPackets(truncated, f.capacity, false, true, p, nullptr);
     if (!r.ok()) ++failures;
   }
   EXPECT_GT(failures, 0);  // most descents need packets that are gone
@@ -61,16 +67,16 @@ TEST(SerializeRobustnessTest, BitFlipsNeverCrash) {
     // Flip 1-4 random bytes anywhere in the stream.
     const int flips = static_cast<int>(rng.UniformInt(1, 4));
     for (int i = 0; i < flips; ++i) {
-      auto& pkt = corrupted[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(corrupted.size()) - 1))];
-      pkt[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(pkt.size()) - 1))] ^=
+      uint8_t* pkt = corrupted.packet(static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(corrupted.num_packets()) - 1)));
+      pkt[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(corrupted.packet_bytes()) - 1))] ^=
           static_cast<uint8_t>(rng.UniformInt(1, 255));
     }
     const Point p = test::UnambiguousQueryPoint(f.sub, &rng);
     // Any Status or any region id is acceptable; crashing or hanging is
     // not. (The decoder's hop guard bounds pointer loops.)
-    auto r = QueryFromPackets(corrupted, f.capacity, true, p, nullptr);
+    auto r = QueryFromPackets(corrupted, f.capacity, false, true, p, nullptr);
     if (r.ok()) {
       // Region may be wrong under corruption, but must be a plain value.
       (void)r.value();
@@ -88,7 +94,7 @@ TEST(SerializeRobustnessTest, ZeroPaddingTailIsInert) {
     Rng rng(3);
     for (int q = 0; q < 200; ++q) {
       const Point p = test::UnambiguousQueryPoint(f.sub, &rng, 1e-3);
-      auto r = QueryFromPackets(f.packets, f.capacity,
+      auto r = QueryFromPackets(f.packets, f.capacity, /*framed=*/false,
                                 f.tree.options().early_termination, p,
                                 nullptr);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -112,7 +118,7 @@ TEST(SerializeRobustnessTest, DecodeWithoutEarlyTermination) {
   for (int q = 0; q < 300; ++q) {
     const geom::Point p = test::UnambiguousQueryPoint(sub, &rng, 1e-3);
     std::vector<int> read;
-    auto r = QueryFromPackets(packets_r.value(), 64, false, p, &read);
+    auto r = QueryFromPackets(packets_r.value(), 64, false, false, p, &read);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.value(), tree_r.value().Locate(p));
     auto trace = tree_r.value().Probe(p);
@@ -124,11 +130,11 @@ TEST(SerializeRobustnessTest, DecodeWithoutEarlyTermination) {
 TEST(SerializeRobustnessTest, FramedRoundTrip) {
   Fixture f = MakeFixture(128);
   const auto frames = FramePackets(f.packets);
-  ASSERT_EQ(frames.size(), f.packets.size());
-  for (const auto& frame : frames) {
-    EXPECT_EQ(frame.size(),
-              static_cast<size_t>(f.capacity) + bcast::kFrameOverheadBytes);
-    EXPECT_OK(VerifyFrame(frame));
+  ASSERT_EQ(frames.num_packets(), f.packets.num_packets());
+  EXPECT_EQ(frames.packet_bytes(),
+            static_cast<size_t>(f.capacity) + bcast::kFrameOverheadBytes);
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    EXPECT_OK(VerifyFrame(frames.packet(i), frames.packet_bytes()));
   }
   auto unframed = UnframePackets(frames);
   ASSERT_TRUE(unframed.ok());
@@ -138,10 +144,10 @@ TEST(SerializeRobustnessTest, FramedRoundTrip) {
   for (int q = 0; q < 200; ++q) {
     const Point p = test::UnambiguousQueryPoint(f.sub, &rng, 1e-3);
     std::vector<int> read_framed, read_raw;
-    auto fr = QueryFromFramedPackets(frames, f.capacity,
-                                     f.tree.options().early_termination, p,
-                                     &read_framed);
-    auto rr = QueryFromPackets(f.packets, f.capacity,
+    auto fr = QueryFromPackets(frames, f.capacity, /*framed=*/true,
+                               f.tree.options().early_termination, p,
+                               &read_framed);
+    auto rr = QueryFromPackets(f.packets, f.capacity, /*framed=*/false,
                                f.tree.options().early_termination, p,
                                &read_raw);
     ASSERT_TRUE(fr.ok()) << fr.status().ToString();
@@ -159,13 +165,13 @@ TEST(SerializeRobustnessTest, CorruptedFramesAlwaysReturnNonOk) {
   Rng rng(6);
   for (int trial = 0; trial < 100; ++trial) {
     auto frames = FramePackets(f.packets);
-    for (auto& frame : frames) {
-      frame[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(frame.size()) - 1))] ^=
+    for (size_t i = 0; i < frames.num_packets(); ++i) {
+      frames.packet(i)[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(frames.packet_bytes()) - 1))] ^=
           static_cast<uint8_t>(rng.UniformInt(1, 255));
     }
     const Point p = test::UnambiguousQueryPoint(f.sub, &rng);
-    auto r = QueryFromFramedPackets(frames, f.capacity, true, p, nullptr);
+    auto r = QueryFromPackets(frames, f.capacity, true, true, p, nullptr);
     ASSERT_FALSE(r.ok());
     EXPECT_FALSE(UnframePackets(frames).ok());
   }
@@ -182,15 +188,14 @@ TEST(SerializeRobustnessTest, SingleCorruptFrameDetectedWhenRead) {
   for (int trial = 0; trial < 300; ++trial) {
     auto frames = clean;
     const int victim = static_cast<int>(
-        rng.UniformInt(0, static_cast<int64_t>(frames.size()) - 1));
-    frames[static_cast<size_t>(victim)][static_cast<size_t>(rng.UniformInt(
-        0, static_cast<int64_t>(frames[victim].size()) - 1))] ^=
+        rng.UniformInt(0, static_cast<int64_t>(frames.num_packets()) - 1));
+    frames.packet(static_cast<size_t>(victim))[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(frames.packet_bytes()) - 1))] ^=
         static_cast<uint8_t>(rng.UniformInt(1, 255));
     const Point p = test::UnambiguousQueryPoint(f.sub, &rng, 1e-3);
     std::vector<int> read;
-    auto r = QueryFromFramedPackets(frames, f.capacity,
-                                    f.tree.options().early_termination, p,
-                                    &read);
+    auto r = QueryFromPackets(frames, f.capacity, /*framed=*/true,
+                              f.tree.options().early_termination, p, &read);
     if (r.ok()) {
       EXPECT_EQ(r.value(), f.tree.Locate(p));
       for (int pkt : read) EXPECT_NE(pkt, victim);
@@ -202,19 +207,25 @@ TEST(SerializeRobustnessTest, SingleCorruptFrameDetectedWhenRead) {
 }
 
 TEST(SerializeRobustnessTest, MalformedFramesRejected) {
-  EXPECT_FALSE(VerifyFrame({}).ok());
-  EXPECT_FALSE(VerifyFrame({1, 2, 3}).ok());  // shorter than the trailer
+  EXPECT_FALSE(VerifyFrame(nullptr, 0).ok());
+  const uint8_t stub[] = {1, 2, 3};  // shorter than the trailer
+  EXPECT_FALSE(VerifyFrame(stub, sizeof(stub)).ok());
   Fixture f = MakeFixture(64);
-  auto frames = FramePackets(f.packets);
-  // Truncated frame: wrong length surfaces as DataLoss, not a bad read.
-  frames[0].pop_back();
-  EXPECT_FALSE(
-      QueryFromFramedPackets(frames, f.capacity, true, Point{1, 1}, nullptr)
-          .ok());
-  EXPECT_FALSE(UnframePackets(frames).ok());
+  const PacketBuffer frames = FramePackets(f.packets);
+  // Frames one byte short: the wrong length surfaces as DataLoss, not a
+  // bad read.
+  PacketBuffer truncated(frames.num_packets(), frames.packet_bytes() - 1);
+  for (size_t i = 0; i < frames.num_packets(); ++i) {
+    std::copy_n(frames.packet(i), truncated.packet_bytes(),
+                truncated.packet(i));
+  }
+  auto r = QueryFromPackets(truncated, f.capacity, true, true, Point{1, 1},
+                            nullptr);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(UnframePackets(truncated).ok());
   // Raw (unframed) packets handed to the framed decoder fail the same way.
-  EXPECT_FALSE(QueryFromFramedPackets(f.packets, f.capacity, true,
-                                      Point{1, 1}, nullptr)
+  EXPECT_FALSE(QueryFromPackets(f.packets, f.capacity, true, true,
+                                Point{1, 1}, nullptr)
                    .ok());
 }
 

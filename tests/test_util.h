@@ -3,8 +3,10 @@
 #ifndef DTREE_TESTS_TEST_UTIL_H_
 #define DTREE_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <vector>
 
+#include "broadcast/packet_buffer.h"
 #include "common/rng.h"
 #include "geom/point.h"
 #include "subdivision/subdivision.h"
@@ -61,6 +63,14 @@ inline geom::Point UnambiguousQueryPoint(const sub::Subdivision& sub,
                   rng->Uniform(a.min_y, a.max_y)};
     if (sub.DistanceToNearestBorder(p) > min_border_dist) return p;
   }
+}
+
+/// A copy of the first `n` packets of `packets`: a truncated stream.
+inline bcast::PacketBuffer FirstPackets(const bcast::PacketBuffer& packets,
+                                        size_t n) {
+  bcast::PacketBuffer out(n, packets.packet_bytes());
+  std::copy_n(packets.data(), out.size_bytes(), out.data());
+  return out;
 }
 
 }  // namespace dtree::test
