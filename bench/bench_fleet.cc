@@ -4,7 +4,7 @@
 // the two properties the engine is built on:
 //
 //   1. Determinism: FleetResult — every field, histograms included — is
-//      bit-identical at 1, 4, and 8 worker threads (fixed 64-shard
+//      bit-identical at 1, 2, and 4 worker threads (fixed 64-shard
 //      layout, shard-ordered merge).
 //   2. Driver agreement: both the fleet and BroadcastChannel::Simulate
 //      drive the one access protocol (broadcast/access.h), the fleet in
@@ -19,14 +19,14 @@
 //   --churn=P        per-query departure probability (default 0.05)
 //   --loss-rate=L    i.i.d. packet loss rate (default 0.1; 0 = lossless)
 //   --capacity=N     packet capacity (default 256)
-// The shared --threads flag is ignored: the bench always sweeps 1/4/8.
+// The shared --threads flag is ignored: the bench always sweeps 1/2/4.
 //
 // With --telemetry-out / --flight-out / --prom-out set, a FleetTelemetry
 // sink rides along on every run of the sweep and the bench additionally
 // verifies (nonzero exit on violation) that
 //
 //   3. the timeline JSONL, flight-recorder JSONL and Prometheus snapshot
-//      are byte-identical at 1, 4, and 8 threads, and
+//      are byte-identical at 1, 2, and 4 threads, and
 //   4. the FleetResult with telemetry attached matches the reference —
 //      observation must not perturb the simulation.
 //
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   FleetResult reference;
   bool have_reference = false;
   std::unique_ptr<bcast::CycleProfiler> profiler;
-  for (int threads : {1, 4, 8}) {
+  for (int threads : {1, 2, 4}) {
     bcast::FleetOptions run = fopt;
     run.num_threads = threads;
     const std::string cell = ds.value().name + "/fleet/c" +
@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
   }
   if (have_telemetry_reference && ok) {
     std::printf("telemetry: timeline+flight+prom byte-identical at "
-                "1/4/8 threads ✓\n");
+                "1/2/4 threads ✓\n");
     if (!flags.telemetry_out.empty() &&
         !WriteTextFile(flags.telemetry_out, ref_timeline)) {
       ok = false;

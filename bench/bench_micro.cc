@@ -29,6 +29,7 @@
 #include "baselines/rstar/rstar.h"
 #include "baselines/trapmap/arena.h"
 #include "baselines/trapmap/trapmap.h"
+#include "bench_util.h"
 #include "broadcast/experiment.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -481,6 +482,8 @@ bool WriteJson(const std::string& path,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_micro probe throughput\",\n");
+  // The measurement pass probes from one thread.
+  std::fprintf(f, "  \"host\": %s,\n", bench::BenchHostJson(1).c_str());
   std::fprintf(f, "  \"packet_capacity\": %d,\n", kPacketCapacity);
   std::fprintf(f, "  \"verify_queries\": %d,\n", kVerifyQueries);
   std::fprintf(f, "  \"results\": [\n");

@@ -180,9 +180,25 @@ struct CellPercentiles {
   }
 };
 
+/// The "host" block of every BENCH_*.json, with bench_suite's keys: the
+/// machine's core count, the worker threads the run asked for, and the
+/// build that ran it (defines from bench/CMakeLists.txt).
+inline std::string BenchHostJson(int threads) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"nproc\": %d, \"threads\": %d, \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\", \"native_arch\": %s, "
+                "\"git_sha\": \"%s\"}",
+                ThreadPool::DefaultThreads(), threads, DTREE_BENCH_COMPILER,
+                DTREE_BENCH_BUILD_TYPE,
+                DTREE_BENCH_NATIVE_ARCH ? "true" : "false",
+                DTREE_BENCH_GIT_SHA);
+  return buf;
+}
+
 /// Collects per-cell wall-clock timings (plus optional distribution
 /// percentiles) and writes them as JSON on Flush()/destruction:
-///   {"bench": ..., "threads": T, "cells":
+///   {"bench": ..., "host": {...}, "threads": T, "cells":
 ///    [{"cell": id, "wall_s": s, "qps": q, "threads": T,
 ///      "p50_latency": ..., ..., "max_tuning": ...}, ...]}
 class BenchRecorder {
@@ -217,11 +233,12 @@ class BenchRecorder {
       return;
     }
     std::fprintf(f,
-                 "{\n  \"bench\": \"%s\",\n  \"threads\": %d,\n"
+                 "{\n  \"bench\": \"%s\",\n  \"host\": %s,\n"
+                 "  \"threads\": %d,\n"
                  "  \"queries_per_cell\": %d,\n  \"seed\": %llu,\n"
                  "  \"cells\": [",
-                 bench_name_.c_str(), threads_, queries_,
-                 static_cast<unsigned long long>(seed_));
+                 bench_name_.c_str(), BenchHostJson(threads_).c_str(),
+                 threads_, queries_, static_cast<unsigned long long>(seed_));
     for (size_t i = 0; i < cells_.size(); ++i) {
       std::fprintf(f,
                    "%s\n    {\"cell\": \"%s\", \"wall_s\": %.6f, "

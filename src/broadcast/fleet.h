@@ -122,27 +122,28 @@ inline uint64_t FleetClientKey(uint64_t seed, uint64_t client_id) {
   return Rng::MixStream(seed, client_id);
 }
 
-/// Per-client sub-stream ids, all keyed off FleetClientKey. Stream 0 is
-/// the generation-0 join draw; query q then owns streams 3q+1..3q+3:
-///   3q+1 — query point (rejection sampling, private ephemeral Rng)
-///   3q+2 — post-query schedule (thinking time, churn, re-join delay)
-///   3q+3 — the loss_stream passed to the channel's fault processes
-/// (the value Simulate would need to reproduce the query's ladder).
+// Per-client sub-stream ids, all keyed off FleetClientKey; the stream
+// table in common/rng.h lists them beside every other family.
+
+/// The generation-0 join draw.
 inline uint64_t FleetJoinStream() { return 0; }
+/// Query point (rejection sampling, private ephemeral Rng).
 inline uint64_t FleetPointStream(uint64_t query_index) {
   return 3 * query_index + 1;
 }
+/// Post-query schedule (thinking time, churn, re-join delay).
 inline uint64_t FleetScheduleStream(uint64_t query_index) {
   return 3 * query_index + 2;
 }
+/// The loss_stream passed to the channel's fault processes (the value
+/// Simulate would need to reproduce the query's ladder).
 inline uint64_t FleetQueryLossStream(uint64_t client_key,
                                      uint64_t query_index) {
   return Rng::MixStream(client_key, 3 * query_index + 3);
 }
 /// Mobility walk stream for query q, used instead of FleetPointStream
-/// when FleetOptions::mobility is enabled. Based at
-/// workload::kMobilityStreamBase (1 << 40), far above every 3q+k stream a
-/// session can reach, so enabling mobility perturbs no other draw.
+/// when FleetOptions::mobility is enabled, so enabling mobility perturbs
+/// no other draw.
 inline uint64_t FleetMobilityStream(uint64_t query_index) {
   return workload::kMobilityStreamBase + query_index;
 }

@@ -120,23 +120,23 @@ Status ValidateLossOptions(const LossOptions& options);
 Status ValidateCorruptionOptions(const CorruptionOptions& options);
 
 /// Per-query loss process on one sub-stream. Construct with the query's
-/// stream id and the sub-stream of the protocol phase (kProbeStream for
-/// the initial probe, AttemptStream(k) for attempt k, ...), then call
-/// NextLost() once per packet read.
+/// stream id and the sub-stream of the protocol phase, then call
+/// NextLost() once per packet read. The sub-stream families below are
+/// disjoint (the stream table in common/rng.h).
 class LossProcess {
  public:
+  /// Sub-stream for the initial probe.
   static constexpr uint64_t kProbeStream = 0;
+  /// Sub-stream for attempt k.
   static constexpr uint64_t AttemptStream(int attempt) {
     return static_cast<uint64_t>(attempt) + 1;
   }
-  /// Sub-stream for fallback-scan cycle k. Offset far above any attempt
-  /// stream so the two families can never collide.
+  /// Sub-stream for fallback-scan cycle k.
   static constexpr uint64_t FallbackStream(int cycle) {
     return (uint64_t{1} << 32) + static_cast<uint64_t>(cycle);
   }
   /// Sub-stream for pass k of the indexless baseline's bucket retrieval
-  /// (BroadcastChannel::SimulateNoIndex). Its own family, disjoint from
-  /// the probe / attempt / fallback streams, so a query's indexed and
+  /// (BroadcastChannel::SimulateNoIndex), so a query's indexed and
   /// indexless simulations never share a draw.
   static constexpr uint64_t NoIndexStream(int pass) {
     return (uint64_t{1} << 33) + static_cast<uint64_t>(pass);

@@ -3,19 +3,142 @@
 // All randomized components (workload generators, the randomized
 // incremental trapezoidal map, query streams) take an explicit Rng so that
 // every experiment in the repository is reproducible from a seed.
+//
+// Stream families. Sharded consumers never share a generator: each draws
+// from Rng::ForStream(key, id), and the fault processes from
+// Rng(MixStream(MixStream(fault seed, query stream), sub-stream)). Within
+// one key the id ranges below cannot overlap for any reachable index
+// (int attempts, cycles and passes; fleet query counters q < 2^32), which
+// RngTest.StreamFamiliesAreDisjoint asserts:
+//
+//   key                        id                         draws
+//   seed                       s in [0, 64)               experiment shard s:
+//                                                         points, arrivals
+//   seed                       kMobilityStreamBase + s    shard s's mobility walk
+//   FleetClientKey(seed, c)    FleetJoinStream() = 0      session c's join time
+//     = MixStream(seed, c)     3q + 1                     query q's point
+//                              3q + 2                     query q's schedule
+//                                                         (think, churn, re-join)
+//                              3q + 3                     query q's fault key,
+//                                                         MixStream(key, 3q + 3)
+//                                                         (FleetQueryLossStream)
+//                              kMobilityStreamBase + q    query q's mobility walk
+//   MixStream(loss or          LossProcess::kProbeStream  the probe's reads
+//     corruption seed,           = 0
+//     query stream)            AttemptStream(k) = k + 1   restart k
+//                              FallbackStream(c)          fallback-scan cycle c
+//                                = 2^32 + c
+//                              NoIndexStream(p)           indexless pass p
+//                                = 2^33 + p
+//
+// kMobilityStreamBase = 2^40 (workload/mobility.h). The query stream of a
+// fault process is the global query index in RunExperiment and
+// FleetQueryLossStream in a fleet.
 
 #ifndef DTREE_COMMON_RNG_H_
 #define DTREE_COMMON_RNG_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <random>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 
 namespace dtree {
+namespace internal {
 
-/// Seeded 64-bit Mersenne-Twister wrapper with convenience samplers.
+/// MT19937-64, the engine the C++ standard fully specifies as
+/// std::mt19937_64 ([rand.eng.mers]): Mt19937_64(s) yields the same
+/// sequence as std::mt19937_64(s). It seeds lazily. In the first block,
+/// twist k < n - m reads only seed words k, k + 1 and k + m, so the
+/// seeding recurrence runs just ahead of the outputs drawn so far, in
+/// doubling chunks; a one-draw stream computes 157 seed words and one
+/// twist where the std engine computes 312 and 312. The rest of the first
+/// block, and every later block, twists as std does.
+class Mt19937_64 {
+ public:
+  explicit Mt19937_64(uint64_t seed) { x_[0] = seed; }
+
+  uint64_t operator()() {
+    if (pos_ == ready_) Refill();
+    uint64_t z = x_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr int kN = 312;
+  static constexpr int kM = 156;
+  static constexpr uint64_t kA = 0xb5026f5aa96619e9ULL;
+  static constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+
+  /// New value of word k from the upper bit of word k, the lower 31 bits
+  /// of word k + 1 and word k + m (indices mod n). kA is masked in, not
+  /// selected by a branch on y's random low bit, which would mispredict
+  /// on half the words.
+  static uint64_t Twist(uint64_t xk, uint64_t xk1, uint64_t xkm) {
+    const uint64_t y = (xk & kUpper) | (xk1 & ~kUpper);
+    return xkm ^ (y >> 1) ^ (kA & (0 - (y & 1)));
+  }
+
+  void TwistLow(int begin, int end) {
+    for (int k = begin; k < end; ++k) {
+      x_[k] = Twist(x_[k], x_[k + 1], x_[k + kM]);
+    }
+  }
+
+  /// Called when every twisted word has been drawn.
+  void Refill() {
+    constexpr int kLow = kN - kM;  // words whose twist reads x_[k + m]
+    if (ready_ < kLow) {
+      // First block: seed up to word end + m - 1, then twist [ready_, end).
+      const int end = std::min(std::max(2 * ready_, 1), kLow);
+      // The recurrence is one serial chain: carry it in registers, not
+      // through a store and reload of x_[i - 1].
+      int i = seeded_;
+      uint64_t x = x_[i - 1];
+      for (; i < end + kM; ++i) {
+        x = 6364136223846793005ULL * (x ^ (x >> 62)) +
+            static_cast<uint64_t>(i);
+        x_[i] = x;
+      }
+      seeded_ = i;
+      TwistLow(ready_, end);
+      ready_ = end;
+      return;
+    }
+    if (pos_ == kN) {  // a later block starts with its low words
+      TwistLow(0, kLow);
+      pos_ = 0;
+    }
+    for (int k = kLow; k < kN - 1; ++k) {
+      x_[k] = Twist(x_[k], x_[k + 1], x_[k - kLow]);
+    }
+    x_[kN - 1] = Twist(x_[kN - 1], x_[0], x_[kM - 1]);
+    ready_ = kN;
+  }
+
+  uint64_t x_[kN]{};
+  int pos_ = 0;     ///< next word to temper and return
+  int ready_ = 0;   ///< words [pos_, ready_) are twisted, not yet drawn
+  int seeded_ = 1;  ///< seed words x_[0, seeded_) are computed
+};
+
+}  // namespace internal
+
+/// Seeded MT19937-64 (internal::Mt19937_64) with convenience samplers.
+/// Every sequence is pinned by goldens, so nothing here may depend on a
+/// standard library: the engine is the standard's fully specified
+/// mt19937_64, and the distributions restate the algorithms of libstdc++
+/// 12's uniform_real_distribution (generate_canonical<double, 53>),
+/// uniform_int_distribution (Lemire's nearly divisionless method) and
+/// normal_distribution (Marsaglia's polar method), which recorded those
+/// goldens. Gaussian, and the fleet's exponential think time (DrawExp in
+/// broadcast/fleet.cc), still call libm's log / log1p.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -38,21 +161,31 @@ class Rng {
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) {
-    std::uniform_real_distribution<double> d(lo, hi);
-    return d(engine_);
+    DTREE_DCHECK(lo <= hi);
+    return Canonical() * (hi - lo) + lo;
   }
 
   /// Uniform integer in [lo, hi] (inclusive).
   int64_t UniformInt(int64_t lo, int64_t hi) {
     DTREE_DCHECK(lo <= hi);
-    std::uniform_int_distribution<int64_t> d(lo, hi);
-    return d(engine_);
+    const uint64_t range =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const uint64_t offset = range == UINT64_MAX ? engine_() : Below(range + 1);
+    return static_cast<int64_t>(offset + static_cast<uint64_t>(lo));
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation. Each call draws
+  /// a fresh polar pair and returns one of its values.
   double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    DTREE_DCHECK(stddev > 0.0);
+    double x, y, r2;
+    do {
+      x = 2.0 * Canonical() - 1.0;
+      y = 2.0 * Canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    return y * mult * stddev + mean;
   }
 
   /// Fisher-Yates shuffle.
@@ -74,7 +207,33 @@ class Rng {
     return z ^ (z >> 31);
   }
 
-  std::mt19937_64 engine_;
+  /// One draw scaled to [0, 1): u / 2^64, where rounding u to double may
+  /// reach 1.0, which is clamped to the largest double below it. Both
+  /// 32-bit halves convert exactly, so their sum rounds once, to double(u),
+  /// without the sign branch of an unsigned 64-bit conversion.
+  double Canonical() {
+    const uint64_t u = engine_();
+    const double c = (static_cast<double>(u >> 32) * 0x1p32 +
+                      static_cast<double>(u & 0xffffffffULL)) *
+                     0x1p-64;
+    return c < 1.0 ? c : std::nextafter(1.0, 0.0);
+  }
+
+  /// Unbiased integer in [0, n), n > 0: Lemire's nearly divisionless
+  /// method, rejecting the low products below 2^64 mod n.
+  uint64_t Below(uint64_t n) {
+    __extension__ using U128 = unsigned __int128;
+    U128 product = U128{engine_()} * n;
+    if (static_cast<uint64_t>(product) < n) {
+      const uint64_t threshold = -n % n;
+      while (static_cast<uint64_t>(product) < threshold) {
+        product = U128{engine_()} * n;
+      }
+    }
+    return static_cast<uint64_t>(product >> 64);
+  }
+
+  internal::Mt19937_64 engine_;
 };
 
 }  // namespace dtree

@@ -55,14 +55,9 @@ struct MobilityOptions {
   double waypoint_step = 25.0;
 };
 
-/// Base of the RNG sub-stream family reserved for mobility walks.
-///
-/// Existing stream ids are tiny: experiment shards use streams [0, 64),
-/// the fleet's per-client families are FleetJoinStream()=0 and
-/// 3q+{1,2,3} for query q (q < 2^32, so < ~2^34). Offsetting mobility
-/// streams by 2^40 keeps the families disjoint forever:
-///   experiment shard s  -> Rng::ForStream(seed,       kMobilityStreamBase + s)
-///   fleet client, query q -> Rng::ForStream(client key, kMobilityStreamBase + q)
+/// Base of the RNG sub-stream family reserved for mobility walks, far
+/// above every other stream id under the same key (the stream table in
+/// common/rng.h).
 inline constexpr uint64_t kMobilityStreamBase = uint64_t{1} << 40;
 
 /// One client's walk state. Plain value type so the fleet engine can embed

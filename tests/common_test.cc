@@ -1,11 +1,19 @@
 // Tests for the common substrate: Status/Result, byte serialization, RNG.
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <set>
 
+#include "broadcast/fleet.h"
+#include "broadcast/loss.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "workload/mobility.h"
 
 #include "gtest/gtest.h"
 
@@ -161,6 +169,184 @@ TEST(RngTest, ShuffleIsAPermutation) {
   rng.Shuffle(&v);
   EXPECT_NE(v, orig);  // astronomically unlikely to be identity
   EXPECT_EQ(std::set<int>(v.begin(), v.end()).size(), 50u);
+}
+
+TEST(RngTest, EngineKnownAnswer) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces this value.
+  internal::Mt19937_64 engine(5489);
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(RngTest, DistributionKnownAnswers) {
+  // Recorded with std::mt19937_64 and libstdc++ 12's distributions, the
+  // generator every golden was pinned with; checked on any library.
+  struct Want {
+    uint64_t seed;
+    double uniform[5];
+    int64_t uniform_int[4];
+    double gaussian[3];
+    std::vector<int> shuffled;
+  };
+  const Want wants[] = {
+      {42,
+       {0x1.82a3befaddcbcp-1, 0x1.472f1f73724ap-1, 0x1.81192cfe1cbcfp-1,
+        -0x1.232455849af3cp+0, 0x1.e8481ce79451dp+19},
+       {0, 149, 409994361407, -4171286573692093258},
+       {-0x1.36cb73053c008p-5, 0x1.dd7c1a46e3c93p+3, -0x1.7e9d60c0bf4eap+1},
+       {2, 4, 1, 5, 7, 8, 0, 3, 6, 9}},
+      {Rng::MixStream(7, 3),
+       {0x1.9c9323c4938a6p-2, 0x1.74c263ca9a11cp-1, 0x1.56208e8a18effp-1,
+        0x1.6f9908f6d7e52p+1, 0x1.e84814c2115d9p+19},
+       {0, 957, 314198337221, -7408553110510942696},
+       {-0x1.83fe249e7b428p-2, 0x1.9660e74cb0155p+3, -0x1.7e2a657e2110cp+1},
+       {1, 5, 3, 6, 4, 8, 7, 9, 0, 2}},
+  };
+  for (const Want& w : wants) {
+    SCOPED_TRACE(w.seed);
+    Rng rng(w.seed);
+    EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[0]);
+    EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[1]);
+    EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[2]);
+    EXPECT_EQ(rng.Uniform(-2.5, 7.5), w.uniform[3]);
+    EXPECT_EQ(rng.Uniform(1e6, 1e6 + 1), w.uniform[4]);
+    EXPECT_EQ(rng.UniformInt(0, 9), w.uniform_int[0]);
+    EXPECT_EQ(rng.UniformInt(-1000, 1000), w.uniform_int[1]);
+    EXPECT_EQ(rng.UniformInt(0, int64_t{1} << 40), w.uniform_int[2]);
+    EXPECT_EQ(rng.UniformInt(std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max()),
+              w.uniform_int[3]);
+    EXPECT_EQ(rng.Gaussian(0.0, 1.0), w.gaussian[0]);
+    EXPECT_EQ(rng.Gaussian(10.0, 2.5), w.gaussian[1]);
+    EXPECT_EQ(rng.Gaussian(-3.0, 0.01), w.gaussian[2]);
+    std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    rng.Shuffle(&v);
+    EXPECT_EQ(v, w.shuffled);
+  }
+}
+
+#ifdef __GLIBCXX__
+// The reference Rng restates: std::mt19937_64 and a fresh libstdc++
+// distribution per draw, the calls that recorded every golden (so
+// normal_distribution's second polar value is always dropped).
+class LibstdcxxRng {
+ public:
+  explicit LibstdcxxRng(uint64_t seed) : engine_(seed) {}
+  double Uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
+  }
+  double Gaussian(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+TEST(RngTest, EngineMatchesLibstdcxx) {
+  // 1,000 outputs cover every lazily seeded chunk of the first block and
+  // the block boundaries at 312, 624 and 936.
+  for (uint64_t s = 0; s < 2000; ++s) {
+    const uint64_t seed = Rng::MixStream(2003, s);
+    internal::Mt19937_64 engine(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(engine(), ref()) << "seed " << seed << " output " << i;
+    }
+  }
+}
+
+TEST(RngTest, DistributionsMatchLibstdcxx) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // UniformInt ranges: one value, a negative lo, power-of-two sizes 2^8
+  // and 2^63, the full int64 range (the raw draw), and a size of
+  // 3 * 2^62 + 1 that rejects about a quarter of its draws.
+  const int64_t kIntRanges[][2] = {{0, 0},       {-1000, 999}, {0, 255},
+                                   {-8, 7},      {0, kMax},    {kMin, kMax},
+                                   {kMin, int64_t{1} << 62}};
+  constexpr int kIntCases = static_cast<int>(std::size(kIntRanges));
+  constexpr int kCases = kIntCases + 5;
+  for (uint64_t s = 0; s < 2000; ++s) {
+    const uint64_t seed = Rng::MixStream(1996, s);
+    Rng rng(seed);
+    LibstdcxxRng ref(seed);
+    // 1..400 interleaved calls, about 1..600 engine draws: streams end
+    // on both sides of 1, 155-157, 311-313 and later block boundaries.
+    const int calls = 1 + static_cast<int>(s % 400);
+    for (int i = 0; i < calls; ++i) {
+      const int c = static_cast<int>((s + static_cast<uint64_t>(i)) % kCases);
+      double got = 0.0, want = 0.0;
+      if (c < kIntCases) {
+        const int64_t lo = kIntRanges[c][0], hi = kIntRanges[c][1];
+        ASSERT_EQ(rng.UniformInt(lo, hi), ref.UniformInt(lo, hi))
+            << "seed " << seed << " call " << i;
+        continue;
+      }
+      switch (c - kIntCases) {
+        case 0:
+          got = rng.Uniform(0.0, 1.0), want = ref.Uniform(0.0, 1.0);
+          break;
+        case 1:
+          got = rng.Uniform(-2.5, 7.5), want = ref.Uniform(-2.5, 7.5);
+          break;
+        case 2:
+          got = rng.Uniform(3.25, 3.25), want = ref.Uniform(3.25, 3.25);
+          break;
+        case 3:
+          got = rng.Gaussian(0.0, 1.0), want = ref.Gaussian(0.0, 1.0);
+          break;
+        default:
+          got = rng.Gaussian(-3.0, 0.01), want = ref.Gaussian(-3.0, 0.01);
+          break;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "seed " << seed << " call " << i << ": " << got << " vs "
+          << want;
+    }
+  }
+}
+#endif  // __GLIBCXX__
+
+TEST(RngTest, StreamFamiliesAreDisjoint) {
+  // The stream-family table in common/rng.h. Under the experiment seed:
+  // shards s < 64 (kQueryShards) sit far below the mobility family.
+  EXPECT_LT(uint64_t{63}, workload::kMobilityStreamBase);
+
+  // Under a fleet client key: join 0, then 3q+1, 3q+2 and the fault
+  // key's 3q+3 for every uint32_t query counter q, all below the
+  // mobility family kMobilityStreamBase + q.
+  const uint64_t key = bcast::FleetClientKey(42, 7);
+  EXPECT_EQ(bcast::FleetJoinStream(), 0u);
+  for (uint64_t q : {uint64_t{0}, uint64_t{1}, uint64_t{12345},
+                     uint64_t{std::numeric_limits<uint32_t>::max()}}) {
+    SCOPED_TRACE(q);
+    EXPECT_EQ(bcast::FleetPointStream(q) % 3, 1u);
+    EXPECT_EQ(bcast::FleetScheduleStream(q) % 3, 2u);
+    const uint64_t fault_id = 3 * q + 3;
+    EXPECT_EQ(bcast::FleetQueryLossStream(key, q),
+              Rng::MixStream(key, fault_id));
+    EXPECT_EQ(fault_id % 3, 0u);
+    EXPECT_GT(fault_id, bcast::FleetJoinStream());
+    EXPECT_LT(fault_id, workload::kMobilityStreamBase);
+    EXPECT_EQ(bcast::FleetMobilityStream(q),
+              workload::kMobilityStreamBase + q);
+  }
+
+  // Under a fault process's query key: probe, then attempts, fallback
+  // cycles and indexless passes for every non-negative int.
+  using bcast::LossProcess;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  EXPECT_LT(LossProcess::kProbeStream, LossProcess::AttemptStream(0));
+  EXPECT_LT(LossProcess::AttemptStream(kMaxInt),
+            LossProcess::FallbackStream(0));
+  EXPECT_LT(LossProcess::FallbackStream(kMaxInt),
+            LossProcess::NoIndexStream(0));
+  EXPECT_LT(LossProcess::NoIndexStream(0), LossProcess::NoIndexStream(kMaxInt));
 }
 
 }  // namespace

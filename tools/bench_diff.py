@@ -10,6 +10,10 @@ from run to run: for wall_s, qps, speedup and every *_ns_per_probe the
 script prints BASE -> HEAD and the relative delta. Every other field of a
 row, and every other top-level field, is a result and must match exactly.
 A row or a field found on one side only is a mismatch, timing or not.
+The exception is the top-level "host" block (core count, threads,
+compiler, build type, native arch, git sha): the script prints both sides'
+blocks and never counts them as a mismatch, so files recorded on other
+hosts, or before the block existed, still diff.
 
 Exit status: 1 on any mismatch, else 0. Standard library only.
 """
@@ -21,6 +25,7 @@ from pathlib import Path
 
 ROW_KEYS = {"cells": ("cell", "threads"), "results": ("index", "n")}
 TIMING_FIELDS = {"wall_s", "qps", "speedup"}
+HOST = "host"
 
 
 def is_timing(field):
@@ -62,7 +67,7 @@ def diff(base, head):
     BENCH documents."""
     mismatches, timings = [], []
     for field in sorted(set(base) | set(head)):
-        if field in ROW_KEYS:
+        if field in ROW_KEYS or field == HOST:
             continue
         if field not in base or field not in head:
             side = "BASE" if field in base else "HEAD"
@@ -93,6 +98,14 @@ def diff(base, head):
     return timings, mismatches
 
 
+def host_lines(base, head):
+    """One report line per side naming the host it was recorded on."""
+    return [f"host {side}: " +
+            (json.dumps(doc[HOST], sort_keys=True) if HOST in doc
+             else "(none)")
+            for side, doc in (("BASE", base), ("HEAD", head))]
+
+
 def self_test():
     cell = {"cell": "UNIFORM/d-tree", "wall_s": 1.0, "qps": 100.0,
             "threads": 1, "p50_tuning": 12.5, "unrecoverable": 0}
@@ -101,6 +114,9 @@ def self_test():
              "arena_bytes": 4096, "verified_queries": 4096}
     base = {"bench": "b", "seed": 42, "cells": [cell, dict(cell, threads=4)],
             "results": [micro]}
+    host = {"nproc": 4, "threads": 4, "compiler": "GNU 12.2.0",
+            "build_type": "Release", "native_arch": False,
+            "git_sha": "0123456789ab"}
 
     def variant(**edits):
         doc = json.loads(json.dumps(base))
@@ -128,6 +144,7 @@ def self_test():
         ("result column added", variant(cells__fallback=0), 1),
         ("cell renamed", variant(cells__cell="PARK/d-tree"), 2),
         ("thread count is a key", variant(cells__threads=2), 2),
+        ("host only in HEAD", variant(top__host=host), 0),
     ]
     ok = True
     for what, head, want in cases:
@@ -140,6 +157,20 @@ def self_test():
     if not any("wall_s 1.0 -> 2.0 (+100.0%)" in t for t in timings):
         ok = False
         print(f"self-test FAIL: timing delta not reported: {timings}")
+    # Host blocks are printed, never compared: a different host, or a
+    # block on one side only, is no mismatch.
+    hosted = variant(top__host=host)
+    moved = variant(top__host=dict(host, nproc=1, git_sha="fedcba987654"))
+    for what, b, h in (("host differs", hosted, moved),
+                       ("host only in BASE", hosted, base)):
+        if diff(b, h)[1]:
+            ok = False
+            print(f"self-test FAIL: {what}: {diff(b, h)[1]}")
+    lines = host_lines(hosted, base)
+    if lines != ["host BASE: " + json.dumps(host, sort_keys=True),
+                 "host HEAD: (none)"]:
+        ok = False
+        print(f"self-test FAIL: host blocks not reported: {lines}")
     dup = variant()
     dup["cells"].append(dict(cell))
     if len(diff(base, dup)[1]) != 1:
@@ -176,7 +207,7 @@ def main():
     with open(args.head) as fh:
         head = json.load(fh)
     timings, mismatches = diff(base, head)
-    for line in timings:
+    for line in host_lines(base, head) + timings:
         print(line)
     for line in mismatches:
         print(f"MISMATCH {line}")
