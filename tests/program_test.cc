@@ -2,6 +2,10 @@
 // be structurally sound, and a client session over raw frames must agree
 // with the analytic channel simulator packet for packet.
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -9,6 +13,7 @@
 #include "broadcast/channel.h"
 #include "dtree/dtree.h"
 #include "dtree/program.h"
+#include "dtree/serialize.h"
 #include "test_util.h"
 
 #include "gtest/gtest.h"
@@ -95,6 +100,117 @@ TEST(BroadcastProgramTest, RejectsMismatchedChannel) {
       su.tree.NumIndexPackets() + 3, su.sub.NumRegions(), copt);
   ASSERT_TRUE(wrong.ok());
   EXPECT_FALSE(BroadcastProgram::Materialize(su.tree, wrong.value()).ok());
+}
+
+/// FNV-1a-64 over every byte of every frame of the cycle, in slot order.
+uint64_t CycleDigest(const BroadcastProgram& program) {
+  uint64_t h = 1469598103934665603ull;
+  for (int64_t i = 0; i < program.num_frames(); ++i) {
+    const auto& f = program.frame(i);
+    for (uint8_t b : f) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// The cycle's bytes, pinned over a layout matrix: every frame header
+// (type, next-index pointer, epoch stamp), index body and region-stamped
+// data body. n = 1 is the empty-index program. Every index frame's body
+// must also equal SerializeDTree's packet at the same offset in its
+// segment.
+TEST(BroadcastProgramTest, CycleBytesArePinned) {
+  struct Pin {
+    int n, capacity, m;
+    uint16_t epoch;
+    uint64_t digest;
+  };
+  static constexpr Pin kPins[] = {
+      {1, 64, 0, 0, 0x90eec17ba7936613ull},
+      {1, 64, 0, 513, 0xaeadafc6006a4b63ull},
+      {1, 64, 3, 0, 0x90eec17ba7936613ull},
+      {1, 64, 3, 513, 0xaeadafc6006a4b63ull},
+      {1, 256, 0, 0, 0xb5469af353dcba67ull},
+      {1, 256, 0, 513, 0xac28271fb1cb73c3ull},
+      {1, 256, 3, 0, 0xb5469af353dcba67ull},
+      {1, 256, 3, 513, 0xac28271fb1cb73c3ull},
+      {1, 1024, 0, 0, 0x4b1230163d6d5a6full},
+      {1, 1024, 0, 513, 0xc432b1a9480583e0ull},
+      {1, 1024, 3, 0, 0x4b1230163d6d5a6full},
+      {1, 1024, 3, 513, 0xc432b1a9480583e0ull},
+      {30, 64, 0, 0, 0xac0d5a7d700dceb7ull},
+      {30, 64, 0, 513, 0x31d4d4e6de851d2bull},
+      {30, 64, 3, 0, 0xce21e8eacd564568ull},
+      {30, 64, 3, 513, 0xc16dfd20dd4abc5dull},
+      {30, 256, 0, 0, 0x83f31077f96f95c3ull},
+      {30, 256, 0, 513, 0xb17ea1633b08c023ull},
+      {30, 256, 3, 0, 0xc59a8367c450f19aull},
+      {30, 256, 3, 513, 0x46f57726469f0082ull},
+      {30, 1024, 0, 0, 0x75c2438a372aa401ull},
+      {30, 1024, 0, 513, 0x418a53f1b9e754b3ull},
+      {30, 1024, 3, 0, 0xf8bb1a0ea25dd813ull},
+      {30, 1024, 3, 513, 0x36661192af9c4967ull},
+      {400, 64, 0, 0, 0x579d134d7a273537ull},
+      {400, 64, 0, 513, 0xb55b17140185e0c3ull},
+      {400, 64, 3, 0, 0x1bf19bf6f4d330c4ull},
+      {400, 64, 3, 513, 0x1d34e63f887579e3ull},
+      {400, 256, 0, 0, 0xc487d31422e96b23ull},
+      {400, 256, 0, 513, 0xed738a0160cf9a23ull},
+      {400, 256, 3, 0, 0xb99dd008068f4beaull},
+      {400, 256, 3, 513, 0xe7be40845dd6b21cull},
+      {400, 1024, 0, 0, 0xa3da5492ce7c5862ull},
+      {400, 1024, 0, 513, 0x4e43120496ba818aull},
+      {400, 1024, 3, 0, 0xa3da5492ce7c5862ull},
+      {400, 1024, 3, 513, 0x4e43120496ba818aull},
+  };
+  size_t next = 0;
+  for (int n : {1, 30, 400}) {
+    const sub::Subdivision s = test::RandomVoronoi(n, 4000 + n);
+    for (int capacity : {64, 256, 1024}) {
+      DTree::Options o;
+      o.packet_capacity = capacity;
+      const DTree t = DTree::Build(s, o).value();
+      const bcast::PacketBuffer index = SerializeDTree(t).value();
+      for (int m : {0, 3}) {
+        bcast::ChannelOptions copt;
+        copt.packet_capacity = capacity;
+        copt.m = m;
+        const bcast::BroadcastChannel ch =
+            bcast::BroadcastChannel::Create(t.NumIndexPackets(),
+                                            s.NumRegions(), copt)
+                .value();
+        for (uint16_t epoch : {0, 513}) {
+          const Pin& pin = kPins[next++];
+          ASSERT_EQ(pin.n, n);
+          ASSERT_EQ(pin.capacity, capacity);
+          ASSERT_EQ(pin.m, m);
+          ASSERT_EQ(pin.epoch, epoch);
+          SCOPED_TRACE("n " + std::to_string(n) + " capacity " +
+                       std::to_string(capacity) + " m " + std::to_string(m) +
+                       " epoch " + std::to_string(epoch));
+          const BroadcastProgram prog =
+              BroadcastProgram::Materialize(t, ch, epoch).value();
+          ASSERT_EQ(prog.num_frames(), ch.cycle_packets());
+          for (int j = 0; j < ch.m(); ++j) {
+            for (int k = 0; k < ch.index_packets(); ++k) {
+              const auto& f = prog.frame(ch.IndexSegmentStart(j) + k);
+              ASSERT_EQ(f[0], BroadcastProgram::kIndexFrame);
+              ASSERT_TRUE(std::equal(
+                  f.begin() + BroadcastProgram::kHeaderSize, f.end(),
+                  index.packet(static_cast<size_t>(k))))
+                  << "segment " << j << " packet " << k;
+            }
+          }
+          const uint64_t digest = CycleDigest(prog);
+          char hex[24];
+          std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, digest);
+          EXPECT_EQ(digest, pin.digest) << "digest " << hex;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(next, std::size(kPins));
 }
 
 class ProgramAgreementTest
