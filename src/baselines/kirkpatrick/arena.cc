@@ -33,7 +33,7 @@ double DistanceToTriangle(const geom::Triangle& t, const geom::Point& p) {
 }  // namespace
 
 Result<TrianTreeArena> TrianTreeArena::Build(
-    bcast::PacketSource packets, int packet_capacity, bool framed,
+    const bcast::PacketBuffer& packets, int packet_capacity, bool framed,
     const std::vector<std::pair<int, size_t>>& roots, int num_regions) {
   if (packets.num_packets() == 0) {
     return Status::InvalidArgument("no packets");

@@ -38,7 +38,7 @@ class TrianTreeArena final : public bcast::FlatProbeEngine {
   /// labels fail with kDataLoss, so the arena is never built over
   /// unverified bytes.
   static Result<TrianTreeArena> Build(
-      bcast::PacketSource packets, int packet_capacity, bool framed,
+      const bcast::PacketBuffer& packets, int packet_capacity, bool framed,
       const std::vector<std::pair<int, size_t>>& roots, int num_regions);
 
   Status ProbeInto(const geom::Point& p,

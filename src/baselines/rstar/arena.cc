@@ -21,7 +21,7 @@ constexpr size_t kShapeHeader = 3 * sizeof(uint16_t);
 
 }  // namespace
 
-Result<RStarArena> RStarArena::Build(bcast::PacketSource packets,
+Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
                                      int packet_capacity, bool framed,
                                      int num_regions) {
   if (packets.num_packets() == 0) {

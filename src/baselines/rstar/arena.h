@@ -43,7 +43,7 @@ class RStarArena final : public bcast::FlatProbeEngine {
   /// non-forward child pointers, mismatched shape headers, or
   /// out-of-range region labels fail with kDataLoss, so the arena is
   /// never built over unverified bytes.
-  static Result<RStarArena> Build(bcast::PacketSource packets,
+  static Result<RStarArena> Build(const bcast::PacketBuffer& packets,
                                   int packet_capacity, bool framed,
                                   int num_regions);
 

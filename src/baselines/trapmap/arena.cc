@@ -21,7 +21,7 @@ constexpr size_t kMinNodeBytes = 14;
 
 }  // namespace
 
-Result<TrapMapArena> TrapMapArena::Build(bcast::PacketSource packets,
+Result<TrapMapArena> TrapMapArena::Build(const bcast::PacketBuffer& packets,
                                          int packet_capacity, bool framed,
                                          int num_regions) {
   if (packets.num_packets() == 0) {

@@ -36,7 +36,7 @@ class TrapMapArena final : public bcast::FlatProbeEngine {
   /// framed mode each packet's CRC is verified as the build first touches
   /// it; malformed pointers or out-of-range region labels fail with
   /// kDataLoss, so the arena is never built over unverified bytes.
-  static Result<TrapMapArena> Build(bcast::PacketSource packets,
+  static Result<TrapMapArena> Build(const bcast::PacketBuffer& packets,
                                     int packet_capacity, bool framed,
                                     int num_regions);
 

@@ -173,7 +173,7 @@ Status PacketReader::EnterPacket() {
     return Status::OutOfRange("decoder ran off the packet stream");
   }
   const size_t pkt_size = packets_.packet_bytes();
-  const uint8_t* pkt = packets_.data(static_cast<size_t>(packet_));
+  const uint8_t* pkt = packets_.packet(static_cast<size_t>(packet_));
   const size_t expect = static_cast<size_t>(capacity_) +
                         (framed_ ? kFrameOverheadBytes : 0);
   if (pkt_size != expect) {

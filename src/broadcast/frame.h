@@ -26,12 +26,13 @@
 //   bits12..30   packet id   \  0 = node pointer into the index segment
 //   bits0..11    byte offset /
 //
-// PacketReader is the hardened read path: every byte is bounds-checked
-// against the view's packet size (never the caller-claimed capacity
-// alone), a packet size that does not match the capacity surfaces as
-// kDataLoss, and in framed mode each packet passes VerifyFrame on first
-// entry. Decoders built on it return Status on malformed input — never
-// CHECK-crash, read out of bounds, or loop forever (see DecodeBudget).
+// PacketReader is the hardened read path over a PacketBuffer: every byte
+// is bounds-checked against the buffer's packet size (never the
+// caller-claimed capacity alone), a packet size that does not match the
+// capacity surfaces as kDataLoss, and in framed mode each packet passes
+// VerifyFrame on first entry. Decoders built on it return Status on
+// malformed input — never CHECK-crash, read out of bounds, or loop
+// forever (see DecodeBudget).
 
 #ifndef DTREE_BROADCAST_FRAME_H_
 #define DTREE_BROADCAST_FRAME_H_
@@ -129,21 +130,22 @@ PacketBuffer MakeDataBucketPackets(int region, size_t data_instance_size,
                                    int packet_capacity);
 uint8_t ExpectedDataBucketByte(int region, size_t j);
 
-/// Sequential reader over consecutive packets, hardened for untrusted
-/// input: every byte is bounds-checked against the packet size of the
-/// view (never the caller-claimed capacity alone), a packet size other
-/// than the capacity (plus the trailer when framed) surfaces as
+/// Sequential reader over consecutive packets of a PacketBuffer, hardened
+/// for untrusted input: every byte is bounds-checked against the buffer's
+/// packet size (never the caller-claimed capacity alone), a packet size
+/// other than the capacity (plus the trailer when framed) surfaces as
 /// kDataLoss, and in framed mode each packet is checked by VerifyFrame
 /// the first time the reader enters it. The reader checks no epoch; a
-/// client that must, calls VerifyFrame or UnframePackets.
+/// client that must, calls VerifyFrame or UnframePackets. The buffer must
+/// outlive the reader.
 class PacketReader {
  public:
   /// A non-positive `capacity` is rejected with kDataLoss on the first
   /// read: a zero-payload stream carries no index bytes, and silently
   /// walking into the frame trailer would hand the decoder epoch/CRC
   /// bytes as payload.
-  PacketReader(PacketSource packets, int capacity, bool framed, int packet,
-               size_t offset, std::vector<int>* read_log)
+  PacketReader(const PacketBuffer& packets, int capacity, bool framed,
+               int packet, size_t offset, std::vector<int>* read_log)
       : packets_(packets), capacity_(capacity), framed_(framed),
         packet_(packet), offset_(offset), read_log_(read_log) {}
 
@@ -160,7 +162,7 @@ class PacketReader {
   /// caches its payload pointer for the per-byte fast path.
   Status EnterPacket();
 
-  PacketSource packets_;
+  const PacketBuffer& packets_;
   int capacity_;
   bool framed_;
   int packet_;

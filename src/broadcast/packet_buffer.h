@@ -1,5 +1,5 @@
-// Flat packet storage: one contiguous byte buffer holding every packet of
-// a broadcast cycle, plus a non-owning view type the hardened readers use.
+// Flat packet storage: every packet of a serialized index, a framed
+// stream or a data bucket in one contiguous byte buffer.
 //
 // PacketBuffer is the one container of wire bytes: every serializer writes
 // one, the framing layer (frame.h) maps one to another, and packet i
@@ -7,10 +7,6 @@
 // allocation. All packets of a buffer have the same size, which the
 // hardened reader (frame.h's PacketReader) checks against the capacity it
 // was told.
-// PacketSource views a PacketBuffer, or — strided — the packet bodies
-// embedded in larger fixed-size records (e.g. the headered radio frames
-// of dtree::core::BroadcastProgram), so a decoder reads them in place
-// without materializing per-packet copies.
 
 #ifndef DTREE_BROADCAST_PACKET_BUFFER_H_
 #define DTREE_BROADCAST_PACKET_BUFFER_H_
@@ -60,46 +56,6 @@ class PacketBuffer {
   size_t packet_bytes_ = 0;
   size_t num_packets_ = 0;
   std::vector<uint8_t> bytes_;
-};
-
-/// Non-owning packet view. Cheap to copy; the underlying storage must
-/// outlive the view.
-class PacketSource {
- public:
-  PacketSource() = default;
-
-  /// View over a PacketBuffer.
-  PacketSource(const PacketBuffer& buf)  // NOLINT
-      : base_(buf.data()), packet_bytes_(buf.packet_bytes()),
-        stride_(buf.packet_bytes()), count_(buf.num_packets()) {}
-
-  /// Strided view: packet i is the `packet_bytes`-byte range at
-  /// `base + i * stride + body_offset`. Lets decoders read packet bodies
-  /// embedded in larger fixed-size records (radio frames) in place.
-  static PacketSource Strided(const uint8_t* base, size_t count,
-                              size_t stride, size_t body_offset,
-                              size_t packet_bytes) {
-    PacketSource s;
-    s.base_ = base + body_offset;
-    s.packet_bytes_ = packet_bytes;
-    s.stride_ = stride;
-    s.count_ = count;
-    return s;
-  }
-
-  size_t num_packets() const { return count_; }
-  size_t packet_bytes() const { return packet_bytes_; }
-
-  const uint8_t* data(size_t i) const {
-    DTREE_DCHECK(i < count_);
-    return base_ + i * stride_;
-  }
-
- private:
-  const uint8_t* base_ = nullptr;
-  size_t packet_bytes_ = 0;
-  size_t stride_ = 0;
-  size_t count_ = 0;
 };
 
 }  // namespace dtree::bcast

@@ -14,6 +14,9 @@ namespace {
 
 using W = TelemetryWindow;
 
+/// Flight-recorder ring capacity per shard, in events.
+constexpr size_t kFlightRingEvents = 512;
+
 /// Timeline key and Prometheus name of each window counter, in
 /// TelemetryWindow::Counter order.
 struct CounterName {
@@ -163,13 +166,11 @@ void TelemetryWindow::Merge(const TelemetryWindow& other) {
   }
 }
 
-TelemetryShard::TelemetryShard(int64_t cycle_packets, int bins,
-                               int ring_capacity)
+TelemetryShard::TelemetryShard(int64_t cycle_packets, int bins)
     : cycle_packets_(cycle_packets), bins_(bins) {
   DTREE_CHECK(cycle_packets > 0);
   DTREE_CHECK(bins > 0);
-  DTREE_CHECK(ring_capacity >= 0);
-  ring_.resize(static_cast<size_t>(ring_capacity));
+  ring_.resize(kFlightRingEvents);
 }
 
 int64_t TelemetryShard::WindowOf(double t) const {
@@ -188,7 +189,6 @@ TelemetryWindow& TelemetryShard::At(int64_t w) {
 
 void TelemetryShard::RecordFlight(TraceEventKind kind, int64_t pos,
                                   int packets, double dur, int64_t client) {
-  if (ring_.empty()) return;
   FlightEvent& e = ring_[ring_pos_];
   e.client = client;
   e.pos = pos;
@@ -358,7 +358,6 @@ void TelemetryShard::DumpFlight(double done, int64_t client, uint32_t q,
 FleetTelemetry::FleetTelemetry(const TelemetryOptions& options)
     : options_(options) {
   DTREE_CHECK(options.heatmap_bins > 0);
-  DTREE_CHECK(options.flight_recorder_capacity >= 0);
 }
 
 void FleetTelemetry::Reset(int64_t cycle_packets, int num_shards) {
@@ -368,9 +367,8 @@ void FleetTelemetry::Reset(int64_t cycle_packets, int num_shards) {
   shards_.clear();
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    shards_.emplace_back(new TelemetryShard(cycle_packets,
-                                            options_.heatmap_bins,
-                                            options_.flight_recorder_capacity));
+    shards_.emplace_back(
+        new TelemetryShard(cycle_packets, options_.heatmap_bins));
   }
   windows_.clear();
   flight_.clear();

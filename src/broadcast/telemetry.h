@@ -37,7 +37,7 @@
 //              within the broadcast cycle — the demand signal
 //              popularity-aware scheduling consumes.
 //
-// Flight recorder: each shard keeps a fixed-size ring of recent events
+// Flight recorder: each shard keeps a ring of its last 512 events
 // (reads, faults, dozes) tagged with the issuing client. When a query
 // ends unrecoverable, the ring's surviving events for that client are
 // dumped as one JSONL "black box" record, so post-mortems see the exact
@@ -63,9 +63,6 @@ struct FleetResult;  // broadcast/fleet.h
 struct TelemetryOptions {
   /// Cycle-position bins of the per-window read heatmap, > 0.
   int heatmap_bins = 32;
-  /// Flight-recorder ring capacity (events) per shard, >= 0; 0 disables
-  /// the recorder (unrecoverable queries still dump an event-less record).
-  int flight_recorder_capacity = 512;
 };
 
 /// Run-level totals written into the timeline meta line — the anchor the
@@ -182,7 +179,7 @@ class TelemetryShard {
     TraceEventKind kind = TraceEventKind::kProbe;
   };
 
-  TelemetryShard(int64_t cycle_packets, int bins, int ring_capacity);
+  TelemetryShard(int64_t cycle_packets, int bins);
 
   /// Window owning time t: floor(t / cycle_packets). Negative and NaN
   /// times clamp into window 0.

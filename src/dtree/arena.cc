@@ -21,7 +21,7 @@ constexpr size_t kNodePrefixBytes = 12;
 
 }  // namespace
 
-Result<DTreeArena> DTreeArena::Build(bcast::PacketSource packets,
+Result<DTreeArena> DTreeArena::Build(const bcast::PacketBuffer& packets,
                                      int packet_capacity, bool framed,
                                      bool early_termination, int num_regions,
                                      const OriginMap* origins) {

@@ -46,7 +46,7 @@ class DTreeArena final : public bcast::FlatProbeEngine {
   /// first touches it, so corruption surfaces as kDataLoss here and the
   /// arena is never built over unverified bytes. Malformed input (bad
   /// pointers, overlapping nodes run amok) also fails with kDataLoss.
-  static Result<DTreeArena> Build(bcast::PacketSource packets,
+  static Result<DTreeArena> Build(const bcast::PacketBuffer& packets,
                                   int packet_capacity, bool framed,
                                   bool early_termination, int num_regions,
                                   const OriginMap* origins = nullptr);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "broadcast/access.h"
 #include "common/check.h"
@@ -37,84 +38,55 @@ Result<BroadcastProgram> BroadcastProgram::Materialize(
   }
   Result<bcast::PacketBuffer> index_r = SerializeDTree(tree);
   if (!index_r.ok()) return index_r.status();
-  const bcast::PacketBuffer& index_packets = index_r.value();
 
   BroadcastProgram prog;
   prog.capacity_ = tree.PacketCapacity();
   prog.epoch_ = epoch;
-  prog.m_ = channel.m();
-  prog.index_packets_ = channel.index_packets();
+  prog.cycle_ = channel.cycle_packets();
   prog.bucket_packets_ = channel.bucket_packets();
-  prog.num_regions_ = channel.num_regions();
   prog.early_termination_ = tree.options().early_termination;
-
-  const size_t cap = static_cast<size_t>(prog.capacity_);
-  const int64_t cycle = channel.cycle_packets();
-  prog.frames_ =
-      bcast::PacketBuffer(static_cast<size_t>(cycle), kHeaderSize + cap);
-  prog.bucket_starts_.assign(prog.num_regions_, -1);
-
-  for (int j = 0; j < prog.m_; ++j) {
+  prog.index_ = std::move(index_r).value();
+  for (int j = 0; j < channel.m(); ++j) {
     prog.segment_starts_.push_back(channel.IndexSegmentStart(j));
   }
-
-  // Lay down index segments.
-  for (int j = 0; j < prog.m_; ++j) {
-    const int64_t base = channel.IndexSegmentStart(j);
-    for (int k = 0; k < prog.index_packets_; ++k) {
-      uint8_t* f = prog.frames_.packet(static_cast<size_t>(base + k));
-      f[0] = kIndexFrame;
-      std::memcpy(f + kHeaderSize,
-                  index_packets.packet(static_cast<size_t>(k)), cap);
-    }
-  }
-  // Lay down data buckets: each 1 KB instance is stamped with its region
-  // id every 4 bytes so the client can verify what it downloaded.
-  for (int r = 0; r < prog.num_regions_; ++r) {
-    const int64_t base = channel.BucketStart(r);
-    prog.bucket_starts_[r] = base;
-    for (int k = 0; k < prog.bucket_packets_; ++k) {
-      uint8_t* f = prog.frames_.packet(static_cast<size_t>(base + k));
-      f[0] = kDataFrame;
-      for (size_t off = kHeaderSize; off + 4 <= kHeaderSize + cap; off += 4) {
-        PutU32(f + off, static_cast<uint32_t>(r));
-      }
-    }
-  }
-  // Next-index pointers and the epoch stamp: for every frame, frames until
-  // the next segment start strictly after it (wrapping into the next
-  // cycle), plus the cycle's broadcast epoch.
-  for (int64_t i = 0; i < cycle; ++i) {
-    int64_t next = -1;
-    for (int64_t s : prog.segment_starts_) {
-      if (s > i) {
-        next = s;
-        break;
-      }
-    }
-    if (next < 0) next = cycle + prog.segment_starts_[0];
-    uint8_t* f = prog.frames_.packet(static_cast<size_t>(i));
-    PutU32(f + 1, static_cast<uint32_t>(next - i));
-    f[5] = static_cast<uint8_t>(epoch & 0xff);
-    f[6] = static_cast<uint8_t>(epoch >> 8);
+  for (int r = 0; r < channel.num_regions(); ++r) {
+    prog.bucket_starts_.push_back(channel.BucketStart(r));
   }
   return prog;
 }
 
-Status BroadcastProgram::ParseHeader(int64_t frame, uint8_t* type,
-                                     uint32_t* next_index) const {
-  if (frame < 0 || frame >= num_frames()) {
-    return Status::OutOfRange("frame index outside the cycle");
+std::vector<uint8_t> BroadcastProgram::frame(int64_t i) const {
+  DTREE_CHECK(i >= 0 && i < cycle_);
+  std::vector<uint8_t> f(kHeaderSize + static_cast<size_t>(capacity_));
+  // Segment 0 starts at frame 0, so the last segment start at or before i
+  // exists; i is that segment's index packet k while k is inside it.
+  const auto next = std::upper_bound(segment_starts_.begin(),
+                                     segment_starts_.end(), i);
+  const int64_t k = i - *std::prev(next);
+  if (k < static_cast<int64_t>(index_.num_packets())) {
+    f[0] = kIndexFrame;
+    std::copy_n(index_.packet(static_cast<size_t>(k)), capacity_,
+                f.data() + kHeaderSize);
+  } else {
+    // A data frame of the last bucket starting at or before i. Each 1 KB
+    // instance is stamped with its region id every 4 bytes so the client
+    // can verify what it downloaded.
+    const auto region = static_cast<uint32_t>(
+        std::upper_bound(bucket_starts_.begin(), bucket_starts_.end(), i) -
+        bucket_starts_.begin() - 1);
+    f[0] = kDataFrame;
+    for (size_t off = kHeaderSize; off + 4 <= f.size(); off += 4) {
+      PutU32(f.data() + off, region);
+    }
   }
-  const uint8_t* f = frames_.packet(static_cast<size_t>(frame));
-  *type = f[0];
-  *next_index = GetU32(f + 1);
-  const uint16_t stamp =
-      static_cast<uint16_t>(f[5] | (static_cast<uint16_t>(f[6]) << 8));
-  if (stamp != epoch_) {
-    return Status::FailedPrecondition("frame epoch stamp mismatch");
-  }
-  return Status::OK();
+  // Next-index pointer: frames until the next segment start strictly
+  // after i (wrapping into the next cycle), then the epoch stamp.
+  const int64_t target =
+      next != segment_starts_.end() ? *next : cycle_ + segment_starts_[0];
+  PutU32(f.data() + 1, static_cast<uint32_t>(target - i));
+  f[5] = static_cast<uint8_t>(epoch_ & 0xff);
+  f[6] = static_cast<uint8_t>(epoch_ >> 8);
+  return f;
 }
 
 Result<BroadcastProgram::SessionResult> BroadcastProgram::RunClient(
@@ -131,37 +103,35 @@ Result<BroadcastProgram::SessionResult> BroadcastProgram::RunClient(
   // --- Initial probe: the first packet start after the arrival, exactly
   // as the access protocol hears it.
   const int64_t probe = bcast::FirstHeardPacket(arrival);
-  uint8_t type;
-  uint32_t delta;
-  DTREE_RETURN_IF_ERROR(ParseHeader(probe % cycle, &type, &delta));
+  const std::vector<uint8_t> head = frame(probe % cycle);
+  if ((head[5] | (head[6] << 8)) != epoch_) {
+    return Status::FailedPrecondition("frame epoch stamp mismatch");
+  }
   out.tuning_probe = 1;
-  const int64_t seg_start = probe + delta;
+  const int64_t seg_start = probe + GetU32(head.data() + 1);
   int64_t pos = probe + 1;
   DTREE_CHECK(seg_start >= pos);
 
-  // --- Index search from the raw frames of that segment, read in place:
-  // a strided view exposes each frame's body without materializing
-  // per-packet copies.
+  // --- Index search: decode the segment assembled from the bodies of the
+  // index frames heard from its start.
   const int64_t seg_in_cycle = seg_start % cycle;
-  const size_t cap = static_cast<size_t>(capacity_);
-  for (int k = 0; k < index_packets_; ++k) {
-    if (frames_.packet(static_cast<size_t>(seg_in_cycle + k))[0] !=
-        kIndexFrame) {
+  bcast::PacketBuffer segment(index_.num_packets(),
+                              static_cast<size_t>(capacity_));
+  for (size_t k = 0; k < segment.num_packets(); ++k) {
+    const std::vector<uint8_t> f =
+        frame(seg_in_cycle + static_cast<int64_t>(k));
+    if (f[0] != kIndexFrame) {
       return Status::Internal("expected an index frame inside the segment");
     }
+    std::copy_n(f.data() + kHeaderSize, capacity_, segment.packet(k));
   }
-  const bcast::PacketSource bodies = bcast::PacketSource::Strided(
-      frames_.packet(static_cast<size_t>(seg_in_cycle)),
-      static_cast<size_t>(index_packets_), frames_.packet_bytes(),
-      kHeaderSize, cap);
-  thread_local std::vector<int> read;
-  read.clear();
+  std::vector<int> read;
   Result<int> region_r =
-      QueryFromPackets(bodies, capacity_, /*framed=*/false,
+      QueryFromPackets(segment, capacity_, /*framed=*/false,
                        early_termination_, p, &read);
   if (!region_r.ok()) return region_r.status();
   const int region = region_r.value();
-  if (region < 0 || region >= num_regions_) {
+  if (region < 0 || region >= static_cast<int>(bucket_starts_.size())) {
     return Status::Internal("index resolved to an invalid region");
   }
   for (int id : read) {
@@ -176,13 +146,12 @@ Result<BroadcastProgram::SessionResult> BroadcastProgram::RunClient(
   int64_t data_at = (pos / cycle) * cycle + bucket_in_cycle;
   if (data_at < pos) data_at += cycle;
   for (int k = 0; k < bucket_packets_; ++k) {
-    const uint8_t* f =
-        frames_.packet(static_cast<size_t>((data_at + k) % cycle));
+    const std::vector<uint8_t> f = frame((data_at + k) % cycle);
     if (f[0] != kDataFrame) {
       return Status::Internal("expected a data frame in the bucket");
     }
-    for (size_t off = kHeaderSize; off + 4 <= kHeaderSize + cap; off += 4) {
-      if (GetU32(f + off) != static_cast<uint32_t>(region)) {
+    for (size_t off = kHeaderSize; off + 4 <= f.size(); off += 4) {
+      if (GetU32(f.data() + off) != static_cast<uint32_t>(region)) {
         return Status::Internal("data payload stamp mismatch");
       }
     }

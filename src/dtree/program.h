@@ -1,5 +1,5 @@
-// Byte-level broadcast program: one full (1, m) cycle materialized as
-// radio frames — the "air storage" of Imielinski et al. made concrete.
+// Byte-level broadcast program: one full (1, m) cycle as radio frames —
+// the "air storage" of Imielinski et al. made concrete.
 //
 // Frame layout (one frame per packet slot of the cycle):
 //   u8   type        0 = index, 1 = data
@@ -9,13 +9,20 @@
 //                    version stamp a client checks against its tune-in
 //                    epoch (broadcast/versioned.h)
 //   u8[capacity]     body: a paged index packet (from SerializeDTree) or a
-//                    slice of a 1 KB data instance
+//                    slice of a 1 KB data instance, stamped with its
+//                    region id every 4 bytes
 //
 // The 7-byte frame header models link-layer overhead and deliberately sits
 // outside the packet capacity, so the index layouts paged for `capacity`
 // bytes are broadcast unchanged (Table 2 accounts payload bytes only).
 //
-// RunClient executes the full access protocol against the raw frames —
+// The cycle is never stored. Its m index segments are copies of one
+// serialized D-tree, and every other byte follows from the channel layout
+// and the epoch, so a program keeps one index segment, the epoch and the
+// layout's segment and bucket starts, and frame(i) computes slot i's
+// bytes from them on demand.
+//
+// RunClient executes the full access protocol against the frames —
 // initial probe, byte-level index decoding, doze, data retrieval with
 // payload verification — and must agree with the analytic channel
 // simulator packet for packet (asserted in tests).
@@ -24,7 +31,6 @@
 #define DTREE_DTREE_PROGRAM_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -36,7 +42,7 @@ namespace dtree::core {
 
 class BroadcastProgram {
  public:
-  /// Materializes the cycle for a built D-tree over `channel`'s layout,
+  /// Builds the program for a built D-tree over `channel`'s layout,
   /// stamping every frame header with `epoch`. The channel must have been
   /// created for this tree's packet count and capacity.
   static Result<BroadcastProgram> Materialize(
@@ -45,14 +51,11 @@ class BroadcastProgram {
 
   int capacity() const { return capacity_; }
   uint16_t epoch() const { return epoch_; }
-  int64_t num_frames() const {
-    return static_cast<int64_t>(frames_.num_packets());
-  }
-  /// One radio frame (header + body), in place inside the flat cycle
-  /// buffer — the whole cycle is a single contiguous allocation.
-  std::span<const uint8_t> frame(int64_t i) const {
-    return {frames_.packet(static_cast<size_t>(i)), frames_.packet_bytes()};
-  }
+  int64_t num_frames() const { return cycle_; }
+  /// Radio frame i of the cycle (header + body), computed from the stored
+  /// index segment and layout tables. CHECK-fails outside
+  /// [0, num_frames()).
+  std::vector<uint8_t> frame(int64_t i) const;
 
   /// Frame-header constants (u8 type + u32 next_index + u16 epoch).
   static constexpr size_t kHeaderSize = 7;
@@ -81,20 +84,15 @@ class BroadcastProgram {
  private:
   BroadcastProgram() = default;
 
-  Status ParseHeader(int64_t frame, uint8_t* type,
-                     uint32_t* next_index) const;
-
   int capacity_ = 0;
   uint16_t epoch_ = 0;
-  int m_ = 1;
-  int index_packets_ = 0;
+  int64_t cycle_ = 0;
   int bucket_packets_ = 0;
-  int num_regions_ = 0;
   bool early_termination_ = true;
-  bcast::PacketBuffer frames_;  ///< one contiguous kHeaderSize+capacity
-                                ///< record per packet slot of the cycle
-  std::vector<int64_t> segment_starts_;
-  std::vector<int64_t> bucket_starts_;  ///< region -> first data frame
+  bcast::PacketBuffer index_;  ///< SerializeDTree output: one segment
+  std::vector<int64_t> segment_starts_;  ///< ascending, the first is 0
+  std::vector<int64_t> bucket_starts_;   ///< region -> first data frame;
+                                         ///< ascends with the region id
 };
 
 }  // namespace dtree::core

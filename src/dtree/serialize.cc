@@ -21,9 +21,9 @@ constexpr int kMaxScalarCoords = (1 << 14) - 1;
 
 }  // namespace
 
-Result<int> QueryFromPackets(bcast::PacketSource packets, int packet_capacity,
-                             bool framed, bool early_termination,
-                             const geom::Point& p,
+Result<int> QueryFromPackets(const bcast::PacketBuffer& packets,
+                             int packet_capacity, bool framed,
+                             bool early_termination, const geom::Point& p,
                              std::vector<int>* packets_read) {
   if (packets.num_packets() == 0) return Status::InvalidArgument("no packets");
   if (packet_capacity < 1) {

@@ -49,8 +49,9 @@ Result<bcast::PacketBuffer> SerializeDTree(const DTree& tree);
 /// offset 0, decoding nodes as it goes; returns the region id and (out
 /// parameter) the ordered list of packet ids read, applying the same
 /// early-termination rule a real client would. The flat-arena engine's
-/// bit-identical oracle and BroadcastProgram::RunClient's reader.
-Result<int> QueryFromPackets(bcast::PacketSource packets,
+/// bit-identical oracle. BroadcastProgram::RunClient decodes with it the
+/// segment it assembles from the bodies of the index frames it hears.
+Result<int> QueryFromPackets(const bcast::PacketBuffer& packets,
                              int packet_capacity, bool framed,
                              bool early_termination, const geom::Point& p,
                              std::vector<int>* packets_read);

@@ -9,10 +9,10 @@
 // cycles, CommitEpoch applies the batch and rebuilds the *entire*
 // pipeline from scratch — Voronoi subdivision, D-tree, channel layout,
 // byte-level program, every frame stamped with the new epoch id — then
-// publishes the result with one atomic pointer swap. The previous epoch's
-// arena stays resident (clients tuned into it are still draining their
-// cycles; the fleet engine replays both), so the server always holds the
-// last two epochs.
+// publishes the result with one atomic pointer swap. The previous epoch
+// stays resident (clients tuned into it are still draining their cycles;
+// the fleet engine replays both), so the server always holds the last two
+// epochs.
 //
 // The from-scratch rebuild is the correctness oracle: an epoch published
 // by CommitEpoch is bit-identical to BuildEpoch run cold on the same site
@@ -60,7 +60,7 @@ struct SiteUpdate {
 
 /// Everything one epoch broadcasts, immutable once built: the site set,
 /// its Voronoi valid scopes, the paged D-tree, the (1, m) channel layout,
-/// and the byte-level cycle with every frame stamped `epoch`.
+/// and the byte-level program, whose frames are all stamped `epoch`.
 struct EpochState {
   uint16_t epoch = 0;
   std::vector<geom::Point> sites;
