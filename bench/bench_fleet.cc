@@ -27,8 +27,10 @@
 //
 //   3. the timeline JSONL, flight-recorder JSONL and Prometheus snapshot
 //      are byte-identical at 1, 2, and 4 threads, and
-//   4. the FleetResult with telemetry attached matches the reference —
-//      observation must not perturb the simulation.
+//   4. a 1-thread run without telemetry gives the sweep's FleetResult —
+//      observation must not perturb the simulation. The two runs take
+//      the engine's two schedules: with telemetry every packet read is a
+//      heap event, without it a query runs to its last wake-up at issue.
 //
 // With --trace-out set, fleet traces also feed a CycleProfiler, printing
 // the per-D-tree-level read attribution for the fleet workload.
@@ -261,6 +263,28 @@ int main(int argc, char** argv) {
                      prom == ref_prom ? "same" : "DIFFERS");
         ok = false;
       }
+    }
+  }
+  if (telemetry_on) {
+    bcast::FleetOptions bare = fopt;
+    bare.num_threads = 1;
+    auto res = bcast::RunFleet(*index.value(), ds.value().subdivision, bare);
+    if (!res.ok()) {
+      std::fprintf(stderr, "fleet run without telemetry failed: %s\n",
+                   res.status().ToString().c_str());
+      return 1;
+    }
+    if (res.value() != reference) {
+      std::fprintf(stderr,
+                   "FAIL: FleetResult without telemetry diverges from the "
+                   "telemetry-attached run (queries %lld vs %lld, latency "
+                   "%.17g vs %.17g)\n",
+                   static_cast<long long>(res.value().queries),
+                   static_cast<long long>(reference.queries),
+                   res.value().mean_latency, reference.mean_latency);
+      ok = false;
+    } else {
+      std::printf("telemetry: FleetResult without telemetry == with ✓\n");
     }
   }
   if (have_telemetry_reference && ok) {

@@ -17,8 +17,9 @@
 //    timeline whose only span never ends;
 //  * BroadcastTimeline::Simulate — one query to completion on the
 //    timeline's own spans;
-//  * the fleet engine (broadcast/fleet.h) — many queries interleaved by
-//    wake-up time from its event heap.
+//  * the fleet engine (broadcast/fleet.h) — each query to its last
+//    wake-up at issue; completions in heap order; one wake-up per read
+//    while telemetry is attached.
 // Because the machine works in absolute time and keeps no fault process
 // resident, the drivers agree bit for bit: a query's outcome is a pure
 // function of (spans, traces, arrival, loss stream).

@@ -17,15 +17,20 @@ namespace dtree::bcast {
 
 namespace {
 
-/// What a client slot waits for between wake-ups.
+/// What a client slot waits for between heap events.
 enum class Stage : uint8_t {
-  kJoin,   ///< session start; issue the first query
-  kQuery,  ///< a query is in flight in the access protocol
+  kJoin,  ///< session start; issue the first query
+  /// A query is in flight in the access protocol; the event is its next
+  /// wake-up (telemetry attached only — see ShardEngine::Advance).
+  kQuery,
   /// Query answered from the client's region cache at issue time; the
-  /// wake-up completes it at its arrival (zero latency, zero tuning).
+  /// event completes it at its arrival (zero latency, zero tuning).
   /// Completion goes through the queue, not recursion, so an unbroken
   /// run of hits cannot grow the stack.
   kCacheHit,
+  /// The query's protocol has run to kDone; the event, keyed by its last
+  /// wake-up, completes it at the position Finish left in `pos`.
+  kComplete,
   kRetired,  ///< horizon reached; never scheduled again
 };
 
@@ -62,9 +67,10 @@ struct SpanContext {
   geom::BBox area;  ///< service area (mobility walk bounds)
 };
 
-/// Wake-up entry; min-heap by (time, slot). The slot tie-break pins the
-/// pop order when many clients wake at the same packet start, so shard
-/// sums accumulate in one fixed order regardless of anything external.
+/// Heap event (a join, a completion, or with telemetry a wake-up);
+/// min-heap by (time, slot). The slot tie-break pins the pop order when
+/// many clients wake at the same packet start, so shard sums accumulate
+/// in one fixed order regardless of anything external.
 struct WakeUp {
   double t = 0.0;
   int32_t slot = 0;  ///< shard-local client index
@@ -77,9 +83,9 @@ struct WakeUpLater {
 };
 
 /// One shard's event loop: it drives its clients' queries through the
-/// access protocol from a heap of wake-ups. Shards never share mutable
-/// state; the channels, indexes and samplers are probed concurrently
-/// under AirIndex's const-probe contract.
+/// access protocol, ordering joins and completions on a heap. Shards
+/// never share mutable state; the channels, indexes and samplers are
+/// probed concurrently under AirIndex's const-probe contract.
 class ShardEngine final : public AccessDriver {
  public:
   ShardEngine(const std::vector<SpanContext>& spans, TimelineView air,
@@ -136,6 +142,9 @@ class ShardEngine final : public AccessDriver {
         case Stage::kCacheHit:
           // Outcome was synthesized at issue time; complete at arrival.
           CompleteQuery(w.slot, c, c.arrival);
+          break;
+        case Stage::kComplete:
+          CompleteQuery(w.slot, c, static_cast<double>(c.pos));
           break;
         case Stage::kRetired:
           DTREE_CHECK(false);  // retired clients are never scheduled
@@ -293,12 +302,25 @@ class ShardEngine final : public AccessDriver {
     return true;
   }
 
-  /// Wakes client c's in-flight query at t: schedules its next wake-up or
-  /// completes it. An aborted query left its error in sums_.
+  /// Wakes client c's in-flight query at t. Without telemetry it keeps
+  /// waking the query at each returned time until the protocol finishes:
+  /// until then the query touches only its own record, the integer
+  /// cache_invalidations and the probe scratch, so running it ahead of
+  /// other clients' events moves no result bit. With telemetry each
+  /// wake-up is a heap event, because the flight ring records events in
+  /// heap order. Either way a finished query is queued under its last
+  /// wake-up's (time, slot), so CompleteQuery, which holds everything
+  /// whose result depends on order, runs at the same point of the event
+  /// order on both schedules. An aborted query left its error in sums_.
   void Advance(int32_t slot, Client& c, double t) {
-    const double next = protocol_.Wake(c, t);
+    double next = protocol_.Wake(c, t);
+    while (tel_ == nullptr && !c.finished()) {
+      t = next;
+      next = protocol_.Wake(c, t);
+    }
     if (c.phase == AccessPhase::kDone) {
-      CompleteQuery(slot, c, next);
+      c.stage = Stage::kComplete;
+      queue_.push({t, slot});
     } else if (c.phase != AccessPhase::kAborted) {
       queue_.push({next, slot});
     }

@@ -4,12 +4,19 @@
 // The experiment driver (broadcast/experiment.h) replays independent
 // queries through BroadcastChannel::Simulate one at a time — there is no
 // notion of a population. RunFleet instead advances a single broadcast
-// clock and a priority queue of client wake-ups. Each client runs its
+// clock and a priority queue of client events. Each client runs its
 // queries through the access protocol's state machine (broadcast/access.h)
 // — doze -> probe -> index descent -> bucket read, plus the retry /
 // re-tune / fallback / epoch-skew rungs — waking only for the packets it
 // must hear, issues queries from its own Poisson arrival process, and may
-// churn (leave, with a fresh client re-occupying the slot).
+// churn (leave, with a fresh client re-occupying the slot). Between issue
+// and completion a query touches only its own client record and integer
+// counters, so the engine runs it to its last wake-up when it is issued
+// and queues only its completion, keyed by that wake-up's (time, slot).
+// Joins and completions, where every order-dependent sum and draw
+// happens, pop in the same order as if each wake-up were an event. With
+// telemetry attached every wake-up is still a heap event, because the
+// flight recorder keeps events in heap order.
 //
 // Simulate drives the same machine synchronously on one span. Every packet
 // position of a query arriving at absolute time A is the position for
@@ -87,8 +94,11 @@ struct FleetOptions : LoadOptions {
   /// section, each shard engine records into its private TelemetryShard,
   /// and MergeShards() runs after the shard-ordered merge — every
   /// exported byte is identical for any num_threads. When null the
-  /// engine's event sites pay one predicted branch each and FleetResult
-  /// is bit-identical to a run without telemetry (golden-pinned).
+  /// engine's event sites pay one predicted branch each, a query costs
+  /// one heap event instead of one per packet read, and FleetResult and
+  /// the traces are bit-identical to a run with telemetry (the attached
+  /// runs are golden-pinned; tests/protocol_golden_test.cc compares the
+  /// two).
   FleetTelemetry* telemetry = nullptr;
 };
 

@@ -113,32 +113,40 @@ Result<BroadcastProgram::SessionResult> BroadcastProgram::RunClient(
   DTREE_CHECK(seg_start >= pos);
 
   // --- Index search: decode the segment assembled from the bodies of the
-  // index frames heard from its start.
-  const int64_t seg_in_cycle = seg_start % cycle;
-  bcast::PacketBuffer segment(index_.num_packets(),
-                              static_cast<size_t>(capacity_));
-  for (size_t k = 0; k < segment.num_packets(); ++k) {
-    const std::vector<uint8_t> f =
-        frame(seg_in_cycle + static_cast<int64_t>(k));
-    if (f[0] != kIndexFrame) {
-      return Status::Internal("expected an index frame inside the segment");
+  // index frames heard from its start. A one-region program broadcasts an
+  // empty segment: nothing is decoded, region 0 is the answer, and the
+  // bucket is looked for from the segment start, as the access protocol
+  // does.
+  int region = 0;
+  if (index_.num_packets() == 0) {
+    pos = seg_start;
+  } else {
+    const int64_t seg_in_cycle = seg_start % cycle;
+    bcast::PacketBuffer segment(index_.num_packets(),
+                                static_cast<size_t>(capacity_));
+    for (size_t k = 0; k < segment.num_packets(); ++k) {
+      const std::vector<uint8_t> f =
+          frame(seg_in_cycle + static_cast<int64_t>(k));
+      if (f[0] != kIndexFrame) {
+        return Status::Internal("expected an index frame inside the segment");
+      }
+      std::copy_n(f.data() + kHeaderSize, capacity_, segment.packet(k));
     }
-    std::copy_n(f.data() + kHeaderSize, capacity_, segment.packet(k));
-  }
-  std::vector<int> read;
-  Result<int> region_r =
-      QueryFromPackets(segment, capacity_, /*framed=*/false,
-                       early_termination_, p, &read);
-  if (!region_r.ok()) return region_r.status();
-  const int region = region_r.value();
-  if (region < 0 || region >= static_cast<int>(bucket_starts_.size())) {
-    return Status::Internal("index resolved to an invalid region");
-  }
-  for (int id : read) {
-    const int64_t at = seg_start + id;
-    DTREE_CHECK(at >= pos - 1);
-    pos = std::max(pos, at + 1);
-    ++out.tuning_index;
+    std::vector<int> read;
+    Result<int> region_r =
+        QueryFromPackets(segment, capacity_, /*framed=*/false,
+                         early_termination_, p, &read);
+    if (!region_r.ok()) return region_r.status();
+    region = region_r.value();
+    if (region < 0 || region >= static_cast<int>(bucket_starts_.size())) {
+      return Status::Internal("index resolved to an invalid region");
+    }
+    for (int id : read) {
+      const int64_t at = seg_start + id;
+      DTREE_CHECK(at >= pos - 1);
+      pos = std::max(pos, at + 1);
+      ++out.tuning_index;
+    }
   }
 
   // --- Data retrieval: wait for the bucket, verify every frame's stamp.

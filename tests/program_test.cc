@@ -278,7 +278,7 @@ TEST(BroadcastProgramTest, RejectsBadArrivalsWithAStatus) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ProgramAgreementTest,
-    ::testing::Combine(::testing::Values(10, 45, 90),
+    ::testing::Combine(::testing::Values(1, 10, 45, 90),
                        ::testing::Values(64, 256),
                        ::testing::Values(0, 1, 3)));
 

@@ -21,7 +21,11 @@
 // (doubles as %.17g), every JSONL trace line, and for the fleets every
 // result field plus the telemetry timeline, flight records and Prometheus
 // text. The values were recorded once and are never edited: a change that
-// moves a single bit of any of them is a protocol change.
+// moves a single bit of any of them is a protocol change. The fleet pins
+// attach telemetry, which makes every wake-up a heap event; one more case
+// re-runs each pinned fleet without telemetry, where the engine runs a
+// query to its last wake-up at issue, and requires the same result and
+// trace bytes.
 //
 // Each case also asserts that the ladder branches it exists for fire at
 // least once — every GiveUpStage, a fallback scan that answers, a
@@ -597,6 +601,52 @@ TEST(ProtocolGoldenTest, VersionedFleet) {
   EXPECT_GT(hits, 0);
   EXPECT_GT(switches, 0);
   EXPECT_GT(invalidations, 0);
+}
+
+// Without telemetry the fleet engine runs each query to its last wake-up
+// at issue and queues only its completion; with telemetry every wake-up
+// is a heap event. The pins above all attach telemetry, so this case
+// re-runs each of their configurations without it: the FleetResult and
+// the trace bytes must equal the pinned run's.
+TEST(ProtocolGoldenTest, FleetWithoutTelemetryMatchesPinnedRuns) {
+  const sub::Subdivision s = test::RandomVoronoi(80, 404);
+  const core::DTree tree = BuildDTree(s, 256);
+  const sub::Subdivision s0 = test::RandomVoronoi(40, 96);
+  const sub::Subdivision s1 = test::RandomVoronoi(52, 97);
+  const core::DTree t0 = BuildDTree(s0, 256);
+  const core::DTree t1 = BuildDTree(s1, 256);
+  const std::vector<FleetEpoch> epochs = {{&t0, &s0, 0, 2},
+                                          {&t1, &s1, 1, 1}};
+  const std::vector<LossOptions> configs = LossConfigs();
+  for (const bool versioned : {false, true}) {
+    for (size_t cfg = 0; cfg < configs.size(); ++cfg) {
+      for (int cached = 0; cached < 2; ++cached) {
+        for (int threads : {1, 4}) {
+          const std::string what =
+              std::string(versioned ? "versioned fleet" : "fleet") +
+              " cfg " + std::to_string(cfg) + " cached " +
+              std::to_string(cached) + " threads " + std::to_string(threads);
+          FleetOptions fopt = MakeFleetOptions(configs[cfg], cached, threads);
+          if (versioned) fopt.sim_cycles = 5.0;
+          FleetResult results[2];
+          std::string jsonl[2];
+          for (int attached = 0; attached < 2; ++attached) {
+            JsonlTraceSink sink(&jsonl[attached]);
+            fopt.trace_sink = &sink;
+            FleetTelemetry tel;
+            fopt.telemetry = attached == 1 ? &tel : nullptr;
+            auto r = versioned ? RunFleetVersioned(epochs, fopt)
+                               : RunFleet(tree, s, fopt);
+            ASSERT_TRUE(r.ok()) << what << ": " << r.status().ToString();
+            results[attached] = std::move(r).value();
+          }
+          EXPECT_TRUE(results[0] == results[1]) << what;
+          EXPECT_TRUE(jsonl[0] == jsonl[1]) << what << ": trace bytes differ";
+          EXPECT_GT(results[0].queries, 0) << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
