@@ -28,9 +28,10 @@
 //   3. the timeline JSONL, flight-recorder JSONL and Prometheus snapshot
 //      are byte-identical at 1, 2, and 4 threads, and
 //   4. a 1-thread run without telemetry gives the sweep's FleetResult —
-//      observation must not perturb the simulation. The two runs take
-//      the engine's two schedules: with telemetry every packet read is a
-//      heap event, without it a query runs to its last wake-up at issue.
+//      observation must not perturb the simulation. Both runs take the
+//      engine's one schedule (each query runs to its last wake-up at
+//      issue); with telemetry each query also writes its events into a
+//      trace, which telemetry reads once the query has run.
 //
 // With --trace-out set, fleet traces also feed a CycleProfiler, printing
 // the per-D-tree-level read attribution for the fleet workload.

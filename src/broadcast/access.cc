@@ -7,7 +7,6 @@
 
 #include "broadcast/frame.h"
 #include "broadcast/loss.h"
-#include "broadcast/telemetry.h"
 #include "common/check.h"
 
 namespace dtree::bcast {
@@ -102,11 +101,9 @@ class CallerTraces final : public AccessDriver {
 
 }  // namespace
 
-AccessProtocol::AccessProtocol(TimelineView air, AccessDriver* driver,
-                               TelemetryShard* tel)
+AccessProtocol::AccessProtocol(TimelineView air, AccessDriver* driver)
     : air_(air),
       driver_(driver),
-      tel_(tel),
       loss_(air.channel(0).loss_options()),
       frame_bits_(FrameBits(air.channel(0).packet_capacity())),
       faults_(loss_.any_fault()) {}
@@ -221,7 +218,7 @@ double AccessProtocol::ScheduleIndexRead(QueryState& q, int64_t p) const {
 double AccessProtocol::IndexRead(QueryState& q, int64_t at) const {
   const ProbeTrace& trace = *q.trace;
   const size_t i = static_cast<size_t>(q.step);
-  if (Observed(q)) {
+  if (q.qt != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kIndexRead;
     e.pos = at;
@@ -230,7 +227,7 @@ double AccessProtocol::IndexRead(QueryState& q, int64_t at) const {
       e.node = trace.origins[i].node;
       e.depth = trace.origins[i].depth;
     }
-    Emit(q, e);
+    q.qt->events.push_back(e);
   }
   ++q.out.tuning_index;
   if (q.step == q.fail_at) {
@@ -443,30 +440,25 @@ void AccessProtocol::RecordFault(QueryState& q, bool corrupt,
   }
 }
 
-void AccessProtocol::Emit(const QueryState& q, const TraceEvent& e) const {
-  if (q.qt != nullptr) q.qt->events.push_back(e);
-  if (tel_ != nullptr) tel_->Record(e, q.client_id, q.query_index);
-}
-
 void AccessProtocol::EmitAt(const QueryState& q, TraceEventKind kind,
                             int64_t pos, int packet, int attempt) const {
-  if (!Observed(q)) return;
+  if (q.qt == nullptr) return;
   TraceEvent e;
   e.kind = kind;
   e.pos = pos;
   e.packet = packet;
   e.attempt = attempt;
-  Emit(q, e);
+  q.qt->events.push_back(e);
 }
 
 void AccessProtocol::EmitDoze(const QueryState& q, int64_t resume_at,
                               double dur) const {
-  if (!Observed(q) || !(dur > 0.0)) return;
+  if (q.qt == nullptr || !(dur > 0.0)) return;
   TraceEvent e;
   e.kind = TraceEventKind::kDoze;
   e.pos = resume_at;
   e.dur = dur;
-  Emit(q, e);
+  q.qt->events.push_back(e);
 }
 
 BroadcastChannel::QueryOutcome SimulateQuery(TimelineView air,

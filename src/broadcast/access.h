@@ -18,8 +18,9 @@
 //  * BroadcastTimeline::Simulate — one query to completion on the
 //    timeline's own spans;
 //  * the fleet engine (broadcast/fleet.h) — each query to its last
-//    wake-up at issue; completions in heap order; one wake-up per read
-//    while telemetry is attached.
+//    wake-up at issue; completions in heap order.
+// A driver observes a query's events through its trace (QueryState::qt):
+// trace sinks and fleet telemetry alike read them from there.
 // Because the machine works in absolute time and keeps no fault process
 // resident, the drivers agree bit for bit: a query's outcome is a pure
 // function of (spans, traces, arrival, loss stream).
@@ -37,8 +38,6 @@
 #include "common/status.h"
 
 namespace dtree::bcast {
-
-class TelemetryShard;  // broadcast/telemetry.h
 
 /// The phase a client wakes up into.
 enum class AccessPhase : uint8_t {
@@ -62,9 +61,7 @@ struct QueryState {
   BroadcastChannel::QueryOutcome out;
   /// Index search of the query point under span `span`'s index.
   const ProbeTrace* trace = nullptr;
-  QueryTrace* qt = nullptr;  ///< trace output; null when not tracing
-  int64_t client_id = -1;    ///< telemetry tag: the issuing client
-  uint32_t query_index = 0;  ///< telemetry tag: the client's query number
+  QueryTrace* qt = nullptr;  ///< event output; null when unobserved
   int32_t span = 0;          ///< span whose frames the client trusts
   /// Restart ordinal keying LossProcess::AttemptStream. Fault re-tunes
   /// and epoch switches both advance it.
@@ -116,10 +113,8 @@ class AccessDriver {
 /// stateless across queries: one instance serves every query it drives.
 class AccessProtocol {
  public:
-  /// Loss options and frame size come from span 0's channel. `tel`, when
-  /// set, receives every event the machine emits (TelemetryShard::Record).
-  AccessProtocol(TimelineView air, AccessDriver* driver,
-                 TelemetryShard* tel = nullptr);
+  /// Loss options and frame size come from span 0's channel.
+  AccessProtocol(TimelineView air, AccessDriver* driver);
 
   /// Wakes q at time t: its arrival for kStart, otherwise the time the
   /// previous Wake returned. Returns the next wake-up time, or once q is
@@ -148,18 +143,12 @@ class AccessProtocol {
                         bool fail_corrupt) const;
   void RecordFault(QueryState& q, bool corrupt, int64_t at) const;
 
-  /// Whether anything listens to q's events (its trace or telemetry).
-  bool Observed(const QueryState& q) const {
-    return q.qt != nullptr || tel_ != nullptr;
-  }
-  void Emit(const QueryState& q, const TraceEvent& e) const;
   void EmitAt(const QueryState& q, TraceEventKind kind, int64_t pos,
               int packet = -1, int attempt = 0) const;
   void EmitDoze(const QueryState& q, int64_t resume_at, double dur) const;
 
   TimelineView air_;
   AccessDriver* driver_;
-  TelemetryShard* tel_;
   const LossOptions& loss_;
   int frame_bits_;
   bool faults_;

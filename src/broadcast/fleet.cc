@@ -20,16 +20,13 @@ namespace {
 /// What a client slot waits for between heap events.
 enum class Stage : uint8_t {
   kJoin,  ///< session start; issue the first query
-  /// A query is in flight in the access protocol; the event is its next
-  /// wake-up (telemetry attached only — see ShardEngine::Advance).
-  kQuery,
-  /// Query answered from the client's region cache at issue time; the
-  /// event completes it at its arrival (zero latency, zero tuning).
+  /// The issued query is over; the event completes it. A query answered
+  /// from the client's region cache is queued at its arrival and
+  /// completes there (zero latency, zero tuning). Any other ran through
+  /// the access protocol to kDone at issue, is queued under its last
+  /// wake-up and completes at the position Finish left in `pos`.
   /// Completion goes through the queue, not recursion, so an unbroken
   /// run of hits cannot grow the stack.
-  kCacheHit,
-  /// The query's protocol has run to kDone; the event, keyed by its last
-  /// wake-up, completes it at the position Finish left in `pos`.
   kComplete,
   kRetired,  ///< horizon reached; never scheduled again
 };
@@ -52,7 +49,8 @@ struct Client : QueryState {
   /// issued query when enabled, Clear()ed on churn so the next occupant
   /// starts cold.
   std::unique_ptr<RegionCache> cache;
-  uint32_t generation = 0;  ///< churn generation occupying this slot
+  uint32_t query_index = 0;  ///< this session's query counter
+  uint32_t generation = 0;   ///< churn generation occupying this slot
   Stage stage = Stage::kJoin;
 };
 // A million of these stay resident; the record must not grow.
@@ -67,10 +65,10 @@ struct SpanContext {
   geom::BBox area;  ///< service area (mobility walk bounds)
 };
 
-/// Heap event (a join, a completion, or with telemetry a wake-up);
-/// min-heap by (time, slot). The slot tie-break pins the pop order when
-/// many clients wake at the same packet start, so shard sums accumulate
-/// in one fixed order regardless of anything external.
+/// Heap event (a join or a completion); min-heap by (time, slot). The
+/// slot tie-break pins the pop order when many clients wake at the same
+/// packet start, so shard sums accumulate in one fixed order regardless
+/// of anything external.
 struct WakeUp {
   double t = 0.0;
   int32_t slot = 0;  ///< shard-local client index
@@ -94,7 +92,7 @@ class ShardEngine final : public AccessDriver {
               TelemetryShard* tel)
       : spans_(spans),
         air_(air),
-        protocol_(air, this, tel),
+        protocol_(air, this),
         opt_(options),
         horizon_(horizon),
         shard_first_(shard_first),
@@ -136,15 +134,10 @@ class ShardEngine final : public AccessDriver {
           if (tel_ != nullptr) tel_->SessionJoin(w.t);
           IssueQuery(w.slot, c, w.t);
           break;
-        case Stage::kQuery:
-          Advance(w.slot, c, w.t);
-          break;
-        case Stage::kCacheHit:
-          // Outcome was synthesized at issue time; complete at arrival.
-          CompleteQuery(w.slot, c, c.arrival);
-          break;
         case Stage::kComplete:
-          CompleteQuery(w.slot, c, static_cast<double>(c.pos));
+          CompleteQuery(w.slot, c,
+                        c.out.cache_hit ? c.arrival
+                                        : static_cast<double>(c.pos));
           break;
         case Stage::kRetired:
           DTREE_CHECK(false);  // retired clients are never scheduled
@@ -202,13 +195,19 @@ class ShardEngine final : public AccessDriver {
                static_cast<uint64_t>(opt_.num_clients);
   }
 
-  /// Starts the per-query trace of client c (tracing only); the protocol
-  /// appends its events and TraceFor its region.
+  /// Starts the trace of client c's query: the slot's own when tracing,
+  /// otherwise (telemetry only) the shard's scratch trace, which keeps its
+  /// event buffer from query to query. The protocol appends the events
+  /// and TraceFor the region.
   void OpenTrace(int32_t slot, Client& c) {
-    QueryTrace& qt = open_traces_[static_cast<size_t>(slot)];
+    QueryTrace& qt =
+        tracing_ ? open_traces_[static_cast<size_t>(slot)] : scratch_trace_;
+    std::vector<TraceEvent> events = std::move(qt.events);
+    events.clear();
     qt = QueryTrace{};
+    qt.events = std::move(events);
     qt.query_index = c.query_index;
-    qt.client_id = c.client_id;
+    qt.client_id = static_cast<int64_t>(ClientId(slot, c.generation));
     qt.x = c.px;
     qt.y = c.py;
     qt.arrival = c.arrival;
@@ -239,7 +238,6 @@ class ShardEngine final : public AccessDriver {
     c.arrival = arrival;
     c.px = p.x;
     c.py = p.y;
-    c.client_id = static_cast<int64_t>(ClientId(slot, c.generation));
 
     if (cache_on_) {
       if (c.cache == nullptr) {
@@ -260,8 +258,9 @@ class ShardEngine final : public AccessDriver {
           OpenTrace(slot, c);
           c.qt->region = hit->region;
           TraceCacheHit(hit->epoch, c.qt);
+          MirrorOutcome(c.out, versioned_, c.qt);
         }
-        c.stage = Stage::kCacheHit;
+        c.stage = Stage::kComplete;
         queue_.push({arrival, slot});
         return;
       }
@@ -271,8 +270,7 @@ class ShardEngine final : public AccessDriver {
     c.loss_stream = FleetQueryLossStream(c.key, c.query_index);
     c.phase = AccessPhase::kStart;
     if (tel_ != nullptr) tel_->QueryIssued(arrival);
-    if (tracing_) OpenTrace(slot, c);
-    c.stage = Stage::kQuery;
+    if (tracing_ || tel_ != nullptr) OpenTrace(slot, c);
     Advance(slot, c, arrival);
   }
 
@@ -302,28 +300,34 @@ class ShardEngine final : public AccessDriver {
     return true;
   }
 
-  /// Wakes client c's in-flight query at t. Without telemetry it keeps
-  /// waking the query at each returned time until the protocol finishes:
-  /// until then the query touches only its own record, the integer
+  /// Runs client c's query, issued at t, to its last wake-up, waking it
+  /// at each time the protocol returns. Until it completes the query
+  /// touches only its own record, its trace, the integer
   /// cache_invalidations and the probe scratch, so running it ahead of
-  /// other clients' events moves no result bit. With telemetry each
-  /// wake-up is a heap event, because the flight ring records events in
-  /// heap order. Either way a finished query is queued under its last
-  /// wake-up's (time, slot), so CompleteQuery, which holds everything
-  /// whose result depends on order, runs at the same point of the event
-  /// order on both schedules. An aborted query left its error in sums_.
+  /// other clients' events moves no result bit. Telemetry then counts
+  /// its events from its trace, and the query is queued under its last
+  /// wake-up's (time, slot): CompleteQuery, which holds everything whose
+  /// result depends on order, runs at the point of the event order where
+  /// an engine that woke each query through the heap would run it. An
+  /// aborted query left its error in sums_.
   void Advance(int32_t slot, Client& c, double t) {
     double next = protocol_.Wake(c, t);
-    while (tel_ == nullptr && !c.finished()) {
+    while (!c.finished()) {
       t = next;
       next = protocol_.Wake(c, t);
     }
     if (c.phase == AccessPhase::kDone) {
+      if (c.qt != nullptr) {
+        MirrorOutcome(c.out, versioned_, c.qt);
+        if (tel_ != nullptr) {
+          tel_->QueryEvents(*c.qt, static_cast<double>(c.pos),
+                            GiveUpStageName(c.out.give_up));
+        }
+      }
       c.stage = Stage::kComplete;
       queue_.push({t, slot});
-    } else if (c.phase != AccessPhase::kAborted) {
-      queue_.push({next, slot});
     }
+    if (!tracing_) c.qt = nullptr;  // the scratch trace is for the next query
   }
 
   /// The query is over (answered or explicitly given up) at absolute time
@@ -333,7 +337,6 @@ class ShardEngine final : public AccessDriver {
   void CompleteQuery(int32_t slot, Client& c, double done) {
     const auto& out = c.out;
     if (c.qt != nullptr) {
-      MirrorOutcome(out, versioned_, c.qt);
       sums_->traces.push_back(std::move(*c.qt));
       c.qt = nullptr;
     }
@@ -341,8 +344,7 @@ class ShardEngine final : public AccessDriver {
     if (tel_ != nullptr) {
       QuerySummary summary;
       MirrorOutcome(out, versioned_, &summary);
-      tel_->QueryDone(done, c.client_id, c.query_index, summary,
-                      out.unrecoverable ? GiveUpStageName(out.give_up) : "");
+      tel_->QueryDone(done, summary);
     }
 
     if (cache_on_ && !out.cache_hit && !out.unrecoverable) {
@@ -415,6 +417,8 @@ class ShardEngine final : public AccessDriver {
   std::vector<Client> clients_;
   /// In-flight query traces by slot; sized only when tracing.
   std::vector<QueryTrace> open_traces_;
+  /// The running query's trace when telemetry is attached without tracing.
+  QueryTrace scratch_trace_;
   std::priority_queue<WakeUp, std::vector<WakeUp>, WakeUpLater> queue_;
   ProbeTrace probe_scratch_;
 };

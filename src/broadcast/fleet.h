@@ -10,13 +10,13 @@
 // re-tune / fallback / epoch-skew rungs — waking only for the packets it
 // must hear, issues queries from its own Poisson arrival process, and may
 // churn (leave, with a fresh client re-occupying the slot). Between issue
-// and completion a query touches only its own client record and integer
-// counters, so the engine runs it to its last wake-up when it is issued
-// and queues only its completion, keyed by that wake-up's (time, slot).
-// Joins and completions, where every order-dependent sum and draw
-// happens, pop in the same order as if each wake-up were an event. With
-// telemetry attached every wake-up is still a heap event, because the
-// flight recorder keeps events in heap order.
+// and completion a query touches only its own client record, its trace
+// and integer counters, so the engine runs it to its last wake-up when
+// it is issued and queues only its completion, keyed by that wake-up's
+// (time, slot). Joins and completions, where every order-dependent sum
+// and draw happens, pop in the same order as if each wake-up were an
+// event. Telemetry, when attached, reads a query's events from its trace
+// once the query has run; it does not change the schedule.
 //
 // Simulate drives the same machine synchronously on one span. Every packet
 // position of a query arriving at absolute time A is the position for
@@ -93,12 +93,12 @@ struct FleetOptions : LoadOptions {
   /// RunFleet calls Reset(cycle_packets, num_shards) before the parallel
   /// section, each shard engine records into its private TelemetryShard,
   /// and MergeShards() runs after the shard-ordered merge — every
-  /// exported byte is identical for any num_threads. When null the
-  /// engine's event sites pay one predicted branch each, a query costs
-  /// one heap event instead of one per packet read, and FleetResult and
-  /// the traces are bit-identical to a run with telemetry (the attached
-  /// runs are golden-pinned; tests/protocol_golden_test.cc compares the
-  /// two).
+  /// exported byte is identical for any num_threads. A query's protocol
+  /// events reach telemetry from its trace when the query has run: the
+  /// trace_sink's trace when tracing, else one scratch trace per shard,
+  /// reused from query to query. FleetResult and the traces are
+  /// bit-identical with and without telemetry (the attached runs are
+  /// golden-pinned; tests/protocol_golden_test.cc compares them).
   FleetTelemetry* telemetry = nullptr;
 };
 

@@ -58,6 +58,50 @@ void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+void AppendEventsJson(std::string* out,
+                      const std::vector<TraceEvent>& events) {
+  out->push_back('[');
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (i > 0) out->append(", ");
+    AppendF(out, "{\"t\": \"%s\", \"pos\": %lld",
+            TraceEventKindName(e.kind), static_cast<long long>(e.pos));
+    switch (e.kind) {
+      case TraceEventKind::kDoze:
+        AppendF(out, ", \"dur\": %.10g", e.dur);
+        break;
+      case TraceEventKind::kIndexRead:
+        AppendF(out, ", \"pkt\": %d", e.packet);
+        if (e.node >= 0) {
+          AppendF(out, ", \"node\": %d, \"depth\": %d", e.node, e.depth);
+        }
+        break;
+      case TraceEventKind::kBucketRead:
+        AppendF(out, ", \"n\": %d", e.packet);
+        break;
+      case TraceEventKind::kRetune:
+        AppendF(out, ", \"attempt\": %d", e.attempt);
+        break;
+      case TraceEventKind::kFallbackScan:
+        AppendF(out, ", \"n\": %d, \"attempt\": %d", e.packet, e.attempt);
+        break;
+      case TraceEventKind::kEpochSwitch:
+        AppendF(out, ", \"epoch\": %d, \"attempt\": %d", e.packet,
+                e.attempt);
+        break;
+      case TraceEventKind::kCacheHit:
+        AppendF(out, ", \"epoch\": %d", e.packet);
+        break;
+      case TraceEventKind::kProbe:
+      case TraceEventKind::kLoss:
+      case TraceEventKind::kCorruption:
+        break;
+    }
+    out->push_back('}');
+  }
+  out->push_back(']');
+}
+
 std::string FormatQueryTraceJson(const QueryTrace& trace,
                                  const std::string& label) {
   std::string out;
@@ -86,46 +130,9 @@ std::string FormatQueryTraceJson(const QueryTrace& trace,
             static_cast<unsigned>(trace.epoch), trace.epoch_switches);
   }
   if (trace.cache_hit) out += ", \"cache_hit\": true";
-  out += ", \"events\": [";
-  for (size_t i = 0; i < trace.events.size(); ++i) {
-    const TraceEvent& e = trace.events[i];
-    if (i > 0) out += ", ";
-    AppendF(&out, "{\"t\": \"%s\", \"pos\": %lld",
-            TraceEventKindName(e.kind), static_cast<long long>(e.pos));
-    switch (e.kind) {
-      case TraceEventKind::kDoze:
-        AppendF(&out, ", \"dur\": %.10g", e.dur);
-        break;
-      case TraceEventKind::kIndexRead:
-        AppendF(&out, ", \"pkt\": %d", e.packet);
-        if (e.node >= 0) {
-          AppendF(&out, ", \"node\": %d, \"depth\": %d", e.node, e.depth);
-        }
-        break;
-      case TraceEventKind::kBucketRead:
-        AppendF(&out, ", \"n\": %d", e.packet);
-        break;
-      case TraceEventKind::kRetune:
-        AppendF(&out, ", \"attempt\": %d", e.attempt);
-        break;
-      case TraceEventKind::kFallbackScan:
-        AppendF(&out, ", \"n\": %d, \"attempt\": %d", e.packet, e.attempt);
-        break;
-      case TraceEventKind::kEpochSwitch:
-        AppendF(&out, ", \"epoch\": %d, \"attempt\": %d", e.packet,
-                e.attempt);
-        break;
-      case TraceEventKind::kCacheHit:
-        AppendF(&out, ", \"epoch\": %d", e.packet);
-        break;
-      case TraceEventKind::kProbe:
-      case TraceEventKind::kLoss:
-      case TraceEventKind::kCorruption:
-        break;
-    }
-    out.push_back('}');
-  }
-  out += "]}";
+  out += ", \"events\": ";
+  AppendEventsJson(&out, trace.events);
+  out.push_back('}');
   return out;
 }
 

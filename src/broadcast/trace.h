@@ -143,6 +143,11 @@ class TraceSink {
 /// ASCII, but quotes and backslashes must not break the line format.
 void AppendJsonString(std::string* out, const std::string& s);
 
+/// Appends `events` as the JSON array a trace line carries under
+/// "events" (DESIGN.md §9). The one event encoder: trace lines and
+/// telemetry's flight records (broadcast/telemetry.h) both write it.
+void AppendEventsJson(std::string* out, const std::vector<TraceEvent>& events);
+
 /// One JSON object per line (see DESIGN.md §9 for the schema). The
 /// optional label is written as "cell" into every line, letting several
 /// experiment cells share one file.

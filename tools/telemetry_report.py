@@ -40,12 +40,18 @@ file) is broken, not the fleet:
     cache-off runs omit all four everywhere, cache-on runs carry all
     four in the meta totals and in every window, the window sums
     reproduce the meta totals, and hits plus misses equal the block's
-    query count (every issued query consults the cache exactly once).
+    query count (every issued query consults the cache exactly once);
+  * every flight record is its query's whole ladder: its events, encoded
+    as the query's trace line encodes them, account for the record's own
+    tuning, retries, lost, corrupted, fallback and epoch_switches, and
+    its dozes plus reads equal its latency (trace_summary.check_events).
 """
 
 import json
 import math
 import sys
+
+from trace_summary import check_events
 
 META_INT_KEYS = ("window_packets", "cycle_packets", "heatmap_bins",
                  "windows", "flight_records")
@@ -60,10 +66,6 @@ WINDOW_COUNTER_KEYS = ("issued", "completed", "unrecoverable", "fallback",
                        "departures", "index_reads", "data_reads",
                        "doze_count", "epoch_switches")
 HIST_KEYS = ("count", "sum", "min", "max", "p50", "p95", "p99")
-FLIGHT_EVENT_KINDS = {
-    "probe", "doze", "index", "bucket", "loss", "retune",
-    "corruption_detected", "fallback_scan", "epoch_switch",
-}
 # window counter -> meta totals key it must sum to.
 SUM_CHECKS = {
     "completed": "queries",
@@ -235,19 +237,9 @@ def validate_flight_line(obj):
     for key in ("epoch", "epoch_switches"):
         if key in obj and (not is_int(obj[key]) or obj[key] < 0):
             return f"flight field {key!r} must be a non-negative integer"
-    events = obj.get("events")
-    if not isinstance(events, list):
+    if not isinstance(obj.get("events"), list):
         return "flight field 'events' must be an array"
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            return f"flight event {i} is not an object"
-        if ev.get("t") not in FLIGHT_EVENT_KINDS:
-            return f"flight event {i} has unknown kind {ev.get('t')!r}"
-        if not is_int(ev.get("pos")):
-            return f"flight event {i} missing integer 'pos'"
-        if ev["t"] == "doze" and (not is_num(ev.get("dur")) or ev["dur"] <= 0):
-            return f"flight event {i} (doze) needs positive 'dur'"
-    return None
+    return check_events(obj)
 
 
 def parse_blocks(path):

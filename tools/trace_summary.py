@@ -74,10 +74,8 @@ REQUIRED_TOP = {
 
 
 def validate_line(obj):
-    """Returns an error string or None. Checks field presence/types plus
-    the cross-invariants the simulator guarantees: tuning equals the
-    packets read across probe/index/bucket events, retune events match
-    the retry count, and dozes plus reads add up to the access latency."""
+    """Returns an error string or None. Checks field presence/types, then
+    the line's events against its counts (check_events)."""
     if not isinstance(obj, dict):
         return "line is not a JSON object"
     for key, typ in REQUIRED_TOP.items():
@@ -112,7 +110,20 @@ def validate_line(obj):
     # boolean flag; miss lines and cache-off runs omit the field entirely.
     if "cache_hit" in obj and not isinstance(obj["cache_hit"], bool):
         return "field 'cache_hit' has wrong type"
+    return check_events(obj)
 
+
+def check_events(obj):
+    """Returns an error string or None. Checks each event of obj["events"]
+    (a list) and the invariants the simulator guarantees between the
+    events and obj's counts: tuning equals the packets read across
+    probe / index / bucket / fallback_scan events; retries, lost,
+    corrupted and epoch_switches equal the retune, loss,
+    corruption_detected and epoch_switch events; the fallback flag
+    matches the fallback_scan events; a cache hit is its line's only
+    event; and dozes plus reads add up to the access latency. Trace lines
+    and telemetry flight records (tools/telemetry_report.py) encode their
+    events alike, so both are checked here."""
     reads = 0
     retunes = 0
     losses = 0
