@@ -4,6 +4,8 @@
 // seeds, and packet capacities. This is the test that fails when any part
 // of the stack disagrees with any other.
 
+#include <ostream>
+
 #include "baselines/kirkpatrick/kirkpatrick.h"
 #include "baselines/rstar/rstar.h"
 #include "baselines/trapmap/trapmap.h"
@@ -22,6 +24,13 @@ struct Cell {
   uint64_t seed;
   bool clustered;
 };
+
+// The test names carry n, capacity and layout; the printed parameter adds
+// the seed. Without this gtest prints the struct's raw bytes, padding
+// included, and the ctest names would differ from build to build.
+void PrintTo(const Cell& cell, std::ostream* os) {
+  *os << "seed " << cell.seed;
+}
 
 class EndToEndTest : public ::testing::TestWithParam<Cell> {};
 
