@@ -11,6 +11,7 @@
 #define DTREE_SUBDIVISION_SUBDIVISION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -50,6 +51,21 @@ class Subdivision {
   /// Bounding box of region i (precomputed).
   const geom::BBox& RegionBounds(int i) const { return bounds_[i]; }
 
+  /// Twin-table values beside region ids: an edge on the service-area
+  /// border (no region across it), and an edge whose undirected segment
+  /// is not one edge of each of two regions in opposite directions (a
+  /// directed edge repeated, or a border shared by three or more rings;
+  /// an unstitched subdivision).
+  static constexpr int kBorderEdge = -1;
+  static constexpr int kUnstitchedEdge = -2;
+
+  /// Edge twins of region i: entry k names the region across directed
+  /// ring edge k (Ring(i)[k] to Ring(i)[k+1], wrapping), or kBorderEdge /
+  /// kUnstitchedEdge. Built once by FromPolygons.
+  std::span<const int> EdgeTwins(int i) const {
+    return {edge_twin_.data() + ring_offset_[i], rings_[i].size()};
+  }
+
   /// Structural validation: rings are CCW with >= 3 vertices, region areas
   /// sum to the service area (within 0.1%), every region lies inside the
   /// service area, and every edge is either shared (reversed) with exactly
@@ -77,14 +93,20 @@ class Subdivision {
   double border_cell_h() const { return border_cell_h_; }
 
  private:
-  /// Collects unique undirected border edges and buckets them into the
-  /// uniform grid used by DistanceToNearestBorder.
+  /// Collects unique undirected border edges, buckets them into the
+  /// uniform grid used by DistanceToNearestBorder, and fills the edge-twin
+  /// table in the same pass.
   void BuildBorderGrid();
 
   geom::BBox service_area_;
   std::vector<geom::Point> vertices_;
   std::vector<std::vector<int>> rings_;
   std::vector<geom::BBox> bounds_;
+
+  /// Edge-twin table, flat: region i's twins sit at
+  /// edge_twin_[ring_offset_[i] .. ring_offset_[i] + Ring(i).size()).
+  std::vector<int> ring_offset_;
+  std::vector<int> edge_twin_;
 
   /// Border-distance acceleration: unique undirected edges (vertex-id
   /// pairs) bucketed into a uniform grid over `border_grid_box_`. Built by

@@ -139,30 +139,30 @@ TEST(BroadcastProgramTest, CycleBytesArePinned) {
       {1, 1024, 0, 513, 0xc432b1a9480583e0ull},
       {1, 1024, 3, 0, 0x4b1230163d6d5a6full},
       {1, 1024, 3, 513, 0xc432b1a9480583e0ull},
-      {30, 64, 0, 0, 0xac0d5a7d700dceb7ull},
-      {30, 64, 0, 513, 0x31d4d4e6de851d2bull},
-      {30, 64, 3, 0, 0xce21e8eacd564568ull},
-      {30, 64, 3, 513, 0xc16dfd20dd4abc5dull},
-      {30, 256, 0, 0, 0x83f31077f96f95c3ull},
-      {30, 256, 0, 513, 0xb17ea1633b08c023ull},
-      {30, 256, 3, 0, 0xc59a8367c450f19aull},
-      {30, 256, 3, 513, 0x46f57726469f0082ull},
-      {30, 1024, 0, 0, 0x75c2438a372aa401ull},
-      {30, 1024, 0, 513, 0x418a53f1b9e754b3ull},
-      {30, 1024, 3, 0, 0xf8bb1a0ea25dd813ull},
-      {30, 1024, 3, 513, 0x36661192af9c4967ull},
-      {400, 64, 0, 0, 0x579d134d7a273537ull},
-      {400, 64, 0, 513, 0xb55b17140185e0c3ull},
-      {400, 64, 3, 0, 0x1bf19bf6f4d330c4ull},
-      {400, 64, 3, 513, 0x1d34e63f887579e3ull},
-      {400, 256, 0, 0, 0xc487d31422e96b23ull},
-      {400, 256, 0, 513, 0xed738a0160cf9a23ull},
-      {400, 256, 3, 0, 0xb99dd008068f4beaull},
-      {400, 256, 3, 513, 0xe7be40845dd6b21cull},
-      {400, 1024, 0, 0, 0xa3da5492ce7c5862ull},
-      {400, 1024, 0, 513, 0x4e43120496ba818aull},
-      {400, 1024, 3, 0, 0xa3da5492ce7c5862ull},
-      {400, 1024, 3, 513, 0x4e43120496ba818aull},
+      {30, 64, 0, 0, 0x865ac6e3ce0c78d3ull},
+      {30, 64, 0, 513, 0x09c6fd312325a72full},
+      {30, 64, 3, 0, 0xaf231af3a4579d05ull},
+      {30, 64, 3, 513, 0xeaf2f656ebf6e70cull},
+      {30, 256, 0, 0, 0xdcda2eb96e74a5a3ull},
+      {30, 256, 0, 513, 0x0ea90a31272f8603ull},
+      {30, 256, 3, 0, 0x4a2abfe6e0ad08bbull},
+      {30, 256, 3, 513, 0x6f1d26d9964ab69full},
+      {30, 1024, 0, 0, 0xe098b15f95d4ac41ull},
+      {30, 1024, 0, 513, 0xf82172a5131d5183ull},
+      {30, 1024, 3, 0, 0x8bbd4cb2c3891cbeull},
+      {30, 1024, 3, 513, 0x364cbb8d6e1667feull},
+      {400, 64, 0, 0, 0xfbbf5f5111b664bfull},
+      {400, 64, 0, 513, 0x544ee3e34a0a6a03ull},
+      {400, 64, 3, 0, 0x0eedaba584c62254ull},
+      {400, 64, 3, 513, 0x9ee3628297998a3bull},
+      {400, 256, 0, 0, 0xc872bb99052fdd43ull},
+      {400, 256, 0, 513, 0xa1e45d7b9ca91823ull},
+      {400, 256, 3, 0, 0xc8c5600433f2f4a6ull},
+      {400, 256, 3, 513, 0x9d42d3f0527b42b8ull},
+      {400, 1024, 0, 0, 0x43a078b64ed63f0eull},
+      {400, 1024, 0, 513, 0x34743de135ddecb6ull},
+      {400, 1024, 3, 0, 0x43a078b64ed63f0eull},
+      {400, 1024, 3, 513, 0x34743de135ddecb6ull},
   };
   size_t next = 0;
   for (int n : {1, 30, 400}) {
