@@ -20,6 +20,7 @@ Exit status: 1 on any mismatch, else 0. Standard library only.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -207,12 +208,18 @@ def main():
     with open(args.head) as fh:
         head = json.load(fh)
     timings, mismatches = diff(base, head)
-    for line in host_lines(base, head) + timings:
-        print(line)
-    for line in mismatches:
-        print(f"MISMATCH {line}")
-    print(f"{len(timings)} row(s) with timings, "
-          f"{len(mismatches)} mismatch(es)")
+    try:
+        for line in host_lines(base, head) + timings:
+            print(line)
+        for line in mismatches:
+            print(f"MISMATCH {line}")
+        print(f"{len(timings)} row(s) with timings, "
+              f"{len(mismatches)} mismatch(es)")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`). The verdict stands; point
+        # stdout at /dev/null so the exit-time flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if mismatches else 0
 
 

@@ -51,7 +51,7 @@ import json
 import math
 import sys
 
-from trace_summary import check_events
+from trace_summary import check_events, run_main
 
 META_INT_KEYS = ("window_packets", "cycle_packets", "heatmap_bins",
                  "windows", "flight_records")
@@ -424,4 +424,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(run_main(main, sys.argv))

@@ -41,6 +41,7 @@ flag (or vice versa) is an error.
 
 import json
 import math
+import os
 import sys
 
 EVENT_KINDS = {
@@ -307,6 +308,21 @@ class CellStats:
         }
 
 
+def run_main(main, argv):
+    """Returns main(argv)'s exit status. A reader that stops early
+    (`| head`) closes stdout; the report then ends quietly with status 0
+    instead of a BrokenPipeError traceback."""
+    try:
+        status = main(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's exit-time flush
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+
+
 def main(argv):
     check_only = False
     json_out = None
@@ -415,4 +431,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(run_main(main, sys.argv))
