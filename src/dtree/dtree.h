@@ -71,11 +71,16 @@ class DTree final : public bcast::AirIndex {
     /// DESIGN.md (§ extensions). The tree is then weight-balanced rather
     /// than height-balanced.
     std::vector<double> access_weights;
+    /// Threads computing the nodes of one tree level at once; <= 0 selects
+    /// ThreadPool::DefaultThreads(), which builds subdivisions of fewer
+    /// than 2048 regions on the caller alone. The tree is bit-identical
+    /// for every value.
+    int num_threads = 0;
   };
 
   /// Wall-clock breakdown of Build, for the build-scaling bench: the
-  /// recursive partition phase (ChooseBestPartition tree construction +
-  /// BFS numbering) versus the packet-paging phase (Algorithm 3).
+  /// partition phase (the level loop over ChooseBestSplit, plus the
+  /// broadcast order) versus the packet-paging phase (Algorithm 3).
   struct BuildTimings {
     double partition_seconds = 0.0;
     double paging_seconds = 0.0;

@@ -165,21 +165,16 @@ void SortByStyleKey(const sub::Subdivision& sub, const PartitionStyle& style,
 
 namespace {
 
-/// Algorithm 1 for one style over `sorted`, the group sorted by the
-/// style's key: the split point (`*low_count`), the shortcut bounds, and
-/// the first group's extent pruned and truncated. Leaves the partition's
-/// groups empty.
-Result<Partition> SplitSorted(const sub::Subdivision& sub,
-                              std::span<const int> sorted,
-                              const PartitionStyle& style,
-                              const std::vector<double>& access_weights,
-                              sub::ExtentScratch* scratch, int* low_count) {
+/// Phase 1 of Algorithm 1 (lines 1-3) for one style over `sorted`, the
+/// group sorted by the style's key: how many of the sorted ids form the
+/// low side.
+Result<int> SplitPoint(std::span<const int> sorted,
+                       const PartitionStyle& style,
+                       const std::vector<double>& access_weights) {
   const int n = static_cast<int>(sorted.size());
   if (n < 2) {
     return Status::InvalidArgument("partitioning needs at least two regions");
   }
-
-  // Phase 1 (Algorithm 1 lines 1-3): split the sorted regions.
   int k;
   if (access_weights.empty()) {
     k = style.first_group_larger ? (n + 1) / 2 : n / 2;
@@ -211,15 +206,27 @@ Result<Partition> SplitSorted(const sub::Subdivision& sub,
     }
   }
   DTREE_CHECK(k >= 1 && k < n);
-  *low_count = k;
+  return k;
+}
 
-  // Ascending keys: the first k regions form the LEFT (first) group of a
-  // kYDim split, and the LOWER (second) group of a kXDim split, whose
-  // first child is the paper's UPPER subspace.
+/// The first child's ids when `sorted` splits at `k`. Ascending keys: the
+/// first k regions form the LEFT (first) group of a kYDim split, and the
+/// LOWER (second) group of a kXDim split, whose first child is the paper's
+/// UPPER subspace.
+std::span<const int> FirstGroup(std::span<const int> sorted, PartitionDim dim,
+                                int k) {
+  return dim == PartitionDim::kYDim ? sorted.first(k) : sorted.subspan(k);
+}
+
+/// The rest of Algorithm 1 for one style split at `k`: the shortcut bounds
+/// and the first group's extent pruned and truncated. Leaves the
+/// partition's groups empty.
+Result<Partition> SplitAt(const sub::Subdivision& sub,
+                          std::span<const int> sorted,
+                          const PartitionStyle& style, int k,
+                          sub::ExtentScratch* scratch) {
   const std::span<const int> low = sorted.first(k);
   const std::span<const int> high = sorted.subspan(k);
-  const std::span<const int> first_group =
-      style.dim == PartitionDim::kYDim ? low : high;
 
   Partition part;
   part.style = style;
@@ -250,7 +257,7 @@ Result<Partition> SplitSorted(const sub::Subdivision& sub,
 
   // Phase 2 (lines 4-16): extent of the first group, pruned + truncated.
   Result<std::vector<Polyline>> extent_r =
-      sub::ComputeExtent(sub, first_group, scratch);
+      sub::ComputeExtent(sub, FirstGroup(sorted, style.dim, k), scratch);
   if (!extent_r.ok()) return extent_r.status();
   part.polylines = PruneExtent(extent_r.value(), style.dim, part.near_bound);
   // An empty partition is legal: when the two groups are not even adjacent
@@ -262,6 +269,26 @@ Result<Partition> SplitSorted(const sub::Subdivision& sub,
     part.num_scalar_coords += ScalarCoords(pl);
   }
   return part;
+}
+
+/// Whether two groups of one size, of regions of `sub`, hold the same ids.
+bool SameSet(const sub::Subdivision& sub, std::span<const int> a,
+             std::span<const int> b, PartitionScratch* scratch) {
+  DTREE_CHECK(a.size() == b.size());
+  std::vector<uint32_t>& mark = scratch->mark;
+  if (mark.size() < static_cast<size_t>(sub.NumRegions())) {
+    mark.resize(sub.NumRegions(), 0);
+  }
+  if (++scratch->mark_round == 0) {  // wrapped: forget every old mark
+    std::fill(mark.begin(), mark.end(), 0);
+    scratch->mark_round = 1;
+  }
+  const uint32_t round = scratch->mark_round;
+  for (int r : a) mark[r] = round;
+  for (int r : b) {
+    if (mark[r] != round) return false;
+  }
+  return true;
 }
 
 /// Fills the groups of a partition that split `sorted` at `low_count`.
@@ -285,20 +312,24 @@ void AssignGroups(std::span<const int> sorted, int low_count,
 /// is exactly +0.0 and skipping it leaves the sum bit for bit unchanged.
 double InterProbGivenTotal(const sub::Subdivision& sub,
                            std::span<const int> regions, double total_area,
-                           const Partition& partition) {
+                           const Partition& partition,
+                           PartitionScratch* scratch) {
   const bool ydim = partition.style.dim == PartitionDim::kYDim;
   // The band is lo <= x <= hi (kYDim) or lo <= y <= hi (kXDim).
   const double lo = ydim ? partition.near_bound : partition.far_bound;
   const double hi = ydim ? partition.far_bound : partition.near_bound;
+  std::vector<Point>& ring = scratch->ring;
   double band_area = 0.0;
   for (int r : regions) {
     const geom::BBox& b = sub.RegionBounds(r);
     const double min = ydim ? b.min_x : b.min_y;
     const double max = ydim ? b.max_x : b.max_y;
     if (max < lo - geom::kGeomEps || min > hi + geom::kGeomEps) continue;
-    const geom::Polygon poly = sub.RegionPolygon(r);
-    band_area += ydim ? geom::AreaInVerticalBand(poly, lo, hi)
-                      : geom::AreaInHorizontalBand(poly, lo, hi);
+    ring.clear();
+    for (int v : sub.Ring(r)) ring.push_back(sub.vertices()[v]);
+    band_area += ydim ? geom::AreaInVerticalBand(ring, lo, hi, &scratch->clip)
+                      : geom::AreaInHorizontalBand(ring, lo, hi,
+                                                   &scratch->clip);
   }
   if (total_area <= 0.0) return 0.0;
   return band_area / total_area;
@@ -306,17 +337,25 @@ double InterProbGivenTotal(const sub::Subdivision& sub,
 
 }  // namespace
 
+std::vector<double> RegionAreas(const sub::Subdivision& sub) {
+  std::vector<double> area(sub.NumRegions());
+  for (int r = 0; r < sub.NumRegions(); ++r) {
+    area[r] = sub.RegionPolygon(r).Area();
+  }
+  return area;
+}
+
 Result<Partition> ComputePartition(const sub::Subdivision& sub,
                                    const std::vector<int>& regions,
                                    const PartitionStyle& style,
                                    const std::vector<double>& access_weights) {
   std::vector<int> sorted = regions;
   SortByStyleKey(sub, style, sorted);
+  Result<int> k = SplitPoint(sorted, style, access_weights);
+  if (!k.ok()) return k.status();
   sub::ExtentScratch scratch;
-  int low_count = 0;
-  Result<Partition> part = SplitSorted(sub, sorted, style, access_weights,
-                                       &scratch, &low_count);
-  if (part.ok()) AssignGroups(sorted, low_count, &part.value());
+  Result<Partition> part = SplitAt(sub, sorted, style, k.value(), &scratch);
+  if (part.ok()) AssignGroups(sorted, k.value(), &part.value());
   return part;
 }
 
@@ -324,7 +363,8 @@ double InterProb(const sub::Subdivision& sub, const std::vector<int>& regions,
                  const Partition& partition) {
   double total_area = 0.0;
   for (int r : regions) total_area += sub.RegionPolygon(r).Area();
-  return InterProbGivenTotal(sub, regions, total_area, partition);
+  PartitionScratch scratch;
+  return InterProbGivenTotal(sub, regions, total_area, partition, &scratch);
 }
 
 Result<Partition> ChooseBestPartition(const sub::Subdivision& sub,
@@ -340,11 +380,13 @@ Result<Partition> ChooseBestPartition(const sub::Subdivision& sub,
     SortByStyleKey(sub, style, ids);
     group.by_key[StyleKeyIndex(style)] = ids;
   }
+  const std::vector<double> region_area =
+      interprob_tiebreak ? RegionAreas(sub) : std::vector<double>();
   PartitionScratch scratch;
   int low_count = 0;
   Result<Partition> part =
       ChooseBestSplit(sub, group, interprob_tiebreak, access_weights,
-                      &scratch, &low_count);
+                      region_area, &scratch, &low_count);
   if (part.ok()) {
     AssignGroups(group.by_key[StyleKeyIndex(part.value().style)], low_count,
                  &part.value());
@@ -356,6 +398,7 @@ Result<Partition> ChooseBestSplit(const sub::Subdivision& sub,
                                   const SortedGroup& group,
                                   bool interprob_tiebreak,
                                   const std::vector<double>& access_weights,
+                                  std::span<const double> region_area,
                                   PartitionScratch* scratch, int* low_count) {
   std::vector<Partition> candidates;
   std::vector<int> splits;
@@ -364,13 +407,25 @@ Result<Partition> ChooseBestSplit(const sub::Subdivision& sub,
   const int n = static_cast<int>(group.order.size());
   const int style_n = access_weights.empty() ? n : 2 * ((n + 1) / 2);
   for (const PartitionStyle& style : EnumerateStyles(style_n)) {
-    int k = 0;
+    const std::span<const int> sorted = group.by_key[StyleKeyIndex(style)];
+    Result<int> k = SplitPoint(sorted, style, access_weights);
+    if (!k.ok()) return k.status();
+    const std::span<const int> first = FirstGroup(sorted, style.dim, k.value());
+    bool repeat = false;
+    for (size_t j = 0; j < candidates.size() && !repeat; ++j) {
+      const PartitionStyle& earlier = candidates[j].style;
+      repeat = earlier.dim == style.dim && splits[j] == k.value() &&
+               SameSet(sub,
+                       FirstGroup(group.by_key[StyleKeyIndex(earlier)],
+                                  earlier.dim, splits[j]),
+                       first, scratch);
+    }
+    if (repeat) continue;
     Result<Partition> p =
-        SplitSorted(sub, group.by_key[StyleKeyIndex(style)], style,
-                    access_weights, &scratch->extent, &k);
+        SplitAt(sub, sorted, style, k.value(), &scratch->extent);
     if (!p.ok()) return p.status();
     candidates.push_back(std::move(p).value());
-    splits.push_back(k);
+    splits.push_back(k.value());
   }
   DTREE_CHECK(!candidates.empty());
 
@@ -389,21 +444,15 @@ Result<Partition> ChooseBestSplit(const sub::Subdivision& sub,
   // The first smallest partition with the lowest inter-prob; a lone
   // smallest one wins without computing any.
   if (interprob_tiebreak && tied > 1) {
-    std::vector<double>& area = scratch->region_area;
-    if (area.size() != static_cast<size_t>(sub.NumRegions())) {
-      area.resize(sub.NumRegions());
-      for (int r = 0; r < sub.NumRegions(); ++r) {
-        area[r] = sub.RegionPolygon(r).Area();
-      }
-    }
+    DTREE_CHECK(region_area.size() == static_cast<size_t>(sub.NumRegions()));
     double total_area = 0.0;
-    for (int r : group.order) total_area += area[r];
+    for (int r : group.order) total_area += region_area[r];
     double best_prob = -1.0;
     const int min_coords = candidates[best].num_scalar_coords;
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (candidates[i].num_scalar_coords != min_coords) continue;
-      const double prob =
-          InterProbGivenTotal(sub, group.order, total_area, candidates[i]);
+      const double prob = InterProbGivenTotal(sub, group.order, total_area,
+                                              candidates[i], scratch);
       if (best_prob < 0.0 || prob < best_prob) {
         best_prob = prob;
         best = static_cast<int>(i);

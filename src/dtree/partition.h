@@ -27,6 +27,7 @@
 #define DTREE_DTREE_PARTITION_H_
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -83,9 +84,17 @@ struct SortedGroup {
 /// serves one thread.
 struct PartitionScratch {
   sub::ExtentScratch extent;
-  /// Each region's polygon area, filled on the first inter-prob tie.
-  std::vector<double> region_area;
+  /// Per-region marks for comparing two candidates' first groups as sets.
+  std::vector<uint32_t> mark;
+  uint32_t mark_round = 0;
+  /// A region's ring and its band clips, for InterProb.
+  std::vector<geom::Point> ring;
+  geom::ClipBuffers clip;
 };
+
+/// Each region's polygon area, indexed by region id: the table
+/// InterProb's tie-break reads.
+std::vector<double> RegionAreas(const sub::Subdivision& sub);
 
 /// A computed partition of a region group.
 struct Partition {
@@ -139,10 +148,17 @@ Result<Partition> ChooseBestPartition(
 /// style's sorted list splits at `*low_count`, its first `*low_count` ids
 /// being the left (kYDim) or lower (kXDim) group. The D-tree build calls
 /// this with slices of four lists sorted once at the root.
+///
+/// `region_area` is RegionAreas(sub), read only on an inter-prob tie (it
+/// may be empty when `interprob_tiebreak` is false). A style whose first
+/// group equals, as a set, an earlier style's of the same dim and size is
+/// skipped: it has the same extent, bounds and inter-prob, so the earlier
+/// one wins every tie with it.
 Result<Partition> ChooseBestSplit(const sub::Subdivision& sub,
                                   const SortedGroup& group,
                                   bool interprob_tiebreak,
                                   const std::vector<double>& access_weights,
+                                  std::span<const double> region_area,
                                   PartitionScratch* scratch, int* low_count);
 
 /// Query-side test: does point p belong to the partition's first group's

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -379,6 +380,124 @@ TEST(DTreeTest, ConcurrentBuildsMatchSerial) {
   for (size_t i = 0; i < std::size(jobs); ++i) {
     EXPECT_FALSE(serial[i].empty());
     EXPECT_EQ(concurrent[i], serial[i]) << "job " << i;
+  }
+}
+
+/// Every node field, the tree's shape and paging, and the wire bytes.
+void ExpectSameTree(const DTree& a, const DTree& b, const std::string& what) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << what;
+  EXPECT_EQ(a.root(), b.root()) << what;
+  EXPECT_EQ(a.height(), b.height()) << what;
+  EXPECT_EQ(a.bfs_order(), b.bfs_order()) << what;
+  for (int i = 0; i < a.num_nodes(); ++i) {
+    const DTreeNode& x = a.node(i);
+    const DTreeNode& y = b.node(i);
+    const bool same =
+        x.dim == y.dim && x.near_bound == y.near_bound &&
+        x.far_bound == y.far_bound && x.left_node == y.left_node &&
+        x.right_node == y.right_node && x.left_region == y.left_region &&
+        x.right_region == y.right_region && x.depth == y.depth &&
+        x.byte_size == y.byte_size && x.large == y.large &&
+        x.explicit_bounds == y.explicit_bounds &&
+        x.polylines.size() == y.polylines.size() &&
+        std::equal(x.polylines.begin(), x.polylines.end(),
+                   y.polylines.begin(),
+                   [](const geom::Polyline& p, const geom::Polyline& q) {
+                     return p.closed == q.closed && p.pts == q.pts;
+                   });
+    ASSERT_TRUE(same) << what << ": node " << i;
+    EXPECT_EQ(a.span(i).first_packet, b.span(i).first_packet) << what;
+    EXPECT_EQ(a.span(i).num_packets, b.span(i).num_packets) << what;
+    EXPECT_EQ(a.span(i).offset, b.span(i).offset) << what;
+  }
+  const bcast::PacketBuffer pa = SerializeDTree(a).value();
+  const bcast::PacketBuffer pb = SerializeDTree(b).value();
+  EXPECT_TRUE(std::equal(pa.data(), pa.data() + pa.size_bytes(), pb.data(),
+                         pb.data() + pb.size_bytes()))
+      << what << ": SerializeDTree bytes differ";
+}
+
+// The level loop computes a level's nodes on num_threads lanes; the tree
+// must not depend on how many. 0 is the default: one thread below 2048
+// regions, every hardware thread on SCALE-U5000.
+TEST(DTreeTest, ThreadCountInvariant) {
+  struct Map {
+    std::string name;
+    sub::Subdivision sub;
+    DTree::Options options;
+  };
+  std::vector<Map> maps;
+  maps.push_back({"random-300", test::RandomVoronoi(300, 61), Opts(128)});
+  maps.push_back({"clustered-250", test::ClusteredVoronoi(250, 62), Opts(64)});
+  {
+    Map weighted{"weighted-300", test::RandomVoronoi(300, 63), Opts(256)};
+    Rng rng(64);
+    for (int r = 0; r < weighted.sub.NumRegions(); ++r) {
+      weighted.options.access_weights.push_back(rng.Uniform(0.0, 1.0) < 0.1
+                                                    ? 20.0
+                                                    : rng.Uniform(0.5, 1.5));
+    }
+    maps.push_back(std::move(weighted));
+  }
+  maps.push_back({"SCALE-U5000",
+                  workload::MakeScaleDataset(
+                      5000, workload::ScaleDistribution::kUniform)
+                      .value()
+                      .subdivision,
+                  Opts(256)});
+  for (const Map& map : maps) {
+    DTree::Options options = map.options;
+    options.num_threads = 1;
+    const DTree serial = DTree::Build(map.sub, options).value();
+    for (const int threads : {0, 2, 3, 4, 8}) {
+      options.num_threads = threads;
+      auto tree_r = DTree::Build(map.sub, options);
+      ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
+      ExpectSameTree(serial, tree_r.value(),
+                     map.name + " at " + std::to_string(threads) +
+                         " threads");
+    }
+  }
+
+  // A hostile map: an 8 x 8 grid of unit squares, top row first, and a
+  // triangle that repeats the directed edge (6, 0) -> (6, 1) of a square
+  // in the bottom row, so every group holding one of the three rings on
+  // that segment fails. The root's groups hold none of them. With zero
+  // access weights on the top-right 2 x 2 squares, a group of only those
+  // fails too, in another subtree and first in preorder. Either way the
+  // build must report the Status of the preorder recursion at every
+  // thread count.
+  std::vector<geom::Polygon> cells;
+  for (int row = 7; row >= 0; --row) {
+    for (int col = 0; col < 8; ++col) {
+      cells.push_back(geom::Polygon({{col + 0.0, row + 0.0},
+                                     {col + 1.0, row + 0.0},
+                                     {col + 1.0, row + 1.0},
+                                     {col + 0.0, row + 1.0}}));
+    }
+  }
+  cells.push_back(geom::Polygon({{6, 0}, {6, 1}, {5.5, 0.5}}));
+  const sub::Subdivision hostile =
+      sub::Subdivision::FromPolygons(geom::BBox{0, 0, 8, 8}, cells).value();
+  std::vector<int> all(hostile.NumRegions());
+  std::iota(all.begin(), all.end(), 0);
+  ASSERT_TRUE(ChooseBestPartition(hostile, all, true).ok());
+  DTree::Options zero_corner = Opts(256);
+  zero_corner.access_weights.assign(hostile.NumRegions(), 1.0);
+  for (const int r : {6, 7, 14, 15}) zero_corner.access_weights[r] = 0.0;
+  const std::pair<DTree::Options, StatusCode> cases[] = {
+      {Opts(256), StatusCode::kInternal},
+      {zero_corner, StatusCode::kInvalidArgument}};
+  for (auto [options, code] : cases) {
+    options.num_threads = 1;
+    const Status want = DTree::Build(hostile, options).status();
+    ASSERT_EQ(want.code(), code) << want.ToString();
+    for (const int threads : {0, 2, 3, 4, 8}) {
+      options.num_threads = threads;
+      const Status got = DTree::Build(hostile, options).status();
+      EXPECT_EQ(got.code(), want.code()) << threads << " threads";
+      EXPECT_EQ(got.message(), want.message()) << threads << " threads";
+    }
   }
 }
 
