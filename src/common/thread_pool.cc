@@ -48,10 +48,13 @@ void ThreadPool::WorkerLoop() {
                     [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      ++running_;
     }
     // A late wakeup for an already-drained generation is harmless: the
     // claim loop sees next_task_ >= num_tasks_ and claims nothing.
     RunTasks();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--running_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -63,7 +66,13 @@ void ThreadPool::ParallelFor(int num_tasks,
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A worker may still be leaving the previous call's claim loop, which
+    // reads num_tasks_ and next_task_ unlocked. Resetting them under it
+    // could hand it a task of this call from the old counter (run twice,
+    // and counted past num_tasks_, so this call would never see its last
+    // completion); wait until it is out.
+    done_cv_.wait(lock, [&] { return running_ == 0; });
     fn_ = &fn;
     num_tasks_ = num_tasks;
     next_task_.store(0, std::memory_order_relaxed);

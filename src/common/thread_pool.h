@@ -61,6 +61,7 @@ class ThreadPool {
   int num_tasks_ = 0;
   std::atomic<int> next_task_{0};
   int done_tasks_ = 0;  ///< guarded by mutex_
+  int running_ = 0;     ///< workers inside RunTasks; guarded by mutex_
 };
 
 }  // namespace dtree

@@ -55,6 +55,24 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   EXPECT_EQ(total.load(), expect);
 }
 
+// Back-to-back calls whose tasks finish at once: a worker still leaving
+// one call's claim loop must not claim, or run, a task of the next call.
+// Every task runs exactly once and has finished when its call returns.
+TEST(ThreadPoolTest, BackToBackCallsRunEachTaskOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> runs(8);
+  for (int round = 0; round < 20000; ++round) {
+    const int tasks = 2 + round % 7;
+    pool.ParallelFor(tasks, [&](int i) {
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (int i = 0; i < tasks; ++i) {
+      ASSERT_EQ(runs[i].exchange(0, std::memory_order_relaxed), 1)
+          << "round " << round << " task " << i;
+    }
+  }
+}
+
 TEST(ThreadPoolTest, ZeroAndNegativeTaskCountsAreNoOps) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
