@@ -1,11 +1,14 @@
 // The D-tree air index — the paper's primary contribution.
 //
 // A binary height-balanced tree over the data regions. Each internal node
-// stores the division polylines between two complementary subspaces; a
-// query descends by testing which side of the division it falls on
-// (Algorithm 2) until it reaches a data pointer. Nodes are laid out into
-// broadcast packets with the paper's top-down paging (Algorithm 3) and
-// broadcast in breadth-first order.
+// divides two complementary subspaces by a set of polylines; a query
+// descends by testing which side of the division it falls on (Algorithm
+// 2) until it reaches a data pointer. Nodes are laid out into broadcast
+// packets with the paper's top-down paging (Algorithm 3) and broadcast in
+// breadth-first order. The node records below keep the routing fields,
+// links and paging attributes; the division polylines live only in the
+// tree's flat layout (layout(), a DTreeArena), which also serves every
+// probe.
 
 #ifndef DTREE_DTREE_DTREE_H_
 #define DTREE_DTREE_DTREE_H_
@@ -18,6 +21,7 @@
 #include "broadcast/pager.h"
 #include "broadcast/params.h"
 #include "common/status.h"
+#include "dtree/arena.h"
 #include "dtree/partition.h"
 #include "subdivision/subdivision.h"
 
@@ -28,7 +32,6 @@ struct DTreeNode {
   PartitionDim dim = PartitionDim::kYDim;
   double near_bound = 0.0;  ///< right_lmc (kYDim) / lower_umc (kXDim)
   double far_bound = 0.0;   ///< left_rmc / upper_lwc
-  std::vector<geom::Polyline> polylines;
 
   /// Child links: exactly one of {x_node, x_region} is set per side.
   int left_node = -1;
@@ -80,7 +83,8 @@ class DTree final : public bcast::AirIndex {
 
   /// Wall-clock breakdown of Build, for the build-scaling bench: the
   /// partition phase (the level loop over ChooseBestSplit, plus the
-  /// broadcast order) versus the packet-paging phase (Algorithm 3).
+  /// broadcast order) versus the packet-paging phase (Algorithm 3, then
+  /// the flat layout, which takes the spans).
   struct BuildTimings {
     double partition_seconds = 0.0;
     double paging_seconds = 0.0;
@@ -99,11 +103,13 @@ class DTree final : public bcast::AirIndex {
   size_t IndexBytes() const override { return paging_.used_bytes; }
   int PacketCapacity() const override { return options_.packet_capacity; }
   Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
+                   bcast::ProbeTrace* trace) const override {
+    return layout_.ProbeInto(p, trace);
+  }
 
   // --- direct (in-memory) query -------------------------------------------
-  /// Region containing p; pure tree descent, no packet accounting.
-  int Locate(const geom::Point& p) const;
+  /// Region containing p; the same descent, no packet accounting.
+  int Locate(const geom::Point& p) const { return layout_.Locate(p); }
 
   // --- introspection -------------------------------------------------------
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -117,12 +123,17 @@ class DTree final : public bcast::AirIndex {
   int num_regions() const { return num_regions_; }
   /// Nodes in broadcast (breadth-first) order.
   const std::vector<int>& bfs_order() const { return bfs_order_; }
+  /// The flat layout: node i at index i with its chains, exact bounds,
+  /// paging span and origin.
+  const DTreeArena& layout() const { return layout_; }
 
  private:
   DTree() = default;
 
-  /// Serialized size of a node under the given options; sets `large`.
-  static size_t NodeByteSize(DTreeNode* node, const Options& options);
+  /// Serialized size of a node with the given division chains under the
+  /// given options; sets `large` and `explicit_bounds`.
+  static size_t NodeByteSize(const std::vector<geom::Polyline>& chains,
+                             DTreeNode* node, const Options& options);
 
   Options options_;
   int num_regions_ = 0;
@@ -132,6 +143,7 @@ class DTree final : public bcast::AirIndex {
   std::vector<int> bfs_order_;  ///< bfs position -> node id
   std::vector<int> bfs_pos_;    ///< node id -> bfs position
   bcast::PagingResult paging_;  ///< spans indexed by bfs position
+  DTreeArena layout_;
 };
 
 }  // namespace dtree::core

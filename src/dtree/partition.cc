@@ -465,22 +465,13 @@ Result<Partition> ChooseBestSplit(const sub::Subdivision& sub,
 
 bool PointInFirstSubspace(const Partition& partition, const geom::Point& p,
                           bool* via_shortcut) {
-  return PointInSubspaceTest(partition.style.dim, partition.near_bound,
-                             partition.far_bound, partition.polylines, p,
-                             via_shortcut);
-}
-
-bool PointInSubspaceTest(PartitionDim dim, double near_bound,
-                         double far_bound,
-                         const std::vector<Polyline>& polylines,
-                         const geom::Point& p, bool* via_shortcut) {
   if (via_shortcut != nullptr) *via_shortcut = true;
   int crossings = 0;
-  if (dim == PartitionDim::kYDim) {
-    if (p.x <= near_bound) return true;   // D1: all-left
-    if (p.x >= far_bound) return false;   // D3: all-right
+  if (partition.style.dim == PartitionDim::kYDim) {
+    if (p.x <= partition.near_bound) return true;   // D1: all-left
+    if (p.x >= partition.far_bound) return false;   // D3: all-right
     if (via_shortcut != nullptr) *via_shortcut = false;
-    for (const Polyline& pl : polylines) {
+    for (const Polyline& pl : partition.polylines) {
       const size_t nseg = pl.NumSegments();
       for (size_t i = 0; i < nseg; ++i) {
         Point a, b;
@@ -489,10 +480,10 @@ bool PointInSubspaceTest(PartitionDim dim, double near_bound,
       }
     }
   } else {
-    if (p.y >= near_bound) return true;   // all-upper
-    if (p.y <= far_bound) return false;   // all-lower
+    if (p.y >= partition.near_bound) return true;   // all-upper
+    if (p.y <= partition.far_bound) return false;   // all-lower
     if (via_shortcut != nullptr) *via_shortcut = false;
-    for (const Polyline& pl : polylines) {
+    for (const Polyline& pl : partition.polylines) {
       const size_t nseg = pl.NumSegments();
       for (size_t i = 0; i < nseg; ++i) {
         Point a, b;

@@ -167,15 +167,10 @@ Result<Partition> ChooseBestSplit(const sub::Subdivision& sub,
 /// the D1/D3 coordinate comparison decided without ray casting — for
 /// multi-packet nodes that is the paper's early-termination case (§4.4):
 /// the client resolves the child pointer from the node's first packet.
+/// The D-tree's probe runs the same test over its flat layout
+/// (DTreeArena).
 bool PointInFirstSubspace(const Partition& partition, const geom::Point& p,
                           bool* via_shortcut = nullptr);
-
-/// Same test over raw node fields (no Partition wrapper); used by the
-/// D-tree's hot query path.
-bool PointInSubspaceTest(PartitionDim dim, double near_bound,
-                         double far_bound,
-                         const std::vector<geom::Polyline>& polylines,
-                         const geom::Point& p, bool* via_shortcut = nullptr);
 
 }  // namespace dtree::core
 

@@ -41,49 +41,4 @@ bool SegmentsProperlyIntersect(const Point& a, const Point& b, const Point& c,
   return o1 != 0 && o2 != 0 && o3 != 0 && o4 != 0 && o1 != o2 && o3 != o4;
 }
 
-bool RayRightCrossesSegment(const Point& p, const Point& a, const Point& b) {
-  // Half-open in y: the segment is crossed iff exactly one endpoint is
-  // strictly above p.y. This makes a ray through a shared polyline vertex
-  // count the two incident segments once in total (when the polyline
-  // actually crosses) or zero/two times (when it only touches).
-  if ((a.y > p.y) == (b.y > p.y)) return false;
-  // x-coordinate where the segment meets the horizontal line y = p.y.
-  const double t = (p.y - a.y) / (b.y - a.y);
-  const double x_int = a.x + t * (b.x - a.x);
-  return x_int > p.x;
-}
-
-bool RayDownCrossesSegment(const Point& p, const Point& a, const Point& b) {
-  if ((a.x > p.x) == (b.x > p.x)) return false;
-  const double t = (p.x - a.x) / (b.x - a.x);
-  const double y_int = a.y + t * (b.y - a.y);
-  return y_int < p.y;
-}
-
-int CountRayRightCrossings(const double* ax, const double* ay,
-                           const double* bx, const double* by, size_t n,
-                           const Point& p) {
-  int crossings = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if ((ay[i] > p.y) == (by[i] > p.y)) continue;
-    const double t = (p.y - ay[i]) / (by[i] - ay[i]);
-    const double x_int = ax[i] + t * (bx[i] - ax[i]);
-    crossings += x_int > p.x ? 1 : 0;
-  }
-  return crossings;
-}
-
-int CountRayDownCrossings(const double* ax, const double* ay,
-                          const double* bx, const double* by, size_t n,
-                          const Point& p) {
-  int crossings = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if ((ax[i] > p.x) == (bx[i] > p.x)) continue;
-    const double t = (p.x - ax[i]) / (bx[i] - ax[i]);
-    const double y_int = ay[i] + t * (by[i] - ay[i]);
-    crossings += y_int < p.y ? 1 : 0;
-  }
-  return crossings;
-}
-
 }  // namespace dtree::geom
