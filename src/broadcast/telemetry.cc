@@ -332,15 +332,20 @@ void FleetTelemetry::Reset(int64_t cycle_packets, int num_shards) {
 }
 
 void FleetTelemetry::MergeShards() {
-  // Rebuilt from scratch each call (idempotent): shards are immutable
-  // once the parallel section is over.
+  // The windows are rebuilt from scratch each call: shards are immutable
+  // once the parallel section is over. The flight text moves instead of
+  // being copied: each shard's records are appended once and the shard's
+  // copy freed, so a repeated call neither drops nor doubles them.
   windows_.clear();
-  flight_.clear();
-  flight_records_ = 0;
+  size_t flight_bytes = flight_.size();
+  for (const auto& shard : shards_) flight_bytes += shard->flight_.size();
+  flight_.reserve(flight_bytes);
   for (const auto& shard : shards_) {
     for (const auto& [w, win] : shard->windows_) windows_[w].Merge(win);
     flight_ += shard->flight_;
     flight_records_ += shard->flight_records_;
+    std::string().swap(shard->flight_);
+    shard->flight_records_ = 0;
   }
   merged_ = true;
 }

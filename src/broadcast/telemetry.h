@@ -237,7 +237,9 @@ class FleetTelemetry {
   TelemetryShard* shard(int s) { return shards_[static_cast<size_t>(s)].get(); }
 
   /// Folds every shard into the merged view, in shard order. Called by
-  /// RunFleet after the parallel section (idempotent per Reset).
+  /// RunFleet after the parallel section (idempotent per Reset). Each
+  /// shard's flight text moves into the merged string, so the shards hold
+  /// none afterwards.
   void MergeShards();
 
   // --- Merged views; valid after MergeShards(). ---

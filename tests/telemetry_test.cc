@@ -312,13 +312,19 @@ TEST(FleetTelemetryTest, MergeShardsIsIdempotent) {
   FleetFixture f = MakeFixture(40, 905);
   FleetOptions fopt = LossyFleetOptions();
   fopt.num_clients = 300;
+  fopt.loss.loss_rate = 0.45;  // some retry budgets exhaust: flight records
   FleetTelemetry telemetry;
   fopt.telemetry = &telemetry;
   ASSERT_TRUE(RunFleet(f.tree, f.sub, fopt).ok());
   const std::string once = telemetry.TimelineJsonl();
+  const std::string flight = telemetry.flight_records();
+  const int64_t flight_count = telemetry.flight_record_count();
+  EXPECT_GT(flight_count, 0);
   telemetry.MergeShards();  // RunFleet already merged; merging again
   telemetry.MergeShards();  // must rebuild, not double-count
   EXPECT_EQ(telemetry.TimelineJsonl(), once);
+  EXPECT_EQ(telemetry.flight_records(), flight);
+  EXPECT_EQ(telemetry.flight_record_count(), flight_count);
 }
 
 TEST(TelemetryTraceSinkTest, ExperimentTracesProduceConsistentTimeline) {
