@@ -1,5 +1,6 @@
 // Tests for the skew-aware (access-weighted) D-tree extension.
 
+#include <cmath>
 #include <numeric>
 
 #include "broadcast/experiment.h"
@@ -134,6 +135,34 @@ TEST(WeightedDTreeTest, SkewedExperimentEndToEnd) {
   auto res = bcast::RunExperiment(tree_r.value(), sub, &oracle, opt);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_GT(res.value().indexing_efficiency, 0.0);
+}
+
+// Strips side by side whose weights halve from left to right: every
+// split isolates the leftmost strip, so the tree is a chain as deep as it
+// has nodes, and the deepest strip takes one hop per node.
+TEST(WeightedDTreeTest, ChainTreeProbesEveryRegion) {
+  constexpr int kStrips = 12;
+  std::vector<geom::Polygon> strips;
+  DTree::Options o;
+  o.packet_capacity = 64;
+  for (int i = 0; i < kStrips; ++i) {
+    strips.push_back(geom::Polygon(
+        {{i + 0.0, 0.0}, {i + 1.0, 0.0}, {i + 1.0, 1.0}, {i + 0.0, 1.0}}));
+    o.access_weights.push_back(std::ldexp(1.0, -i));
+  }
+  auto sub_r = sub::Subdivision::FromPolygons({0, 0, kStrips, 1}, strips);
+  ASSERT_TRUE(sub_r.ok()) << sub_r.status().ToString();
+  auto tree_r = DTree::Build(sub_r.value(), o);
+  ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
+  const DTree& tree = tree_r.value();
+  ASSERT_EQ(tree.height(), tree.num_nodes());
+  bcast::ProbeTrace trace;
+  for (int i = 0; i < kStrips; ++i) {
+    const Point p{i + 0.5, 0.5};
+    ASSERT_TRUE(tree.ProbeInto(p, &trace).ok()) << "strip " << i;
+    EXPECT_EQ(trace.region, i);
+    EXPECT_EQ(tree.Locate(p), i);
+  }
 }
 
 TEST(QuerySamplerTest, WeightedSamplingFollowsWeights) {
