@@ -6,8 +6,9 @@
 // Flat-arena probe throughput (EXPERIMENTS.md E14): passing
 // --bench-json=PATH switches on a self-verifying measurement pass that
 // times the flat-arena engines (DESIGN.md §12) on SCALE-U subdivisions up
-// to N=100k — the D-tree's against its per-probe byte decoder — then
-// writes the ns/probe table to PATH. Before any timing, every
+// to N=100k — the D-tree's against its per-probe byte decoder and the
+// tree's own probe, DTree::ProbeInto — then writes the ns/probe table to
+// PATH. Before any timing, every
 // configuration is checked query-by-query: the D-tree arena against its
 // byte decoder (the bit-identical oracle), each baseline arena's region
 // against its tree's in-memory Probe outside the border band. Any
@@ -276,6 +277,7 @@ struct ProbeMeasurement {
   size_t arena_bytes = 0;
   int verified_queries = 0;
   double decode_ns = 0.0;  ///< 0 for the baselines: no per-probe decoder
+  double tree_ns = 0.0;    ///< DTree::ProbeInto; 0 for the baselines
   double arena_ns = 0.0;
 };
 
@@ -315,6 +317,9 @@ void MeasureArena(const bcast::FlatProbeEngine& engine,
   std::printf("%-10s n=%-7d ", out->index.c_str(), out->n);
   if (out->decode_ns > 0.0) {
     std::printf("decode %8.1f ns/probe   ", out->decode_ns);
+  }
+  if (out->tree_ns > 0.0) {
+    std::printf("tree %8.1f ns/probe   ", out->tree_ns);
   }
   std::printf("arena %8.1f ns/probe   ", out->arena_ns);
   if (out->decode_ns > 0.0) {
@@ -399,6 +404,10 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
   if (!arena_r.ok()) return false;
   const auto queries = SampleQueries(sub, kVerifyQueries);
   ProbeMeasurement m;
+  bcast::ProbeTrace trace;
+  m.tree_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+    benchmark::DoNotOptimize(tree.ProbeInto(p, &trace));
+  });
   if (!GuardAndMeasure(
           "dtree", n,
           [&](const geom::Point& p, std::vector<int>* read) {
@@ -493,6 +502,9 @@ bool WriteJson(const std::string& path,
                  m.n);
     if (m.decode_ns > 0.0) {
       std::fprintf(f, "\"decode_ns_per_probe\": %.1f, ", m.decode_ns);
+    }
+    if (m.tree_ns > 0.0) {
+      std::fprintf(f, "\"tree_ns_per_probe\": %.1f, ", m.tree_ns);
     }
     std::fprintf(f, "\"arena_ns_per_probe\": %.1f, ", m.arena_ns);
     if (m.decode_ns > 0.0) {
