@@ -4,10 +4,10 @@
 // wire bytes on every probe — correct, hardened, and its arena's
 // bit-identical oracle, but slow: each query re-reads headers and
 // re-promotes f32 coordinates. A FlatProbeEngine decodes the
-// CRC-verified cycle (one PacketBuffer) ONCE into a structure-of-arrays
-// arena (node records in contiguous typed arrays, child links as 32-bit
-// indices, partition coordinates in separate x[]/y[] arrays) and serves
-// every subsequent probe from that arena. The D-tree engine replicates
+// CRC-verified cycle (one PacketBuffer) ONCE into a flat arena (node
+// records in contiguous arrays, child links as 32-bit indices, coordinates
+// in flat arrays) and serves every subsequent probe from that arena. The
+// D-tree's arena is also the layout a built DTree probes (dtree/arena.h). The D-tree engine replicates
 // its decoder's exact arithmetic — same f32→double promotions, same
 // comparison order, same ray-crossing formula — so its probes return
 // byte-identical results to the decoder. Each baseline's engine
