@@ -126,12 +126,12 @@ int main(int argc, char** argv) {
                                                one.distribution, {});
     DTREE_CHECK(ch.ok() && sampler.ok());
     const uint64_t key = bcast::FleetClientKey(one.seed, 0);
-    dtree::Rng join_rng =
-        dtree::Rng::ForStream(key, bcast::FleetJoinStream());
+    dtree::StreamRng join_rng =
+        dtree::StreamRng::ForStream(key, bcast::FleetJoinStream());
     const double arrival = join_rng.Uniform(
         0.0, static_cast<double>(ch.value().cycle_packets()));
-    dtree::Rng point_rng =
-        dtree::Rng::ForStream(key, bcast::FleetPointStream(0));
+    dtree::StreamRng point_rng =
+        dtree::StreamRng::ForStream(key, bcast::FleetPointStream(0));
     bcast::ProbeTrace trace;
     DTREE_CHECK(
         index.value()->ProbeInto(sampler.value().Draw(&point_rng), &trace)

@@ -53,7 +53,9 @@ Result<QuerySampler> QuerySampler::Create(const sub::Subdivision& subdivision,
                       std::move(polygons));
 }
 
-geom::Point QuerySampler::DrawInRegion(int region, Rng* rng) const {
+template <class Engine>
+geom::Point QuerySampler::DrawInRegion(int region,
+                                       BasicRng<Engine>* rng) const {
   const geom::BBox& b = sub_.RegionBounds(region);
   const geom::Polygon& poly = polygons_[region];
   for (int attempt = 0; attempt < 4096; ++attempt) {
@@ -65,7 +67,8 @@ geom::Point QuerySampler::DrawInRegion(int region, Rng* rng) const {
   return poly.Centroid();
 }
 
-geom::Point QuerySampler::Draw(Rng* rng) const {
+template <class Engine>
+geom::Point QuerySampler::Draw(BasicRng<Engine>* rng) const {
   const geom::BBox& area = sub_.service_area();
   switch (distribution_) {
     case QueryDistribution::kUniformRegion: {
@@ -90,6 +93,9 @@ geom::Point QuerySampler::Draw(Rng* rng) const {
   DTREE_CHECK(false);
   return {};
 }
+
+template geom::Point QuerySampler::Draw(Rng* rng) const;
+template geom::Point QuerySampler::Draw(StreamRng* rng) const;
 
 ChannelOptions LoadOptions::channel_options() const {
   ChannelOptions copt;

@@ -119,7 +119,8 @@ inline constexpr const char* kTallyHists[] = {
 /// weight table once so skewed loads sample in O(log N), and materializes
 /// every region polygon once, so neither the per-draw rejection loop nor
 /// a region cache's insert ever copies vertices. Draw() is const and safe
-/// to call concurrently with distinct Rngs.
+/// to call concurrently with distinct generators; it is instantiated for
+/// Rng and StreamRng (common/rng.h).
 class QuerySampler {
  public:
   /// Fails when kWeightedRegion is requested with a missing or malformed
@@ -128,7 +129,8 @@ class QuerySampler {
                                      QueryDistribution distribution,
                                      std::vector<double> weights);
 
-  geom::Point Draw(Rng* rng) const;
+  template <class Engine>
+  geom::Point Draw(BasicRng<Engine>* rng) const;
   /// Region r's cell: the valid scope a region cache stores for an answer.
   const geom::Polygon& cell(int r) const {
     return polygons_[static_cast<size_t>(r)];
@@ -141,7 +143,8 @@ class QuerySampler {
       : sub_(subdivision), distribution_(distribution),
         cumulative_(std::move(cumulative)), polygons_(std::move(polygons)) {}
 
-  geom::Point DrawInRegion(int region, Rng* rng) const;
+  template <class Engine>
+  geom::Point DrawInRegion(int region, BasicRng<Engine>* rng) const;
 
   const sub::Subdivision& sub_;
   QueryDistribution distribution_;

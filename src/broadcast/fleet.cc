@@ -33,9 +33,10 @@ enum class Stage : uint8_t {
 
 /// One client slot: the in-flight query's protocol state plus the
 /// client's identity and arrival process. Kept small on purpose: a
-/// million clients is a few hundred MB. The fault processes are NOT
-/// resident (a mt19937_64 is ~2.5 KB): the access protocol rebuilds every
-/// draw sequence from its (seed, client, purpose) stream key when needed.
+/// million clients is a few hundred MB. No generator is resident: every
+/// draw comes from a StreamRng (one word, no set-up) that the engine or
+/// the access protocol rebuilds from its (seed, client, purpose) stream
+/// key when needed.
 struct Client : QueryState {
   uint64_t key = 0;  ///< FleetClientKey(seed, client_id)
   double px = 0.0;   ///< in-flight query point (re-probed when the query
@@ -115,7 +116,7 @@ class ShardEngine final : public AccessDriver {
       // Generation 0 joins at a uniform point of the first cycle — the
       // steady-state phase distribution of a population that has been
       // listening forever.
-      Rng rng = Rng::ForStream(c.key, FleetJoinStream());
+      StreamRng rng = StreamRng::ForStream(c.key, FleetJoinStream());
       const double t_join =
           rng.Uniform(0.0, static_cast<double>(cycle_));
       if (t_join >= horizon_) {
@@ -229,10 +230,12 @@ class ShardEngine final : public AccessDriver {
     if (mobility_on_) {
       // The walk owns its stream family; the point stream stays untouched
       // so mobility-off sessions draw exactly what they always did.
-      Rng rng = Rng::ForStream(c.key, FleetMobilityStream(c.query_index));
+      StreamRng rng =
+          StreamRng::ForStream(c.key, FleetMobilityStream(c.query_index));
       p = workload::MobilityStep(opt_.mobility, sc.area, &c.walk, &rng);
     } else {
-      Rng rng = Rng::ForStream(c.key, FleetPointStream(c.query_index));
+      StreamRng rng =
+          StreamRng::ForStream(c.key, FleetPointStream(c.query_index));
       p = sc.sampler->Draw(&rng);
     }
     c.arrival = arrival;
@@ -363,7 +366,8 @@ class ShardEngine final : public AccessDriver {
       }
     }
 
-    Rng rng = Rng::ForStream(c.key, FleetScheduleStream(c.query_index));
+    StreamRng rng =
+        StreamRng::ForStream(c.key, FleetScheduleStream(c.query_index));
     ++c.query_index;
     const double u_churn = rng.Uniform(0.0, 1.0);
     if (u_churn < opt_.churn) {
@@ -395,7 +399,7 @@ class ShardEngine final : public AccessDriver {
   }
 
   /// Exponential with mean mean_think_; u < 1 so the draw is finite.
-  double DrawExp(Rng* rng) {
+  double DrawExp(StreamRng* rng) {
     return -mean_think_ * std::log1p(-rng->Uniform(0.0, 1.0));
   }
 

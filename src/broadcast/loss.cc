@@ -83,8 +83,8 @@ Status ValidateLossOptions(const LossOptions& options) {
 LossProcess::LossProcess(const LossOptions& options, uint64_t query_stream,
                          uint64_t stream)
     : options_(options),
-      rng_(Rng::MixStream(Rng::MixStream(options.seed, query_stream),
-                          stream)) {
+      rng_(StreamRng::MixStream(
+          StreamRng::MixStream(options.seed, query_stream), stream)) {
   if (options_.model == LossModel::kGilbertElliott) {
     // Stationary state occupancy: P(bad) = g2b / (g2b + b2g).
     const double denom = options_.p_good_to_bad + options_.p_bad_to_good;
@@ -118,8 +118,8 @@ CorruptionProcess::CorruptionProcess(const CorruptionOptions& options,
                                      int frame_bits, uint64_t query_stream,
                                      uint64_t stream)
     : options_(options),
-      rng_(Rng::MixStream(Rng::MixStream(options.seed, query_stream),
-                          stream)) {
+      rng_(StreamRng::MixStream(
+          StreamRng::MixStream(options.seed, query_stream), stream)) {
   p_frame_ = FrameCorruptionProbability(options_.bit_error_rate, frame_bits);
   p_frame_good_ = FrameCorruptionProbability(options_.ber_good, frame_bits);
   p_frame_bad_ = FrameCorruptionProbability(options_.ber_bad, frame_bits);

@@ -1,39 +1,58 @@
 // Deterministic pseudo-random number generation.
 //
 // All randomized components (workload generators, the randomized
-// incremental trapezoidal map, query streams) take an explicit Rng so that
-// every experiment in the repository is reproducible from a seed.
+// incremental trapezoidal map, query streams) take an explicit generator
+// so that every experiment in the repository is reproducible from a seed.
+// The distributions are written once, in BasicRng, over two engines:
+//
+//  * Rng = BasicRng<internal::Mt19937_64>: 312 words of state and a
+//    seeding run of ~156 serial steps before the first draw. It serves
+//    streams whose set-up is spread over many draws.
+//  * StreamRng = BasicRng<internal::SplitMix64Engine>: one word of state
+//    and nothing to set up; output i of the stream seeded s is
+//    SplitMix64(s + i * gamma), one add and one mix per draw. It serves
+//    the streams keyed per query or per session, which draw a handful of
+//    values each and are created by the million.
 //
 // Stream families. Sharded consumers never share a generator: each draws
-// from Rng::ForStream(key, id), and the fault processes from
-// Rng(MixStream(MixStream(fault seed, query stream), sub-stream)). Within
-// one key the id ranges below cannot overlap for any reachable index
-// (int attempts, cycles and passes; fleet query counters q < 2^32), which
-// RngTest.StreamFamiliesAreDisjoint asserts:
+// from ForStream(key, id), and the fault processes from
+// StreamRng(MixStream(MixStream(fault seed, query stream), sub-stream)).
+// Within one key the id ranges below cannot overlap for any reachable
+// index (int attempts, cycles and passes; fleet query counters q < 2^32),
+// which RngTest.StreamFamiliesAreDisjoint asserts:
 //
-//   key                        id                         draws
-//   seed                       s in [0, 64)               experiment shard s:
-//                                                         points, arrivals
-//   seed                       kMobilityStreamBase + s    shard s's mobility walk
-//   FleetClientKey(seed, c)    FleetJoinStream() = 0      session c's join time
-//     = MixStream(seed, c)     3q + 1                     query q's point
-//                              3q + 2                     query q's schedule
-//                                                         (think, churn, re-join)
-//                              3q + 3                     query q's fault key,
-//                                                         MixStream(key, 3q + 3)
-//                                                         (FleetQueryLossStream)
-//                              kMobilityStreamBase + q    query q's mobility walk
-//   MixStream(loss or          LossProcess::kProbeStream  the probe's reads
-//     corruption seed,           = 0
-//     query stream)            AttemptStream(k) = k + 1   restart k
-//                              FallbackStream(c)          fallback-scan cycle c
-//                                = 2^32 + c
-//                              NoIndexStream(p)           indexless pass p
-//                                = 2^33 + p
+//   key                      id                       draws         engine
+//   seed                     s in [0, 64)             experiment    Rng
+//                                                     shard s:
+//                                                     points,
+//                                                     arrivals
+//   seed                     kMobilityStreamBase + s  shard s's     Rng
+//                                                     mobility walk
+//   FleetClientKey(seed, c)  FleetJoinStream() = 0    session c's   StreamRng
+//     = MixStream(seed, c)                            join time
+//                            3q + 1                   query q's     StreamRng
+//                                                     point
+//                            3q + 2                   query q's     StreamRng
+//                                                     schedule
+//                                                     (think, churn,
+//                                                     re-join)
+//                            3q + 3                   query q's fault key,
+//                                                     MixStream(key, 3q + 3)
+//                                                     (FleetQueryLossStream)
+//                            kMobilityStreamBase + q  query q's     StreamRng
+//                                                     mobility walk
+//   MixStream(loss or        LossProcess::            the probe's   StreamRng
+//     corruption seed,         kProbeStream = 0       reads
+//     query stream)          AttemptStream(k) = k + 1 restart k     StreamRng
+//                            FallbackStream(c)        fallback-     StreamRng
+//                              = 2^32 + c             scan cycle c
+//                            NoIndexStream(p)         indexless     StreamRng
+//                              = 2^33 + p             pass p
 //
 // kMobilityStreamBase = 2^40 (workload/mobility.h). The query stream of a
 // fault process is the global query index in RunExperiment and
-// FleetQueryLossStream in a fleet.
+// FleetQueryLossStream in a fleet. Datasets, the trap-tree's shuffle and
+// every bench tool's own streams are seeded Rngs outside this table.
 
 #ifndef DTREE_COMMON_RNG_H_
 #define DTREE_COMMON_RNG_H_
@@ -48,6 +67,37 @@
 
 namespace dtree {
 namespace internal {
+
+/// SplitMix64's output step (Steele, Lea & Flood, "Fast splittable
+/// pseudorandom number generators", OOPSLA 2014): adds the golden gamma,
+/// then applies the finalizer. Bijective, with avalanche-quality mixing
+/// even for adjacent inputs like stream ids 0, 1, 2, ...
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+constexpr uint64_t SplitMix64(uint64_t z) {
+  z += kSplitMix64Gamma;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// SplitMix64's generator: a Weyl sequence of step gamma, each value
+/// mixed by SplitMix64. Output i of the engine seeded s is
+/// SplitMix64(s + i * gamma), the published SplitMix64 sequence of seed s.
+/// One word of state and no set-up, so a stream that draws a handful of
+/// values costs a handful of mixes.
+class SplitMix64Engine {
+ public:
+  explicit SplitMix64Engine(uint64_t seed) : x_(seed) {}
+
+  uint64_t operator()() {
+    const uint64_t z = x_;
+    x_ += kSplitMix64Gamma;
+    return SplitMix64(z);
+  }
+
+ private:
+  uint64_t x_;
+};
 
 /// MT19937-64, the engine the C++ standard fully specifies as
 /// std::mt19937_64 ([rand.eng.mers]): Mt19937_64(s) yields the same
@@ -130,25 +180,27 @@ class Mt19937_64 {
 
 }  // namespace internal
 
-/// Seeded MT19937-64 (internal::Mt19937_64) with convenience samplers.
-/// Every sequence is pinned by goldens, so nothing here may depend on a
-/// standard library: the engine is the standard's fully specified
-/// mt19937_64, and the distributions restate the algorithms of libstdc++
-/// 12's uniform_real_distribution (generate_canonical<double, 53>),
+/// Seeded generator with convenience samplers, over one of the two
+/// engines above (the aliases Rng and StreamRng below). Every sequence is
+/// pinned by goldens, so nothing here may depend on a standard library:
+/// Mt19937_64 is the standard's fully specified mt19937_64, and the
+/// distributions restate the algorithms of libstdc++ 12's
+/// uniform_real_distribution (generate_canonical<double, 53>),
 /// uniform_int_distribution (Lemire's nearly divisionless method) and
-/// normal_distribution (Marsaglia's polar method), which recorded those
-/// goldens. Gaussian, and the fleet's exponential think time (DrawExp in
-/// broadcast/fleet.cc), still call libm's log / log1p.
-class Rng {
+/// normal_distribution (Marsaglia's polar method), which recorded the
+/// MT19937-64 goldens. Gaussian, and the fleet's exponential think time
+/// (DrawExp in broadcast/fleet.cc), still call libm's log / log1p.
+template <class Engine>
+class BasicRng {
  public:
-  explicit Rng(uint64_t seed) : engine_(seed) {}
+  explicit BasicRng(uint64_t seed) : engine_(seed) {}
 
   /// Independent stream derived from (seed, stream) with a SplitMix64
   /// finalizer, so sharded consumers (e.g. the parallel experiment driver)
   /// get decorrelated generators whose sequences depend only on the seed
   /// and the stream id — never on thread count or scheduling.
-  static Rng ForStream(uint64_t seed, uint64_t stream) {
-    return Rng(MixStream(seed, stream));
+  static BasicRng ForStream(uint64_t seed, uint64_t stream) {
+    return BasicRng(MixStream(seed, stream));
   }
 
   /// The stream-derivation mix itself, for components that key nested
@@ -156,7 +208,7 @@ class Rng {
   /// processes): MixStream(MixStream(seed, query), attempt) yields
   /// decorrelated, reproducible sub-streams.
   static uint64_t MixStream(uint64_t seed, uint64_t stream) {
-    return SplitMix64(seed ^ SplitMix64(stream));
+    return internal::SplitMix64(seed ^ internal::SplitMix64(stream));
   }
 
   /// Uniform double in [lo, hi).
@@ -198,15 +250,6 @@ class Rng {
   }
 
  private:
-  /// SplitMix64 finalizer (Steele et al.); bijective, avalanche-quality
-  /// mixing even for adjacent inputs like stream ids 0, 1, 2, ...
-  static uint64_t SplitMix64(uint64_t z) {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
   /// One draw scaled to [0, 1): u / 2^64, where rounding u to double may
   /// reach 1.0, which is clamped to the largest double below it. Both
   /// 32-bit halves convert exactly, so their sum rounds once, to double(u),
@@ -233,8 +276,16 @@ class Rng {
     return static_cast<uint64_t>(product >> 64);
   }
 
-  internal::Mt19937_64 engine_;
+  Engine engine_;
 };
+
+/// MT19937-64: datasets, the trap-tree's shuffle, RunExperiment's shard
+/// streams and every caller outside the per-query families.
+using Rng = BasicRng<internal::Mt19937_64>;
+/// The counter-based stream: the per-query and per-session families of
+/// the table above (fleet join, point, schedule and mobility streams, and
+/// the loss and corruption processes).
+using StreamRng = BasicRng<internal::SplitMix64Engine>;
 
 }  // namespace dtree
 

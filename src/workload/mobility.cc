@@ -30,7 +30,8 @@ double Reflect(double v, double lo, double hi) {
   return t <= w ? lo + t : lo + (2.0 * w - t);
 }
 
-geom::Point UniformIn(const geom::BBox& area, Rng* rng) {
+template <class Engine>
+geom::Point UniformIn(const geom::BBox& area, BasicRng<Engine>* rng) {
   const double x = rng->Uniform(area.min_x, area.max_x);
   const double y = rng->Uniform(area.min_y, area.max_y);
   return {x, y};
@@ -38,9 +39,10 @@ geom::Point UniformIn(const geom::BBox& area, Rng* rng) {
 
 }  // namespace
 
+template <class Engine>
 geom::Point MobilityStep(const MobilityOptions& options,
                          const geom::BBox& area, MobilityState* state,
-                         Rng* rng) {
+                         BasicRng<Engine>* rng) {
   DTREE_CHECK(state != nullptr && rng != nullptr);
   if (!state->started) {
     state->pos = UniformIn(area, rng);
@@ -76,6 +78,11 @@ geom::Point MobilityStep(const MobilityOptions& options,
   DTREE_CHECK(false);
   return state->pos;
 }
+
+template geom::Point MobilityStep(const MobilityOptions&, const geom::BBox&,
+                                  MobilityState*, Rng*);
+template geom::Point MobilityStep(const MobilityOptions&, const geom::BBox&,
+                                  MobilityState*, StreamRng*);
 
 Status ValidateMobilityOptions(const MobilityOptions& options) {
   if (!options.enabled) return Status::OK();

@@ -19,9 +19,10 @@
 //                        waypoint on arrival.
 //
 // Determinism contract (RNG stream hygiene): a walk draws ONLY from the
-// Rng handed to each MobilityStep call. Callers derive that Rng from the
-// dedicated kMobilityStreamBase family — never from the point / schedule /
-// loss streams existing workloads consume — so enabling mobility cannot
+// generator handed to each MobilityStep call (an Rng in RunExperiment, a
+// StreamRng in the fleet). Callers derive it from the dedicated
+// kMobilityStreamBase family — never from the point / schedule / loss
+// streams existing workloads consume — so enabling mobility cannot
 // perturb a single existing draw, and the walk itself depends only on
 // (seed, stream ids), never on thread count.
 
@@ -73,10 +74,12 @@ struct MobilityState {
 
 /// Advances `state` by one query step inside `area` and returns the new
 /// position (always within the area). The first call of a walk draws the
-/// start position uniformly in the area. All randomness comes from `rng`.
+/// start position uniformly in the area. All randomness comes from `rng`;
+/// instantiated for Rng and StreamRng (common/rng.h).
+template <class Engine>
 geom::Point MobilityStep(const MobilityOptions& options,
                          const geom::BBox& area, MobilityState* state,
-                         Rng* rng);
+                         BasicRng<Engine>* rng);
 
 /// Validates model parameters (positive scales, non-degenerate area).
 Status ValidateMobilityOptions(const MobilityOptions& options);

@@ -179,17 +179,43 @@ TEST(RngTest, EngineKnownAnswer) {
   EXPECT_EQ(engine(), 9981545732273789042ULL);
 }
 
+/// Literal outputs of one seeded generator's samplers, called in this
+/// order: Uniform ×5, UniformInt ×4, Gaussian ×3, then a shuffle.
+struct DistributionWant {
+  uint64_t seed;
+  double uniform[5];
+  int64_t uniform_int[4];
+  double gaussian[3];
+  std::vector<int> shuffled;
+};
+
+template <class Engine>
+void ExpectDistributionKnownAnswers(const DistributionWant& w) {
+  SCOPED_TRACE(w.seed);
+  BasicRng<Engine> rng(w.seed);
+  EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[0]);
+  EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[1]);
+  EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[2]);
+  EXPECT_EQ(rng.Uniform(-2.5, 7.5), w.uniform[3]);
+  EXPECT_EQ(rng.Uniform(1e6, 1e6 + 1), w.uniform[4]);
+  EXPECT_EQ(rng.UniformInt(0, 9), w.uniform_int[0]);
+  EXPECT_EQ(rng.UniformInt(-1000, 1000), w.uniform_int[1]);
+  EXPECT_EQ(rng.UniformInt(0, int64_t{1} << 40), w.uniform_int[2]);
+  EXPECT_EQ(rng.UniformInt(std::numeric_limits<int64_t>::min(),
+                           std::numeric_limits<int64_t>::max()),
+            w.uniform_int[3]);
+  EXPECT_EQ(rng.Gaussian(0.0, 1.0), w.gaussian[0]);
+  EXPECT_EQ(rng.Gaussian(10.0, 2.5), w.gaussian[1]);
+  EXPECT_EQ(rng.Gaussian(-3.0, 0.01), w.gaussian[2]);
+  std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  rng.Shuffle(&v);
+  EXPECT_EQ(v, w.shuffled);
+}
+
 TEST(RngTest, DistributionKnownAnswers) {
   // Recorded with std::mt19937_64 and libstdc++ 12's distributions, the
   // generator every golden was pinned with; checked on any library.
-  struct Want {
-    uint64_t seed;
-    double uniform[5];
-    int64_t uniform_int[4];
-    double gaussian[3];
-    std::vector<int> shuffled;
-  };
-  const Want wants[] = {
+  const DistributionWant wants[] = {
       {42,
        {0x1.82a3befaddcbcp-1, 0x1.472f1f73724ap-1, 0x1.81192cfe1cbcfp-1,
         -0x1.232455849af3cp+0, 0x1.e8481ce79451dp+19},
@@ -203,26 +229,57 @@ TEST(RngTest, DistributionKnownAnswers) {
        {-0x1.83fe249e7b428p-2, 0x1.9660e74cb0155p+3, -0x1.7e2a657e2110cp+1},
        {1, 5, 3, 6, 4, 8, 7, 9, 0, 2}},
   };
-  for (const Want& w : wants) {
-    SCOPED_TRACE(w.seed);
-    Rng rng(w.seed);
-    EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[0]);
-    EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[1]);
-    EXPECT_EQ(rng.Uniform(0.0, 1.0), w.uniform[2]);
-    EXPECT_EQ(rng.Uniform(-2.5, 7.5), w.uniform[3]);
-    EXPECT_EQ(rng.Uniform(1e6, 1e6 + 1), w.uniform[4]);
-    EXPECT_EQ(rng.UniformInt(0, 9), w.uniform_int[0]);
-    EXPECT_EQ(rng.UniformInt(-1000, 1000), w.uniform_int[1]);
-    EXPECT_EQ(rng.UniformInt(0, int64_t{1} << 40), w.uniform_int[2]);
-    EXPECT_EQ(rng.UniformInt(std::numeric_limits<int64_t>::min(),
-                             std::numeric_limits<int64_t>::max()),
-              w.uniform_int[3]);
-    EXPECT_EQ(rng.Gaussian(0.0, 1.0), w.gaussian[0]);
-    EXPECT_EQ(rng.Gaussian(10.0, 2.5), w.gaussian[1]);
-    EXPECT_EQ(rng.Gaussian(-3.0, 0.01), w.gaussian[2]);
-    std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-    rng.Shuffle(&v);
-    EXPECT_EQ(v, w.shuffled);
+  for (const DistributionWant& w : wants) {
+    ExpectDistributionKnownAnswers<internal::Mt19937_64>(w);
+  }
+}
+
+// A StreamRng is created for every fleet query and fault sub-stream; its
+// point is that it holds a word or two, not MT19937-64's 312.
+static_assert(sizeof(StreamRng) <= 2 * sizeof(uint64_t),
+              "StreamRng must stay a few words");
+
+TEST(RngTest, SplitMix64EngineKnownAnswers) {
+  // The published SplitMix64 sequences of seeds 0 and 1234567.
+  internal::SplitMix64Engine zero(0);
+  EXPECT_EQ(zero(), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(zero(), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(zero(), 0x06c45d188009454fULL);
+  internal::SplitMix64Engine engine(1234567);
+  for (uint64_t want :
+       {6457827717110365317ULL, 3203168211198807973ULL,
+        9817491932198370423ULL, 4593380528125082431ULL,
+        16408922859458223821ULL}) {
+    EXPECT_EQ(engine(), want);
+  }
+  // Output i of stream (key, id) is SplitMix64(MixStream(key, id) + i γ).
+  const uint64_t start = StreamRng::MixStream(2003, 17);
+  internal::SplitMix64Engine stream(start);
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_EQ(stream(),
+              internal::SplitMix64(start + i * internal::kSplitMix64Gamma))
+        << "output " << i;
+  }
+}
+
+TEST(RngTest, StreamRngDistributionKnownAnswers) {
+  // Recorded once from StreamRng; the same samplers over SplitMix64Engine.
+  const DistributionWant wants[] = {
+      {42,
+       {0x1.7bae644c5fd6ep-1, 0x1.477f199d93379p-3, 0x1.1d499d5c4c3e8p-2,
+        0x1.e241a7ed1dd9cp-1, 0x1.e84801378b0b4p+19},
+       {8, -563, 880304058015, -2952751159242293803},
+       {-0x1.3fa3947de61c7p+0, 0x1.2493f1c281c75p+4, -0x1.7d558471fde53p+1},
+       {7, 9, 1, 6, 5, 4, 8, 3, 0, 2}},
+      {StreamRng::MixStream(7, 3),
+       {0x1.8101f8973e682p-1, 0x1.5820ff15a5759p-2, 0x1.10692665772ebp-2,
+        0x1.74aa36aabb9b8p+0, 0x1.e8480676d76fbp+19},
+       {8, 751, 1008017708454, -520174708637332240},
+       {0x1.a40fb6ba47c38p-1, 0x1.b580854ed863ap+3, -0x1.7f260cb3cb60dp+1},
+       {1, 0, 2, 6, 7, 4, 5, 3, 9, 8}},
+  };
+  for (const DistributionWant& w : wants) {
+    ExpectDistributionKnownAnswers<internal::SplitMix64Engine>(w);
   }
 }
 

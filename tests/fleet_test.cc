@@ -159,13 +159,13 @@ TEST(FleetTest, SingleClientSingleQueryReproducesSimulateFieldForField) {
       const BroadcastChannel ch =
           MakeFleetChannel(tree.value(), ds.value().subdivision, fopt);
       const uint64_t key = FleetClientKey(seed, 0);
-      Rng join_rng = Rng::ForStream(key, FleetJoinStream());
+      StreamRng join_rng = StreamRng::ForStream(key, FleetJoinStream());
       const double arrival = join_rng.Uniform(
           0.0, static_cast<double>(ch.cycle_packets()));
       auto sampler_r = QuerySampler::Create(
           ds.value().subdivision, fopt.distribution, {});
       ASSERT_TRUE(sampler_r.ok());
-      Rng point_rng = Rng::ForStream(key, FleetPointStream(0));
+      StreamRng point_rng = StreamRng::ForStream(key, FleetPointStream(0));
       const geom::Point p = sampler_r.value().Draw(&point_rng);
       ProbeTrace trace;
       ASSERT_TRUE(tree.value().ProbeInto(p, &trace).ok());

@@ -23,13 +23,19 @@
 // timeline and the Prometheus text, and one over its flight records
 // alone, so a change to the flight recorder moves only the second. A
 // change that moves a single bit of any value is a protocol change, so
-// the values move only in a deliberate re-pin. The one re-pin so far
-// moved the 18 non-empty flight digests when flight records began to be
-// written from each query's own trace; every other value is as first
-// recorded. The fleet pins attach telemetry and a trace sink; one more
-// case re-runs each pinned fleet without telemetry, and with telemetry
-// but no trace sink, and requires the same result, trace and telemetry
-// bytes.
+// the values move only in a deliberate re-pin. There have been two. The
+// first moved the 18 non-empty flight digests when flight records began
+// to be written from each query's own trace. The second moved 51 digests
+// when the per-query and per-session streams moved to the counter-based
+// StreamRng (common/rng.h): the Simulate, Timeline and Experiment digests
+// of loss configs 1, 2 and 4 with their non-empty flight digests, and
+// every fleet and versioned-fleet digest but the empty flights. Config 0
+// is lossless and config 3 loses every read whatever the draw, so their
+// Simulate, Timeline and Experiment digests are as first recorded.
+//
+// The fleet pins attach telemetry and a trace sink; one more case re-runs
+// each pinned fleet without telemetry, and with telemetry but no trace
+// sink, and requires the same result, trace and telemetry bytes.
 //
 // Each case also asserts that the ladder branches it exists for fire at
 // least once — every GiveUpStage, a fallback scan that answers, a
@@ -149,42 +155,42 @@ constexpr ConfigPins kPins[] = {
      {0x3951e14637766263ull, 0x920994c0c464bf20ull},
      {{0xa5bd64a761c7af82ull, 0xaf63f14c8602103bull},
       {0xc85c12f0af8fb52bull, 0xaf63f14c8602103bull}},
-     {{0xa697f6d9fa3dacb8ull, 0xaf63f14c8602103bull},
-      {0xbb160de2fa8dc4e6ull, 0xaf63f14c8602103bull}},
-     {{0xe0a1db17971f8163ull, 0xaf63f14c8602103bull},
-      {0x335288e63b01f80dull, 0xaf63f14c8602103bull}}},
-    {0x00c3c062c5827e95ull,
-     {0x286a4386c40f9818ull, 0x521ef2ad93faf4b3ull},
-     {{0x7042c9026e93458bull, 0x321e85068f53b44dull},
-      {0x58f7452a3ed98338ull, 0x8c0f581c20c86203ull}},
-     {{0x91a6411499c7586dull, 0x8208142ee547e588ull},
-      {0xc85dec58a53552b4ull, 0x0c277dd9c821629full}},
-     {{0xe9b107753b0bf891ull, 0x3d462ea782e89523ull},
-      {0xf2e384344a702a96ull, 0x317ca03c9a872303ull}}},
-    {0xc736667639afba33ull,
-     {0x19aa9a0598f4e47full, 0xf84c6bf38142039full},
-     {{0xfff0ddb0067cf99eull, 0xaf63f14c8602103bull},
-      {0xa9746e7820bab0cbull, 0xaf63f14c8602103bull}},
-     {{0xdcc3c6b81345b69cull, 0xaf63f14c8602103bull},
-      {0x5bdce1c98dc66b43ull, 0xaf63f14c8602103bull}},
-     {{0xb71ef658e077d63bull, 0xaf63f14c8602103bull},
-      {0x94473ae202af9273ull, 0xaf63f14c8602103bull}}},
+     {{0xa5331b494087f7e3ull, 0xaf63f14c8602103bull},
+      {0xbdf468c778a6d507ull, 0xaf63f14c8602103bull}},
+     {{0x4a791469125737afull, 0xaf63f14c8602103bull},
+      {0xa4a0a7f9972173c9ull, 0xaf63f14c8602103bull}}},
+    {0x482bf3268682990full,
+     {0x17ec6513dc80184cull, 0xf4d02a2ed255e0faull},
+     {{0x10b57d1cfbd3ab2full, 0xc0b606cae21397d3ull},
+      {0x35dec7c9348ab105ull, 0xb6f40e58b8680e46ull}},
+     {{0xe331a2f3975a0748ull, 0xb82b6c67645d140eull},
+      {0xaeb5db125618a84aull, 0x12113fff599508c2ull}},
+     {{0xe4458bac913bc136ull, 0x69a3744bd78b2304ull},
+      {0xaa621d169055d486ull, 0x1df1922aa149a800ull}}},
+    {0xe9a1ac04066d9732ull,
+     {0xf72bddb4843b62e1ull, 0x618401f6f9b5a176ull},
+     {{0xa799ad94c9473db0ull, 0xaf63f14c8602103bull},
+      {0x26eff80e5a77b48eull, 0xaf63f14c8602103bull}},
+     {{0xbf40ab53f3b7ef7aull, 0xaf63f14c8602103bull},
+      {0xeac2b334258bc4bfull, 0xaf63f14c8602103bull}},
+     {{0x4c65ababf413e798ull, 0xaf63f14c8602103bull},
+      {0xcc0301bb1641298aull, 0xaf63f14c8602103bull}}},
     {0x9243787b847e4f7aull,
      {0xa8abc0f091ec836dull, 0xcfb5574f44974b73ull},
      {{0x54ec8be0184d7dffull, 0x549927165f58e23eull},
       {0xe292c83b3b9c7438ull, 0x85cf7a01952f1cc9ull}},
-     {{0x46de4766c0e71adaull, 0x3b2bbaf0cfeef1d3ull},
-      {0x6c0192915d83819cull, 0x3b2bbaf0cfeef1d3ull}},
-     {{0x528dc9a650deb3b5ull, 0xc9e91f6c6bff70e7ull},
-      {0x741ee0110a6ecd70ull, 0xc9e91f6c6bff70e7ull}}},
-    {0x156601f51fc7e0b9ull,
-     {0xf74dc7957885efc1ull, 0x45be53dd09402167ull},
-     {{0x62d9c30e758c8b39ull, 0xd2b5c833d27dba7dull},
-      {0xca63d29e4234bbd2ull, 0x3e784e285d94ab46ull}},
-     {{0x1da220f49a302e99ull, 0x907bc92eac7935cdull},
-      {0xe8996de08acfaf39ull, 0x5e943a354d1c1185ull}},
-     {{0x5f667187de171e60ull, 0x6b6e97f505a53af0ull},
-      {0xcd6242d75a9fc350ull, 0xa098294120c24607ull}}},
+     {{0x740eeb288109596dull, 0x2e2837f391eb1569ull},
+      {0x18aaab47a7c617ceull, 0x2e2837f391eb1569ull}},
+     {{0x3f7f672035aaa547ull, 0x23fc84f4e58e8845ull},
+      {0x2d6d458f4c1f6af4ull, 0x23fc84f4e58e8845ull}}},
+    {0x91db88ad96873725ull,
+     {0x8b3e856e5a69ec64ull, 0xeb3493bd949839bfull},
+     {{0x8bfef3bce717d3ecull, 0x57b4770ddd516227ull},
+      {0x71efc4a521b865f5ull, 0x077a3c2dc875ee49ull}},
+     {{0xd1530a671452bf5dull, 0xd63be36f07af9a2aull},
+      {0x440470937be19df1ull, 0x626777ba75602803ull}},
+     {{0xc567a0dbc4e03644ull, 0xb9f1f0d5f4987174ull},
+      {0xd47bf12d3faaf5adull, 0xc6543d32f15b34d6ull}}},
 };
 
 void HashOutcome(const QueryOutcome& out, Digest* d) {
