@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "broadcast/frame.h"
 #include "broadcast/params.h"
@@ -134,14 +135,17 @@ void RStarTree::SplitNode(int node_id, Entry* new_node_entry) {
     return margin_sum;
   };
 
+  // Entries with the same extent on an axis (e.g. child boxes that both
+  // span the service area's width) fall back to their ids, so the split
+  // never depends on std::sort's order for equal keys.
   std::vector<Entry> by_x = entries, by_y = entries;
   auto x_less = [](const Entry& a, const Entry& b) {
-    if (a.box.min_x != b.box.min_x) return a.box.min_x < b.box.min_x;
-    return a.box.max_x < b.box.max_x;
+    return std::tie(a.box.min_x, a.box.max_x, a.child, a.region) <
+           std::tie(b.box.min_x, b.box.max_x, b.child, b.region);
   };
   auto y_less = [](const Entry& a, const Entry& b) {
-    if (a.box.min_y != b.box.min_y) return a.box.min_y < b.box.min_y;
-    return a.box.max_y < b.box.max_y;
+    return std::tie(a.box.min_y, a.box.max_y, a.child, a.region) <
+           std::tie(b.box.min_y, b.box.max_y, b.child, b.region);
   };
   std::sort(by_x.begin(), by_x.end(), x_less);
   std::sort(by_y.begin(), by_y.end(), y_less);

@@ -302,12 +302,14 @@ Result<std::vector<Polygon>> VoronoiCellsReference(
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) {
     const Point& s = sites[i];
-    // Clip against the other sites from nearest to farthest; the running
-    // distance bound prunes most of them.
+    // Clip against the other sites from nearest to farthest, in the grid
+    // path's (distance^2, id) order; the running distance bound prunes
+    // most of them.
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return geom::DistanceSquared(s, sites[a]) <
-             geom::DistanceSquared(s, sites[b]);
+      const double da = geom::DistanceSquared(s, sites[a]);
+      const double db = geom::DistanceSquared(s, sites[b]);
+      return da != db ? da < db : a < b;
     });
     Polygon cell = RectPolygon(service_area);
     double reach = MaxVertexDistance(s, cell);
