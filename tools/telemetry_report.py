@@ -15,6 +15,9 @@ Usage:
                                                     # flight-recorder dump
                                                     # and cross-check its
                                                     # record count
+  tools/telemetry_report.py --self-test             # the checks against
+                                                    # the pinned exports
+                                                    # and tampered copies
 
 --check enforces the schema plus the invariants the telemetry layer
 guarantees by construction, so any violation means the producer (or the
@@ -30,7 +33,8 @@ file) is broken, not the fleet:
     sample per completed query;
   * heatmap rows have exactly meta.heatmap_bins bins per class and their
     binned packets sum to the window's index_reads / data_reads
-    counters;
+    counters, except in a window with no reads, whose rows the exporter
+    leaves empty: there both rows are [] and both counters 0;
   * the epoch_switches window counter sums to the meta total (always
     present, 0 on single-epoch runs), and versioned flight records
     carry "epoch" and "epoch_switches" together or not at all
@@ -49,7 +53,11 @@ file) is broken, not the fleet:
 
 import json
 import math
+import os
+import re
 import sys
+import tempfile
+from pathlib import Path
 
 from trace_summary import check_events, run_main
 
@@ -159,11 +167,21 @@ def validate_window(obj, bins, cache_on):
                 f"histogram {name!r} holds {obj[name]['count']} samples "
                 f"but the window completed {obj['completed']} queries"
             )
-    for name, counter in (("heatmap_index", "index_reads"),
-                          ("heatmap_data", "data_reads")):
+    rows = (("heatmap_index", "index_reads"), ("heatmap_data", "data_reads"))
+    if all(obj.get(name) == [] for name, _ in rows):
+        # The rows are sized at the window's first read (DESIGN.md §14).
+        for _, counter in rows:
+            if obj[counter] != 0:
+                return (
+                    f"empty heatmap rows but the window counted "
+                    f"{obj[counter]} {counter}"
+                )
+        return None
+    for name, counter in rows:
         row = obj.get(name)
         if not isinstance(row, list) or len(row) != bins:
-            return f"{name!r} must be a {bins}-bin array"
+            return (f"{name!r} must be a {bins}-bin array ([] only with "
+                    f"the other row [] in a window with no reads)")
         if not all(is_int(c) and c >= 0 for c in row):
             return f"{name!r} entries must be non-negative integers"
         if sum(row) != obj[counter]:
@@ -352,11 +370,103 @@ def report_block(meta, windows):
             )
 
 
+def pinned_timelines():
+    """{test name: timeline text} for every TelemetryWindowExportTest in
+    tests/telemetry_test.cc that pins the exporter's timeline byte for
+    byte as one string literal."""
+    src = (Path(__file__).resolve().parent.parent / "tests" /
+           "telemetry_test.cc").read_text(encoding="utf-8")
+    literal = re.compile(r'\s*"((?:[^"\\]|\\.)*)"')
+    expect = "EXPECT_EQ(out.timeline,"
+    timelines = {}
+    for test in re.finditer(r"TEST\(TelemetryWindowExportTest, (\w+)\)",
+                            src):
+        end = src.find("\nTEST(", test.end())
+        at = src.find(expect, test.end(), end if end >= 0 else len(src))
+        if at < 0:
+            continue
+        pos = at + len(expect)
+        parts = []
+        while (m := literal.match(src, pos)) is not None:
+            parts.append(m.group(1).encode().decode("unicode_escape"))
+            pos = m.end()
+        timelines[test.group(1)] = "".join(parts)
+    return timelines
+
+
+def check_text(text):
+    """Runs --check on a timeline held in memory; returns the first
+    error, or None."""
+    with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
+                                     delete=False) as f:
+        f.write(text)
+    try:
+        for meta, windows, meta_line in parse_blocks(f.name):
+            err = check_block_totals(meta, windows, f"line {meta_line}")
+            if err is not None:
+                return err
+        return None
+    except SystemExit as e:
+        return str(e)
+    finally:
+        os.unlink(f.name)
+
+
+def self_test():
+    ok = True
+    timelines = pinned_timelines()
+    if "WindowTouchedOnlyByADozeExportsZeroShapes" not in timelines:
+        print(f"self-test FAIL: pinned timelines not found: "
+              f"{sorted(timelines)}")
+        return 1
+    for name, text in sorted(timelines.items()):
+        err = check_text(text)
+        if err is not None:
+            ok = False
+            print(f"self-test FAIL: pinned {name} rejected: {err}")
+
+    def tamper(name, w, **fields):
+        """The pinned timeline `name` with window `w`'s fields replaced."""
+        lines = []
+        for line in timelines[name].splitlines():
+            obj = json.loads(line)
+            if obj.get("w") == w:
+                obj.update(fields)
+            lines.append(json.dumps(obj))
+        return "\n".join(lines) + "\n"
+
+    doze = "DozeAcrossABoundarySplitsBetweenWindows"
+    quiet = "WindowTouchedOnlyByADozeExportsZeroShapes"
+    # (what, tampered timeline, fragment the error must contain)
+    cases = [
+        ("31-bin row", tamper(doze, 0, heatmap_index=[1] + [0] * 30),
+         "must be a 4-bin array"),
+        ("row sum differs from its counter",
+         tamper(doze, 0, heatmap_index=[0, 0, 2, 0]),
+         "sums to 2 but the window counted 1 index_reads"),
+        ("[] beside non-zero index_reads",
+         tamper(doze, 0, heatmap_index=[], heatmap_data=[]),
+         "empty heatmap rows but the window counted 1 index_reads"),
+        ("one row empty, the other full",
+         tamper(quiet, 1, heatmap_index=[0, 0, 0, 0]),
+         "'heatmap_data' must be a 4-bin array"),
+    ]
+    for what, text, want in cases:
+        err = check_text(text)
+        if err is None or want not in err:
+            ok = False
+            print(f"self-test FAIL: {what}: got {err!r}, want {want!r}")
+    print("telemetry_report.py self-test " + ("passed" if ok else "FAILED"))
+    return 0 if ok else 1
+
+
 def main(argv):
     check_only = False
     flight_path = None
     paths = []
     for arg in argv[1:]:
+        if arg == "--self-test":
+            return self_test()
         if arg == "--check":
             check_only = True
         elif arg.startswith("--flight="):
