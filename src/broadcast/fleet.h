@@ -27,8 +27,8 @@
 //
 // Determinism contract (same shape as RunExperiment's): clients are split
 // into kFleetShards fixed shards owning contiguous slot ranges; every
-// random draw comes from a stream keyed by (options.seed, client id,
-// purpose) via Rng::MixStream, never from shared state; each shard runs
+// random draw comes from a StreamRng keyed by (options.seed, client id,
+// purpose) via MixStream, never from shared state; each shard runs
 // its own event loop single-threaded into a private QueryTally, and the
 // tallies are merged in shard order by the same MergeShards as
 // RunExperiment's (broadcast/experiment.h). FleetResult is therefore
@@ -126,8 +126,11 @@ struct FleetResult : QueryStats {
 };
 
 /// RNG identity of one client session: MixStream(seed, client_id) with
-/// client_id = slot + generation * num_clients. Exposed so tests can
-/// reproduce a fleet client's draws independently of the engine.
+/// client_id = slot + generation * num_clients. Every stream under this
+/// key is a StreamRng (common/rng.h), one word with no set-up, so the
+/// engine builds one per draw site. Exposed so tests can reproduce a
+/// fleet client's draws independently of the engine, with
+/// StreamRng::ForStream(key, sub-stream id).
 inline uint64_t FleetClientKey(uint64_t seed, uint64_t client_id) {
   return Rng::MixStream(seed, client_id);
 }
@@ -137,7 +140,7 @@ inline uint64_t FleetClientKey(uint64_t seed, uint64_t client_id) {
 
 /// The generation-0 join draw.
 inline uint64_t FleetJoinStream() { return 0; }
-/// Query point (rejection sampling, private ephemeral Rng).
+/// Query point (rejection sampling, private ephemeral StreamRng).
 inline uint64_t FleetPointStream(uint64_t query_index) {
   return 3 * query_index + 1;
 }
