@@ -8,13 +8,13 @@
 #include <unordered_map>
 #include <utility>
 
+#include "baselines/kirkpatrick/kirkpatrick.h"
 #include "geom/predicates.h"
 
 namespace dtree::baselines {
 
 namespace {
 
-using bcast::kDataPtrBit;
 using bcast::kOffsetBits;
 using bcast::kOffsetMask;
 
@@ -44,8 +44,8 @@ Result<TrianTreeArena> TrianTreeArena::Build(
   if (roots.empty()) return Status::InvalidArgument("no root locations");
 
   TrianTreeArena a;
+  a.decoded_ = true;
   a.budget_ = bcast::DecodeBudget(packets.num_packets());
-  a.child_begin_.push_back(0);
 
   const size_t max_nodes =
       packets.num_packets() * static_cast<size_t>(packet_capacity) /
@@ -79,44 +79,39 @@ Result<TrianTreeArena> TrianTreeArena::Build(
   }
 
   // Discovered nodes are appended to `pending` in arena-index order, so
-  // processing the queue in order keeps per-node records aligned.
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> raw_children;
+  // processing the queue in order keeps the node records aligned.
+  std::vector<uint32_t> ptrs;
   while (!pending.empty()) {
     const uint32_t key = pending.front();
     pending.pop_front();
-    const int packet = static_cast<int>(key >> kOffsetBits);
-    const size_t offset = key & kOffsetMask;
+    Node node;
+    node.first_packet = static_cast<int>(key >> kOffsetBits);
+    node.offset = key & kOffsetMask;
 
-    bcast::PacketReader r(packets, packet_capacity, framed, packet, offset,
-                          nullptr);
+    bcast::PacketReader r(packets, packet_capacity, framed,
+                          node.first_packet, node.offset, nullptr);
     uint16_t bid;
     DTREE_RETURN_IF_ERROR(r.ReadU16(&bid));
-    const int count = bid >> 12;
-    geom::Triangle tri;
+    node.count = bid >> 12;
     for (int i = 0; i < 3; ++i) {
       float x, y;
       DTREE_RETURN_IF_ERROR(r.ReadF32(&x));
       DTREE_RETURN_IF_ERROR(r.ReadF32(&y));
-      tri.v[i] = geom::Point{x, y};
+      node.tri.v[i] = geom::Point{x, y};
     }
     // f32 rounding can flip the orientation of a sliver triangle;
     // Contains() assumes CCW.
-    tri.EnsureCCW();
-    a.tri_.push_back(tri);
-    a.count_.push_back(count);
+    node.tri.EnsureCCW();
 
-    const int nptrs = std::max(1, count);
-    std::vector<uint32_t> ptrs(static_cast<size_t>(nptrs));
-    for (int i = 0; i < nptrs; ++i) {
-      DTREE_RETURN_IF_ERROR(r.ReadU32(&ptrs[static_cast<size_t>(i)]));
-    }
-    const size_t node_bytes = 2 + 24 + 4 * static_cast<size_t>(nptrs);
-    a.first_packet_.push_back(packet);
-    a.last_packet_.push_back(
-        packet + static_cast<int>((offset + node_bytes - 1) /
-                                  static_cast<size_t>(packet_capacity)));
+    ptrs.resize(static_cast<size_t>(std::max(1, node.count)));
+    for (uint32_t& ptr : ptrs) DTREE_RETURN_IF_ERROR(r.ReadU32(&ptr));
+    const size_t node_bytes = 2 + 24 + 4 * ptrs.size();
+    node.last_packet =
+        node.first_packet +
+        static_cast<int>((node.offset + node_bytes - 1) /
+                         static_cast<size_t>(packet_capacity));
 
-    if (count == 0) {
+    if (node.count == 0) {
       const uint32_t ptr = ptrs[0];
       if (!bcast::IsDataPointer(ptr)) {
         return Status::DataLoss("base triangle without a data pointer");
@@ -128,12 +123,10 @@ Result<TrianTreeArena> TrianTreeArena::Build(
                                   std::to_string(region));
         }
       }
-      a.data_ptr_.push_back(ptr);
+      node.data_ptr = ptr;
     } else {
-      a.data_ptr_.push_back(0);
-      std::vector<uint32_t> kids;
-      kids.reserve(ptrs.size());
-      for (uint32_t ptr : ptrs) {
+      node.first_child = static_cast<uint32_t>(a.child_.size());
+      for (const uint32_t ptr : ptrs) {
         if (bcast::IsDataPointer(ptr)) {
           return Status::DataLoss(
               "unexpected data pointer in an internal trian-tree node");
@@ -148,25 +141,71 @@ Result<TrianTreeArena> TrianTreeArena::Build(
         }
         Result<uint32_t> id = intern(cpkt, coff);
         if (!id.ok()) return id.status();
-        kids.push_back(id.value());
+        a.child_.push_back(id.value());
       }
-      raw_children.emplace_back(
-          static_cast<uint32_t>(a.count_.size()) - 1, std::move(kids));
     }
+    a.nodes_.push_back(node);
   }
-
-  // Second pass: flatten children now that every node has its index.
-  size_t ri = 0;
-  for (size_t id = 0; id < a.count_.size(); ++id) {
-    if (a.count_[id] > 0) {
-      DTREE_CHECK(ri < raw_children.size() &&
-                  raw_children[ri].first == static_cast<uint32_t>(id));
-      for (uint32_t c : raw_children[ri].second) a.child_.push_back(c);
-      ++ri;
-    }
-    a.child_begin_.push_back(static_cast<uint32_t>(a.child_.size()));
-  }
+  a.ShrinkToFit();
   return a;
+}
+
+void TrianTreeArena::ShrinkToFit() {
+  roots_.shrink_to_fit();
+  nodes_.shrink_to_fit();
+  child_.shrink_to_fit();
+}
+
+Status TrianTreeArena::Descend(const geom::Point& p,
+                               bcast::ProbeTrace* trace, int* region) const {
+  const uint32_t* cand = roots_.data();
+  size_t ncand = roots_.size();
+  int budget = budget_;
+  for (;;) {
+    int64_t found = -1;
+    for (size_t i = 0; i < ncand && found < 0; ++i) {
+      const Node& c = nodes_[cand[i]];
+      if (--budget < 0) {
+        return bcast::DescentFailure(
+            decoded_, "trian-tree descent exceeded its scan budget");
+      }
+      // A client reads the whole node, so the log gains the node's full
+      // packet span whether or not it matches.
+      for (int k = c.first_packet; trace != nullptr && k <= c.last_packet;
+           ++k) {
+        if (trace->packets.empty() || trace->packets.back() != k) {
+          trace->packets.push_back(k);
+        }
+      }
+      if (c.tri.Contains(p)) found = cand[i];
+    }
+    if (found < 0) {
+      // Numeric crack between adjacent triangles: the first nearest
+      // candidate answers.
+      double best_dist = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < ncand; ++i) {
+        const double d = DistanceToTriangle(nodes_[cand[i]].tri, p);
+        if (d < best_dist) {
+          best_dist = d;
+          found = cand[i];
+        }
+      }
+    }
+    if (found < 0) {
+      return bcast::DescentFailure(decoded_,
+                                   "query point escaped the triangulation");
+    }
+    const Node& f = nodes_[static_cast<size_t>(found)];
+    if (f.count == 0) {
+      if (f.data_ptr == bcast::kOutsideRegionPtr) {
+        return Status::NotFound("query point outside the service area");
+      }
+      *region = bcast::DataPointerRegion(f.data_ptr);
+      return Status::OK();
+    }
+    cand = child_.data() + f.first_child;
+    ncand = static_cast<size_t>(f.count);
+  }
 }
 
 Status TrianTreeArena::ProbeInto(const geom::Point& p,
@@ -174,59 +213,17 @@ Status TrianTreeArena::ProbeInto(const geom::Point& p,
   trace->region = -1;
   trace->packets.clear();
   trace->origins.clear();
-  const uint32_t* cand = roots_.data();
-  size_t ncand = roots_.size();
-  int budget = budget_;
-  for (;;) {
-    int64_t found = -1;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < ncand; ++i) {
-      const uint32_t c = cand[i];
-      if (--budget < 0) {
-        return Status::DataLoss("trian-tree decode budget exhausted");
-      }
-      // A client reads the whole node, so the log gains the node's full
-      // packet span whether or not it matches.
-      for (int k = first_packet_[c]; k <= last_packet_[c]; ++k) {
-        if (trace->packets.empty() || trace->packets.back() != k) {
-          trace->packets.push_back(k);
-        }
-      }
-      if (tri_[c].Contains(p)) {
-        found = c;
-        break;
-      }
-      // Numeric crack between adjacent triangles: remember the nearest
-      // (same fallback TrianTree::ProbeInto applies).
-      const double d = DistanceToTriangle(tri_[c], p);
-      if (d < best_dist) {
-        best_dist = d;
-        found = c;
-      }
-    }
-    if (found < 0) {
-      return Status::DataLoss("query point escaped the triangulation");
-    }
-    const uint32_t f = static_cast<uint32_t>(found);
-    if (count_[f] == 0) {
-      const uint32_t ptr = data_ptr_[f];
-      if (ptr == bcast::kOutsideRegionPtr) {
-        return Status::NotFound("query point outside the service area");
-      }
-      trace->region = bcast::DataPointerRegion(ptr);
-      return Status::OK();
-    }
-    cand = child_.data() + child_begin_[f];
-    ncand = static_cast<size_t>(count_[f]);
-  }
+  return Descend(p, trace, &trace->region);
+}
+
+int TrianTreeArena::Locate(const geom::Point& p) const {
+  int region = -1;
+  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t TrianTreeArena::ArenaBytes() const {
-  return sizeof(geom::Triangle) * tri_.capacity() +
-         sizeof(int32_t) * (count_.capacity() + first_packet_.capacity() +
-                            last_packet_.capacity()) +
-         sizeof(uint32_t) * (data_ptr_.capacity() + child_begin_.capacity() +
-                             child_.capacity() + roots_.capacity());
+  return sizeof(Node) * nodes_.capacity() +
+         sizeof(uint32_t) * (roots_.capacity() + child_.capacity());
 }
 
 Result<bcast::ArenaIndex> BuildTrianTreeArenaIndex(const TrianTree& tree,

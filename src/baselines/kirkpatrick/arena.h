@@ -1,18 +1,29 @@
-// Flat-arena probe engine for the Kirkpatrick triangulation baseline
-// (DESIGN.md §12), and the family's one client-side reader of
-// TrianTree's wire bytes: every reachable node decoded once —
-// CRC-verified in framed mode — into contiguous triangle / child-pointer
-// arrays, so the per-level candidate scan runs over typed memory instead
-// of re-parsing wire bytes. ProbeInto runs TrianTree::ProbeInto's
-// Contains-then-nearest candidate scan over the promoted-f32 triangles
-// (after EnsureCCW) and logs each candidate's full node span,
-// deduplicated when consecutive, as TrianTree::ProbeInto does.
+// The trian-tree's flat probe layout and its one descent (DESIGN.md §12).
 //
-// Contract, pinned by tests/arena_test.cc and tests/failsafe_fuzz_test.cc:
-// outside the kMergeEps * 100 border band the region is brute-force
-// sub::PointLocator's (NotFound for a gap triangle outside the service
-// area); outcomes on fixed inputs match golden digests; and hostile bytes
-// fail with a Status, never a crash or a hang.
+// A TrianTreeArena holds the Kirkpatrick hierarchy as one array of
+// fixed-size node records (triangle, child range, the data pointer of a
+// base triangle, the node's packet span and byte offset), one flattened
+// child-link array and the list of root candidates. It is filled from
+// one of two sources:
+//
+//  * TrianTree::Build fills it, in broadcast order, from the hierarchy's
+//    exact doubles.
+//  * TrianTreeArena::Build decodes a serialized cycle once — CRC-verified
+//    in framed mode — from promoted f32s, each triangle made CCW again
+//    (f32 rounding can flip a sliver).
+//
+// ProbeInto is one descent over either: scan the candidates (first the
+// roots, then the found triangle's children) for one containing p,
+// falling back to the nearest across a numeric crack, until a base
+// triangle answers. Each scanned candidate logs its full packet span,
+// consecutive repeats dropped.
+//
+// Contract, pinned by tests/baseline_pin_test.cc, tests/arena_test.cc and
+// tests/failsafe_fuzz_test.cc: a tree-built layout is the in-memory
+// trian-tree. Outside the kMergeEps * 100 border band a decoded layout's
+// region is brute-force sub::PointLocator's (NotFound for a gap triangle
+// outside the service area). Hostile bytes fail with a Status, never a
+// crash or a hang.
 
 #ifndef DTREE_BASELINES_KIRKPATRICK_ARENA_H_
 #define DTREE_BASELINES_KIRKPATRICK_ARENA_H_
@@ -21,13 +32,14 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/kirkpatrick/kirkpatrick.h"
 #include "broadcast/arena.h"
 #include "broadcast/frame.h"
 #include "common/status.h"
 #include "geom/triangle.h"
 
 namespace dtree::baselines {
+
+class TrianTree;
 
 class TrianTreeArena final : public bcast::FlatProbeEngine {
  public:
@@ -45,26 +57,44 @@ class TrianTreeArena final : public bcast::FlatProbeEngine {
                    bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
 
-  int num_nodes() const { return static_cast<int>(count_.size()); }
+  /// The region p descends to, with no packet accounting; -1 where
+  /// ProbeInto fails, e.g. for a point outside the service area.
+  int Locate(const geom::Point& p) const;
+
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
  private:
+  friend class TrianTree;  // fills its layout as it builds
+
+  struct Node {
+    geom::Triangle tri;
+    uint32_t first_child = 0;  ///< children: child_[first_child, + count)
+    int32_t count = 0;         ///< child count; 0 = base triangle
+    uint32_t data_ptr = 0;     ///< base triangle: its wire data pointer
+    int32_t first_packet = 0;  ///< the node's full packet span
+    int32_t last_packet = 0;
+    uint32_t offset = 0;       ///< byte offset in first_packet
+  };
+
   TrianTreeArena() = default;
 
-  int budget_ = 0;  ///< DecodeBudget(num_packets): caps a probe's decodes
+  /// The descent from the roots: sets *region on success and, when
+  /// `trace` is non-null, appends the packets read.
+  Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
+                 int* region) const;
+  /// Releases the arrays' spare capacity once the layout is filled.
+  void ShrinkToFit();
 
-  std::vector<uint32_t> roots_;  ///< arena indices of the root candidates
-
-  // --- per-node records (index = arena node id) -------------------------
-  std::vector<geom::Triangle> tri_;  ///< promoted f32 verts, post-EnsureCCW
-  std::vector<int32_t> count_;       ///< child count; 0 = base triangle
-  std::vector<uint32_t> data_ptr_;   ///< leaves: wire data pointer verbatim
-  std::vector<int32_t> first_packet_, last_packet_;  ///< full node span
-
-  // --- children, flattened across all internal nodes --------------------
-  std::vector<uint32_t> child_begin_;  ///< size num_nodes + 1
-  std::vector<uint32_t> child_;        ///< arena indices
-
-  friend class TrianTreeArenaTestPeer;
+  /// A decoded cycle reports a failed descent as kDataLoss, a built tree
+  /// as kInternal.
+  bool decoded_ = false;
+  /// Candidate scans a descent may make: DecodeBudget(num_packets) for a
+  /// decoded cycle; the node count plus the child links for a tree, since
+  /// a descent scans the roots and then one child list per level.
+  int budget_ = 0;
+  std::vector<uint32_t> roots_;  ///< layout indices of the root candidates
+  std::vector<Node> nodes_;
+  std::vector<uint32_t> child_;  ///< children, flattened across all nodes
 };
 
 /// Server-side arena for a built trian-tree: serializes and decodes back

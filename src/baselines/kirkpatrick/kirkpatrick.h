@@ -22,6 +22,10 @@
 // child (Table 2; header 0). Nodes are paged greedily in breadth-first
 // order — a DAG node has several parents, so the top-down parent-packet
 // heuristic does not apply (§5).
+//
+// The triangle hierarchy is build-only: once it is paged, its triangles
+// and child lists fill the flat layout (kirkpatrick/arena.h) with their
+// exact doubles, and that layout serves every probe and the serializer.
 
 #ifndef DTREE_BASELINES_KIRKPATRICK_KIRKPATRICK_H_
 #define DTREE_BASELINES_KIRKPATRICK_KIRKPATRICK_H_
@@ -31,11 +35,10 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/kirkpatrick/arena.h"
 #include "broadcast/air_index.h"
 #include "broadcast/packet_buffer.h"
-#include "broadcast/pager.h"
 #include "common/status.h"
-#include "geom/triangle.h"
 #include "subdivision/subdivision.h"
 
 namespace dtree::baselines {
@@ -56,14 +59,17 @@ class TrianTree final : public bcast::AirIndex {
 
   // --- AirIndex -----------------------------------------------------------
   std::string name() const override { return "trian-tree"; }
-  int NumIndexPackets() const override { return paging_.num_packets; }
-  size_t IndexBytes() const override { return paging_.used_bytes; }
+  int NumIndexPackets() const override { return num_packets_; }
+  size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return options_.packet_capacity; }
   Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
+                   bcast::ProbeTrace* trace) const override {
+    return layout_.ProbeInto(p, trace);
+  }
 
-  /// In-memory query without packet accounting.
-  int Locate(const geom::Point& p) const;
+  /// Point location by the same descent, no packet accounting; -1 where
+  /// ProbeInto fails, e.g. for a point outside the service area.
+  int Locate(const geom::Point& p) const { return layout_.Locate(p); }
 
   // --- byte-level broadcast form -------------------------------------------
   // Node wire format (little-endian; sizes per Table 2, header 0):
@@ -76,9 +82,9 @@ class TrianTree final : public bcast::AirIndex {
   //     count > 0   one node pointer (packet, offset) per child
 
   /// One broadcast cycle's worth of index packets, each exactly
-  /// `packet_capacity` bytes (zero-padded). InvalidArgument when a node
-  /// has more children than the 4-bit count field can carry.
-  /// TrianTreeArena (kirkpatrick/arena.h) is the client-side reader of
+  /// `packet_capacity` bytes (zero-padded), written from the layout.
+  /// InvalidArgument when a node has more children than the 4-bit count
+  /// field can carry. TrianTreeArena::Build is the client-side reader of
   /// these bytes.
   Result<bcast::PacketBuffer> SerializePackets() const;
 
@@ -91,29 +97,22 @@ class TrianTree final : public bcast::AirIndex {
   std::vector<std::pair<int, size_t>> RootLocations() const;
 
   // --- introspection -------------------------------------------------------
-  int num_triangles() const { return static_cast<int>(tris_.size()); }
-  int num_root_triangles() const { return static_cast<int>(roots_.size()); }
+  int num_triangles() const { return layout_.num_nodes(); }
+  int num_root_triangles() const {
+    return static_cast<int>(layout_.roots_.size());
+  }
   int num_levels() const { return num_levels_; }
+  /// The flat layout: triangle i at broadcast position i.
+  const TrianTreeArena& layout() const { return layout_; }
 
  private:
-  struct TriNode {
-    geom::Triangle tri;
-    int region = -1;             ///< base triangles: data region
-    std::vector<int> children;   ///< finer triangles this one overlaps
-    int level = 0;               ///< 0 = base triangulation
-  };
-
   TrianTree() = default;
 
-  Status Page();
-
   Options options_;
-  std::vector<TriNode> tris_;
-  std::vector<int> roots_;  ///< surviving top-level triangles
   int num_levels_ = 1;
-  std::vector<int> bfs_order_;     ///< bfs position -> triangle id
-  std::vector<int> tri_bfs_pos_;   ///< triangle id -> bfs position
-  bcast::PagingResult paging_;
+  int num_packets_ = 0;
+  size_t index_bytes_ = 0;
+  TrianTreeArena layout_;
 };
 
 }  // namespace dtree::baselines

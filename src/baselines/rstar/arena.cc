@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "baselines/rstar/rstar.h"
 #include "broadcast/params.h"
 #include "geom/polygon.h"
 
@@ -38,6 +39,7 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
   const size_t cap = static_cast<size_t>(packet_capacity);
 
   RStarArena a;
+  a.decoded_ = true;
   a.budget_ = bcast::DecodeBudget(packets.num_packets());
   a.entry_begin_.push_back(0);
   a.ring_begin_.push_back(0);
@@ -93,10 +95,10 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
           return Status::DataLoss(
               "child pointer does not move forward on the channel");
         }
-        a.child_.push_back(intern(child));
-        a.region_.push_back(-1);
+        a.target_.push_back(intern(child));
         a.shape_first_.push_back(-1);
         a.shape_num_.push_back(0);
+        a.shape_offset_.push_back(0);
         a.attempts_.push_back(0);
         a.ring_begin_.push_back(static_cast<uint32_t>(a.rx_.size()));
       }
@@ -144,6 +146,7 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
           continue;
         }
         const int first = spkt;
+        const size_t first_offset = soff;
         for (int v = 0; v < nverts; ++v) {
           float x, y;
           DTREE_RETURN_IF_ERROR(sr.ReadF32(&x));
@@ -170,10 +173,10 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
           return Status::DataLoss("data pointer to out-of-range region " +
                                   std::to_string(region));
         }
-        a.child_.push_back(0);
-        a.region_.push_back(region);
+        a.target_.push_back(static_cast<uint32_t>(region));
         a.shape_first_.push_back(first);
         a.shape_num_.push_back(num);
+        a.shape_offset_.push_back(static_cast<uint32_t>(first_offset));
       }
       if (!placed) {
         return Status::DataLoss("shape header does not match its leaf entry");
@@ -183,33 +186,45 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
     }
     a.entry_begin_.push_back(static_cast<uint32_t>(a.ebox_.size()));
   }
+  a.ShrinkToFit();
   return a;
 }
 
-Status RStarArena::ProbeInto(const geom::Point& p,
-                             bcast::ProbeTrace* trace) const {
-  trace->region = -1;
-  trace->packets.clear();
-  trace->origins.clear();
-  auto touch = [&](int packet) {
-    if (trace->packets.empty() || trace->packets.back() != packet) {
+void RStarArena::ShrinkToFit() {
+  leaf_.shrink_to_fit();
+  packet_.shrink_to_fit();
+  entry_begin_.shrink_to_fit();
+  ebox_.shrink_to_fit();
+  target_.shrink_to_fit();
+  shape_first_.shrink_to_fit();
+  shape_num_.shrink_to_fit();
+  shape_offset_.shrink_to_fit();
+  attempts_.shrink_to_fit();
+  ring_begin_.shrink_to_fit();
+  rx_.shrink_to_fit();
+  ry_.shrink_to_fit();
+}
+
+Status RStarArena::Descend(const geom::Point& p, bcast::ProbeTrace* trace,
+                           int* region) const {
+  auto touch = [trace](int packet) {
+    if (trace != nullptr &&
+        (trace->packets.empty() || trace->packets.back() != packet)) {
       trace->packets.push_back(packet);
     }
   };
+  const char* kBudget = "r*-tree descent exceeded its work budget";
 
   int best_fallback = -1;
   double best_dist = std::numeric_limits<double>::infinity();
   int budget = budget_;
 
   thread_local std::vector<uint32_t> stack;
-  stack.clear();
-  stack.push_back(0);
+  stack.assign(1, 0);
   while (!stack.empty()) {
     const uint32_t cur = stack.back();
     stack.pop_back();
-    if (--budget < 0) {
-      return Status::DataLoss("r*-tree decode budget exhausted");
-    }
+    if (--budget < 0) return bcast::DescentFailure(decoded_, kBudget);
     touch(packet_[cur]);
     const uint32_t eb = entry_begin_[cur];
     const uint32_t ee = entry_begin_[cur + 1];
@@ -217,7 +232,7 @@ Status RStarArena::ProbeInto(const geom::Point& p,
       // Depth-first: push matching children in reverse so the leftmost
       // (earliest on the channel) is explored first.
       for (uint32_t i = ee; i-- > eb;) {
-        if (ebox_[i].Contains(p)) stack.push_back(child_[i]);
+        if (ebox_[i].Contains(p)) stack.push_back(target_[i]);
       }
       continue;
     }
@@ -225,38 +240,52 @@ Status RStarArena::ProbeInto(const geom::Point& p,
       // A client's placement walk passes every leaf entry, wanted or
       // not; charge each entry the walk's recorded cost.
       budget -= attempts_[i];
-      if (budget < 0) {
-        return Status::DataLoss("r*-tree decode budget exhausted");
-      }
+      if (budget < 0) return bcast::DescentFailure(decoded_, kBudget);
       if (!ebox_[i].Contains(p)) continue;
       for (int k = 0; k < shape_num_[i]; ++k) touch(shape_first_[i] + k);
       const size_t rb = ring_begin_[i];
       const size_t rn = ring_begin_[i + 1] - rb;
       if (geom::PointInRing(rx_.data() + rb, ry_.data() + rb, rn, p)) {
-        trace->region = region_[i];
+        *region = static_cast<int>(target_[i]);
         return Status::OK();
       }
       const double d =
           geom::RingDistanceToBoundary(rx_.data() + rb, ry_.data() + rb, rn, p);
       if (d < best_dist) {
         best_dist = d;
-        best_fallback = region_[i];
+        best_fallback = static_cast<int>(target_[i]);
       }
     }
   }
   if (best_fallback >= 0) {
-    trace->region = best_fallback;
+    // Numeric gap between adjacent shapes: resolve to the nearest tested
+    // region (the answer is ambiguous within tolerance anyway).
+    *region = best_fallback;
     return Status::OK();
   }
-  return Status::DataLoss("query point escaped every leaf MBR");
+  return bcast::DescentFailure(decoded_, "query point escaped every leaf MBR");
+}
+
+Status RStarArena::ProbeInto(const geom::Point& p,
+                             bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
+  return Descend(p, trace, &trace->region);
+}
+
+int RStarArena::Locate(const geom::Point& p) const {
+  int region = -1;
+  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t RStarArena::ArenaBytes() const {
   return leaf_.capacity() + attempts_.capacity() +
          sizeof(geom::BBox) * ebox_.capacity() +
-         sizeof(int32_t) * (packet_.capacity() + region_.capacity() +
-                            shape_first_.capacity() + shape_num_.capacity()) +
-         sizeof(uint32_t) * (entry_begin_.capacity() + child_.capacity() +
+         sizeof(int32_t) * (packet_.capacity() + shape_first_.capacity() +
+                            shape_num_.capacity()) +
+         sizeof(uint32_t) * (entry_begin_.capacity() + target_.capacity() +
+                             shape_offset_.capacity() +
                              ring_begin_.capacity()) +
          sizeof(double) * (rx_.capacity() + ry_.capacity());
 }

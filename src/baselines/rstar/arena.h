@@ -1,24 +1,32 @@
-// Flat-arena probe engine for the R*-tree baseline (DESIGN.md §12), and
-// the family's one client-side reader of RStarTree's wire bytes: the
-// whole broadcast cycle — tree nodes and the shape objects trailing each
-// leaf — decoded once (CRC-verified in framed mode) into contiguous
-// entry/ring arrays, so probes run MBR tests over typed memory and ring
-// tests over SoA coordinate arrays instead of re-walking the shape
-// placement cursor per query.
+// The R*-tree's flat probe layout and its one descent (DESIGN.md §12).
 //
-// ProbeInto runs RStarTree::ProbeInto's depth-first search over the
-// promoted, outward-rounded f32 wire MBRs and rings, with the same
-// nearest-boundary fallback and the same packet accounting: the visited
-// nodes' packets plus the wanted shapes' spans.
+// An RStarArena holds the tree's nodes (leaf flag, packet, entry range),
+// their entries flattened across nodes (MBR, child link or region, and
+// for a leaf entry its shape's packet span and ring) and the shape rings
+// as structure-of-arrays coordinates. It is filled from one of two
+// sources:
 //
-// Contract, pinned by tests/arena_test.cc and tests/failsafe_fuzz_test.cc:
-// outside the kMergeEps * 100 border band the region is brute-force
-// sub::PointLocator's; outcomes on fixed inputs match golden digests; and
-// hostile bytes fail with a Status, never a crash or a hang. Within an
-// f32 ulp of a vertex coordinate (~6e-5 near 1000) an outward-rounded
-// wire MBR edge admits points that RStarTree::ProbeInto's double MBR
-// excludes, so the packet log, though not the region, may differ from
-// the in-memory one there.
+//  * RStarTree::Build fills it, in depth-first broadcast order, from the
+//    tree's exact doubles: unrounded MBRs and the regions' polygon rings.
+//  * RStarArena::Build decodes a serialized cycle once — tree nodes and
+//    the shape objects trailing each leaf, CRC-verified in framed mode —
+//    from the promoted, outward-rounded f32 wire MBRs and promoted rings.
+//    The shape placement cursor is replayed here, once, not per probe.
+//
+// ProbeInto is one depth-first search over either: children whose MBR
+// contains p, in entry order; at a leaf, every entry whose MBR contains p
+// reads its shape and answers when the ring contains p, and otherwise the
+// nearest tested ring answers. The packet log is the visited nodes'
+// packets plus the wanted shapes' spans.
+//
+// Contract, pinned by tests/baseline_pin_test.cc, tests/arena_test.cc and
+// tests/failsafe_fuzz_test.cc: a tree-built layout is the in-memory
+// R*-tree. Outside the kMergeEps * 100 border band a decoded layout's
+// region is brute-force sub::PointLocator's; within an f32 ulp of a
+// vertex coordinate (~6e-5 near 1000) an outward-rounded wire MBR edge
+// admits points the exact MBR excludes, so the packet log, though not
+// the region, may differ there. Hostile bytes fail with a Status, never a
+// crash or a hang.
 
 #ifndef DTREE_BASELINES_RSTAR_ARENA_H_
 #define DTREE_BASELINES_RSTAR_ARENA_H_
@@ -26,7 +34,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/rstar/rstar.h"
 #include "broadcast/arena.h"
 #include "broadcast/frame.h"
 #include "common/status.h"
@@ -34,15 +41,15 @@
 
 namespace dtree::baselines {
 
+class RStarTree;
+
 class RStarArena final : public bcast::FlatProbeEngine {
  public:
   /// Decodes every node reachable from packet 0 plus every leaf's shape
-  /// objects (the placement-cursor walk is query-independent, so it runs
-  /// once here instead of once per probe). In framed mode each packet's
-  /// CRC is verified as the build first touches it; malformed counts,
-  /// non-forward child pointers, mismatched shape headers, or
-  /// out-of-range region labels fail with kDataLoss, so the arena is
-  /// never built over unverified bytes.
+  /// objects. In framed mode each packet's CRC is verified as the build
+  /// first touches it; malformed counts, non-forward child pointers,
+  /// mismatched shape headers, or out-of-range region labels fail with
+  /// kDataLoss, so the arena is never built over unverified bytes.
   static Result<RStarArena> Build(const bcast::PacketBuffer& packets,
                                   int packet_capacity, bool framed,
                                   int num_regions);
@@ -51,28 +58,48 @@ class RStarArena final : public bcast::FlatProbeEngine {
                    bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
 
+  /// The region p descends to, with no packet accounting; -1 where
+  /// ProbeInto fails, e.g. for a point in no leaf MBR.
+  int Locate(const geom::Point& p) const;
+
   int num_nodes() const { return static_cast<int>(leaf_.size()); }
 
  private:
+  friend class RStarTree;  // fills its layout as it builds
+
   RStarArena() = default;
 
-  int budget_ = 0;  ///< DecodeBudget(num_packets): caps a probe's work
+  /// The depth-first search from the root: sets *region on success and,
+  /// when `trace` is non-null, appends the packets read.
+  Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
+                 int* region) const;
+  /// Releases the arrays' spare capacity once the layout is filled.
+  void ShrinkToFit();
 
-  // --- per-node records (index = arena node id; root = 0) ---------------
+  /// A decoded cycle reports a failed descent as kDataLoss, a built tree
+  /// as kInternal.
+  bool decoded_ = false;
+  /// Work bound of a descent, charged per node and per leaf entry's
+  /// placement walk: DecodeBudget(num_packets) for a decoded cycle; the
+  /// node count plus every entry's walk cost for a tree, whose search
+  /// visits each node and each leaf entry at most once.
+  int budget_ = 0;
+
+  // --- per-node records (index = layout node id; root = 0) --------------
   std::vector<uint8_t> leaf_;
-  std::vector<int32_t> packet_;       ///< the node's wire packet
-  std::vector<uint32_t> entry_begin_; ///< size num_nodes + 1
+  std::vector<int32_t> packet_;        ///< the node's packet
+  std::vector<uint32_t> entry_begin_;  ///< size num_nodes + 1
 
   // --- per-entry records, flattened across all nodes --------------------
-  std::vector<geom::BBox> ebox_;      ///< promoted outward-rounded wire MBR
-  std::vector<uint32_t> child_;       ///< internal: arena node id
-  std::vector<int32_t> region_;       ///< leaf: the shape's region id
+  std::vector<geom::BBox> ebox_;      ///< MBR (wire: promoted, rounded out)
+  std::vector<uint32_t> target_;      ///< internal: child node; leaf: region
   std::vector<int32_t> shape_first_;  ///< leaf: shape span start packet
   std::vector<int32_t> shape_num_;    ///< leaf: shape span packet count
+  std::vector<uint32_t> shape_offset_;  ///< leaf: byte offset in first packet
   std::vector<uint8_t> attempts_;     ///< leaf: placement-walk budget cost
   std::vector<uint32_t> ring_begin_;  ///< size num_entries + 1
 
-  // --- shape rings (promoted wire f32), flattened -----------------------
+  // --- shape rings, flattened -------------------------------------------
   std::vector<double> rx_, ry_;
 };
 

@@ -10,18 +10,21 @@
 //  * depth-first broadcast order with the shape objects of each leaf
 //    emitted right after it, so the DFS backtracking search only ever
 //    jumps forward on the channel.
+//
+// The insertion's node array is build-only: once the tree is laid out
+// for the air, its nodes, entries and shape rings fill the flat layout
+// (rstar/arena.h) with their exact doubles, and that layout serves every
+// probe and the serializer.
 
 #ifndef DTREE_BASELINES_RSTAR_RSTAR_H_
 #define DTREE_BASELINES_RSTAR_RSTAR_H_
 
 #include <string>
-#include <vector>
 
+#include "baselines/rstar/arena.h"
 #include "broadcast/air_index.h"
 #include "broadcast/packet_buffer.h"
-#include "broadcast/pager.h"
 #include "common/status.h"
-#include "geom/polygon.h"
 #include "subdivision/subdivision.h"
 
 namespace dtree::baselines {
@@ -30,8 +33,8 @@ class RStarTree final : public bcast::AirIndex {
  public:
   struct Options {
     int packet_capacity = 128;
-    /// Fraction of entries reinserted on first overflow of a level (R*
-    /// default 30%).
+    /// Percentage of a node's entries reinserted on the first overflow of
+    /// a level (R* default 30%), in [0, 100).
     int reinsert_percent = 30;
   };
 
@@ -44,12 +47,14 @@ class RStarTree final : public bcast::AirIndex {
   size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return options_.packet_capacity; }
   Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
+                   bcast::ProbeTrace* trace) const override {
+    return layout_.ProbeInto(p, trace);
+  }
 
-  /// In-memory point location (DFS with containment tests), no packet
-  /// accounting. Returns -1 when the probe fails, e.g. for a point in no
-  /// leaf MBR (outside the service area), as TrianTree::Locate does.
-  int Locate(const geom::Point& p) const;
+  /// Point location by the same search, no packet accounting. Returns -1
+  /// when the probe fails, e.g. for a point in no leaf MBR (outside the
+  /// service area), as TrianTree::Locate does.
+  int Locate(const geom::Point& p) const { return layout_.Locate(p); }
 
   // --- byte-level broadcast form -------------------------------------------
   // Wire format (little-endian; sizes per Table 2). Tree node, one per
@@ -72,57 +77,31 @@ class RStarTree final : public bcast::AirIndex {
   // The root node is always the first DFS node, i.e. packet 0.
 
   /// One broadcast cycle's worth of index packets, each exactly
-  /// `packet_capacity` bytes (zero-padded). RStarArena (rstar/arena.h) is
-  /// the client-side reader of these bytes.
+  /// `packet_capacity` bytes (zero-padded), written from the layout.
+  /// RStarArena::Build is the client-side reader of these bytes.
   Result<bcast::PacketBuffer> SerializePackets() const;
 
   // --- introspection -------------------------------------------------------
   int max_entries() const { return max_entries_; }
   int min_entries() const { return min_entries_; }
-  int num_tree_nodes() const { return static_cast<int>(nodes_.size()); }
+  int num_tree_nodes() const { return layout_.num_nodes(); }
   int height() const { return height_; }
   /// Total leaf-MBR overlap area (diagnostic: why the R*-tree tunes badly
   /// on adjacent regions).
   double LeafOverlapArea() const;
+  /// The flat layout: tree node i at depth-first position i.
+  const RStarArena& layout() const { return layout_; }
 
  private:
-  struct Entry {
-    geom::BBox box;
-    int child = -1;   ///< internal: child node id
-    int region = -1;  ///< leaf: region id (-> shape object)
-  };
-  struct Node {
-    int level = 0;  ///< 0 = leaf
-    std::vector<Entry> entries;
-  };
-
   RStarTree() = default;
-
-  geom::BBox NodeBox(int id) const;
-  int ChooseSubtree(int node_id, const geom::BBox& box, int target_level,
-                    std::vector<int>* path) const;
-  void SplitNode(int node_id, Entry* new_node_entry);
-  void Insert(Entry e, int target_level);
-  void InsertImpl(Entry e, int target_level, bool allow_reinsert);
-
-  /// Assigns packets: DFS over the tree, shape objects after their leaf.
-  Status Layout(const sub::Subdivision& sub);
 
   Options options_;
   int max_entries_ = 0;
   int min_entries_ = 0;
-  int root_ = -1;
   int height_ = 0;
-  std::vector<Node> nodes_;
-  /// Reinsertion bookkeeping for the current top-level insert.
-  std::vector<bool> reinserted_level_;
-
-  // Broadcast layout.
-  std::vector<int> node_packet_;             ///< node id -> packet
-  std::vector<bcast::NodeSpan> shape_span_;  ///< region id -> packets
-  std::vector<geom::Polygon> shapes_;        ///< region id -> polygon
   int num_packets_ = 0;
   size_t index_bytes_ = 0;
+  RStarArena layout_;
 };
 
 }  // namespace dtree::baselines

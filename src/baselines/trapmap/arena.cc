@@ -1,11 +1,13 @@
 #include "baselines/trapmap/arena.h"
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "baselines/trapmap/trapmap.h"
 #include "geom/predicates.h"
 
 namespace dtree::baselines {
@@ -31,6 +33,7 @@ Result<TrapMapArena> TrapMapArena::Build(const bcast::PacketBuffer& packets,
     return Status::InvalidArgument("packet capacity must be positive");
   }
   TrapMapArena a;
+  a.decoded_ = true;
   a.budget_ = bcast::DecodeBudget(packets.num_packets());
 
   const size_t max_nodes =
@@ -45,39 +48,24 @@ Result<TrapMapArena> TrapMapArena::Build(const bcast::PacketBuffer& packets,
   while (!pending.empty()) {
     const uint32_t key = pending.front();
     pending.pop_front();
-    const int packet = static_cast<int>(key >> kOffsetBits);
-    const size_t offset = key & kOffsetMask;
+    Node node;
+    node.packet = static_cast<int>(key >> kOffsetBits);
+    node.offset = key & kOffsetMask;
 
-    bcast::PacketReader r(packets, packet_capacity, framed, packet, offset,
-                          nullptr);
+    bcast::PacketReader r(packets, packet_capacity, framed, node.packet,
+                          node.offset, nullptr);
     uint16_t bid;
     uint32_t left, right;
     DTREE_RETURN_IF_ERROR(r.ReadU16(&bid));
     DTREE_RETURN_IF_ERROR(r.ReadU32(&left));
     DTREE_RETURN_IF_ERROR(r.ReadU32(&right));
-    const bool is_y = (bid & 0x8000u) != 0;
-    a.is_y_.push_back(is_y ? 1 : 0);
-    a.packet_.push_back(packet);
-    if (is_y) {
-      float px, py, qx, qy;
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&px));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&py));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&qx));
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&qy));
-      a.px_.push_back(px);
-      a.py_.push_back(py);
-      a.qx_.push_back(qx);
-      a.qy_.push_back(qy);
-      a.x_.push_back(0.0);
-    } else {
-      float x;
-      DTREE_RETURN_IF_ERROR(r.ReadF32(&x));
-      a.x_.push_back(x);
-      a.px_.push_back(0.0);
-      a.py_.push_back(0.0);
-      a.qx_.push_back(0.0);
-      a.qy_.push_back(0.0);
+    node.is_y = (bid & 0x8000u) != 0;
+    for (int k = 0; k < (node.is_y ? 4 : 1); ++k) {
+      float v;
+      DTREE_RETURN_IF_ERROR(r.ReadF32(&v));
+      node.a[k] = v;
     }
+    if (!node.is_y) node.a[1] = -std::numeric_limits<double>::infinity();
 
     // Validate and remap children: data pointers must label a real
     // region, node pointers must land inside the stream.
@@ -113,10 +101,35 @@ Result<TrapMapArena> TrapMapArena::Build(const bcast::PacketBuffer& packets,
     if (!l.ok()) return l.status();
     Result<uint32_t> rr = remap(right);
     if (!rr.ok()) return rr.status();
-    a.left_.push_back(l.value());
-    a.right_.push_back(rr.value());
+    node.left = l.value();
+    node.right = rr.value();
+    a.nodes_.push_back(node);
   }
+  a.nodes_.shrink_to_fit();
   return a;
+}
+
+Status TrapMapArena::Descend(const geom::Point& p, bcast::ProbeTrace* trace,
+                             int* region) const {
+  uint32_t cur = 0;
+  for (int hops = 0; hops < budget_; ++hops) {
+    const Node& n = nodes_[cur];
+    if (trace != nullptr &&
+        (trace->packets.empty() || trace->packets.back() != n.packet)) {
+      trace->packets.push_back(n.packet);
+    }
+    const bool left =
+        n.is_y ? geom::OrientValue({n.a[0], n.a[1]}, {n.a[2], n.a[3]}, p) > 0.0
+               : p.LexLess({n.a[0], n.a[1]});
+    const uint32_t next = left ? n.left : n.right;
+    if (next & kDataPtrBit) {
+      *region = static_cast<int>(next & ~kDataPtrBit);
+      return Status::OK();
+    }
+    cur = next;
+  }
+  return bcast::DescentFailure(decoded_,
+                               "trap-tree descent exceeded its hop budget");
 }
 
 Status TrapMapArena::ProbeInto(const geom::Point& p,
@@ -124,35 +137,16 @@ Status TrapMapArena::ProbeInto(const geom::Point& p,
   trace->region = -1;
   trace->packets.clear();
   trace->origins.clear();
-  uint32_t cur = 0;
-  for (int hops = 0; hops < budget_; ++hops) {
-    const int pkt = packet_[cur];
-    if (trace->packets.empty() || trace->packets.back() != pkt) {
-      trace->packets.push_back(pkt);
-    }
-    uint32_t next;
-    if (is_y_[cur] == 0) {
-      next = p.x < x_[cur] ? left_[cur] : right_[cur];
-    } else {
-      const double v = geom::OrientValue({px_[cur], py_[cur]},
-                                         {qx_[cur], qy_[cur]}, p);
-      next = v > 0.0 ? left_[cur] : right_[cur];
-    }
-    if (next & kDataPtrBit) {
-      trace->region = static_cast<int>(next & ~kDataPtrBit);
-      return Status::OK();
-    }
-    cur = next;
-  }
-  return Status::DataLoss("trap-tree decode budget exhausted");
+  return Descend(p, trace, &trace->region);
+}
+
+int TrapMapArena::Locate(const geom::Point& p) const {
+  int region = -1;
+  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t TrapMapArena::ArenaBytes() const {
-  return is_y_.capacity() +
-         sizeof(double) * (x_.capacity() + px_.capacity() + py_.capacity() +
-                           qx_.capacity() + qy_.capacity()) +
-         sizeof(uint32_t) * (left_.capacity() + right_.capacity()) +
-         sizeof(int32_t) * packet_.capacity();
+  return sizeof(Node) * nodes_.capacity();
 }
 
 Result<bcast::ArenaIndex> BuildTrapMapArenaIndex(const TrapMap& map,

@@ -1,21 +1,30 @@
-// Flat-arena probe engine for the trapezoidal-map baseline (DESIGN.md
-// §12), and the family's one client-side reader of TrapMap's wire bytes:
-// the serialized DAG decoded once — CRC-verified in framed mode — into
-// structure-of-arrays node records, so probes branch over contiguous
-// typed arrays instead of re-parsing wire bytes per query. ProbeInto
-// branches on the promoted f32 wire values (x-node: p.x < x; y-node:
-// OrientValue over the segment endpoints > 0) and logs one packet per
-// visited DAG node, deduplicated when consecutive, as TrapMap::ProbeInto
-// does.
+// The trap-tree's flat probe layout and its one descent (DESIGN.md §12).
 //
-// Contract, pinned by tests/arena_test.cc and tests/failsafe_fuzz_test.cc:
-// outside the kMergeEps * 100 border band the region is brute-force
-// sub::PointLocator's; outcomes on fixed inputs match golden digests; and
-// hostile bytes fail with a Status, never a crash or a hang. Within half
-// an f32 ulp of a vertex coordinate (~3e-5 near 1000) the wire's rounded
-// x-node walls can send a probe down other x-nodes than TrapMap::ProbeInto
-// takes, so the packet log, though not the region, may differ from the
-// in-memory one there.
+// A TrapMapArena holds the search DAG's internal nodes as one array of
+// fixed-size records: the node's geometry, its two child links (a layout
+// index, or a data pointer to a trapezoid's region) and the packet and
+// byte offset it is broadcast at. It is filled from one of two sources:
+//
+//  * TrapMap::Build fills it, in broadcast order, from the DAG's exact
+//    doubles: an x-node's endpoint x and y, a y-node's segment.
+//  * TrapMapArena::Build decodes a serialized cycle once — CRC-verified in
+//    framed mode — from promoted f32s. The wire carries only an x-node's
+//    x, so a decoded x-node's y is −∞.
+//
+// ProbeInto is one descent over either: an x-node sends p left when p is
+// lexicographically (x, y)-less than its endpoint — the wire's p.x < x
+// for a decoded node — and a y-node when p is strictly above its segment
+// (OrientValue > 0). It logs one packet per visited node, consecutive
+// repeats dropped.
+//
+// Contract, pinned by tests/baseline_pin_test.cc, tests/arena_test.cc and
+// tests/failsafe_fuzz_test.cc: a tree-built layout is the in-memory
+// trap-tree. Outside the kMergeEps * 100 border band a decoded layout's
+// region is brute-force sub::PointLocator's; within half an f32 ulp of a
+// vertex coordinate (~3e-5 near 1000) its rounded walls can take other
+// x-nodes than the built tree, so the packet log, though not the region,
+// may differ there. Hostile bytes fail with a Status, never a crash or a
+// hang.
 
 #ifndef DTREE_BASELINES_TRAPMAP_ARENA_H_
 #define DTREE_BASELINES_TRAPMAP_ARENA_H_
@@ -26,9 +35,10 @@
 #include "broadcast/arena.h"
 #include "broadcast/frame.h"
 #include "common/status.h"
-#include "baselines/trapmap/trapmap.h"
 
 namespace dtree::baselines {
+
+class TrapMap;
 
 class TrapMapArena final : public bcast::FlatProbeEngine {
  public:
@@ -44,19 +54,41 @@ class TrapMapArena final : public bcast::FlatProbeEngine {
                    bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
 
-  int num_nodes() const { return static_cast<int>(left_.size()); }
+  /// The region p descends to, with no packet accounting; -1 where
+  /// ProbeInto fails.
+  int Locate(const geom::Point& p) const;
+
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
  private:
+  friend class TrapMap;  // fills its layout as it builds
+
+  struct Node {
+    /// x-node: the endpoint (a[0], a[1]); y-node: the segment from
+    /// (a[0], a[1]) to (a[2], a[3]).
+    double a[4] = {};
+    uint32_t left = 0;   ///< kDataPtrBit | region, else a layout index
+    uint32_t right = 0;
+    int32_t packet = 0;
+    uint32_t offset = 0;  ///< byte offset in the packet
+    bool is_y = false;
+  };
+
   TrapMapArena() = default;
 
-  int budget_ = 0;  ///< DecodeBudget(num_packets): caps a probe's hops
+  /// The descent from the root: sets *region on success and, when `trace`
+  /// is non-null, appends the packets read.
+  Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
+                 int* region) const;
 
-  // --- per-node records (structure of arrays) ---------------------------
-  std::vector<uint8_t> is_y_;      ///< 1 = y-node (segment), 0 = x-node
-  std::vector<double> x_;          ///< x-node: promoted endpoint x
-  std::vector<double> px_, py_, qx_, qy_;  ///< y-node: promoted segment
-  std::vector<uint32_t> left_, right_;     ///< kDataPtrBit kept; else index
-  std::vector<int32_t> packet_;    ///< the node's (single) packet
+  /// A decoded cycle reports an exhausted hop budget as kDataLoss, a
+  /// built tree as kInternal.
+  bool decoded_ = false;
+  /// Hop bound of a descent: DecodeBudget(num_packets) for a decoded
+  /// cycle; the node count for a tree, whose descent visits each node at
+  /// most once.
+  int budget_ = 0;
+  std::vector<Node> nodes_;
 };
 
 /// Server-side arena for a built trap-tree: serializes and decodes back.

@@ -23,18 +23,20 @@
 // top-down (first preceding parent) and broadcast in creation order, which
 // provably places every parent before its children even though subtrees
 // are shared — so the client only ever jumps forward on the channel.
+//
+// The DAG and its trapezoids are build-only: once the map is paged, its
+// internal nodes fill the flat layout (trapmap/arena.h) with their exact
+// doubles, and that layout serves every probe and the serializer.
 
 #ifndef DTREE_BASELINES_TRAPMAP_TRAPMAP_H_
 #define DTREE_BASELINES_TRAPMAP_TRAPMAP_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "baselines/trapmap/arena.h"
 #include "broadcast/air_index.h"
 #include "broadcast/packet_buffer.h"
-#include "broadcast/pager.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "subdivision/subdivision.h"
 
@@ -53,18 +55,28 @@ class TrapMap final : public bcast::AirIndex {
   static Result<TrapMap> Build(const sub::Subdivision& sub,
                                const Options& options);
 
+  /// Structural validation of the search DAG that Build(sub, options)
+  /// constructs, run on a rebuild before any layout replaces it: every DAG
+  /// internal node has two valid children, every alive trapezoid and no
+  /// dead one is reachable, and `sample_points` random probe points land
+  /// in a trapezoid whose slab, top and bottom contain them.
+  static Status CheckInvariants(const sub::Subdivision& sub,
+                                const Options& options, int sample_points,
+                                uint64_t seed);
+
   // --- AirIndex -----------------------------------------------------------
   std::string name() const override { return "trap-tree"; }
-  int NumIndexPackets() const override { return paging_.num_packets; }
-  size_t IndexBytes() const override { return paging_.used_bytes; }
+  int NumIndexPackets() const override { return num_packets_; }
+  size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return options_.packet_capacity; }
   Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
+                   bcast::ProbeTrace* trace) const override {
+    return layout_.ProbeInto(p, trace);
+  }
 
-  /// In-memory point location through the DAG, no packet accounting.
-  /// Returns -1 when the descent exceeds the probe step budget (a
-  /// construction bug; never happens for a valid map).
-  int Locate(const geom::Point& p) const;
+  /// Point location by the same descent, no packet accounting; -1 where
+  /// ProbeInto fails (never for a valid map).
+  int Locate(const geom::Point& p) const { return layout_.Locate(p); }
 
   // --- byte-level broadcast form -------------------------------------------
   // Node wire format (little-endian; sizes per Table 2, no header):
@@ -80,88 +92,31 @@ class TrapMap final : public bcast::AirIndex {
   // broadcasts it first), so a reader needs no out-of-band entry point.
   // Caveat: an x-node branches on the lexicographic (x, y) order in memory
   // but only x fits the 4-byte wire payload, so an on-the-wire query with
-  // p.x exactly equal to the endpoint's x may take the other branch — a
-  // measure-zero event for continuous query distributions.
+  // p.x exactly equal to the endpoint's x takes the right branch whatever
+  // its y — a measure-zero event for continuous query distributions.
 
   /// One broadcast cycle's worth of index packets, each exactly
-  /// `packet_capacity` bytes (zero-padded). InvalidArgument for the
-  /// degenerate map with no internal DAG nodes. TrapMapArena
-  /// (trapmap/arena.h) is the client-side reader of these bytes.
+  /// `packet_capacity` bytes (zero-padded), written from the layout.
+  /// TrapMapArena::Build is the client-side reader of these bytes.
   Result<bcast::PacketBuffer> SerializePackets() const;
 
   // --- introspection -------------------------------------------------------
-  int num_dag_nodes() const;
-  int num_alive_trapezoids() const;
-  int num_segments() const { return static_cast<int>(segs_.size()); }
-  /// Structural validation: every alive trapezoid is reachable, DAG
-  /// internal nodes have two children, and random probe points land in a
-  /// trapezoid that geometrically contains them.
-  Status CheckInvariants(int sample_points, uint64_t seed) const;
+  int num_dag_nodes() const { return layout_.num_nodes(); }
+  int num_alive_trapezoids() const { return num_alive_trapezoids_; }
+  /// Inserted edges plus the bounding box's top and bottom.
+  int num_segments() const { return num_segments_; }
+  /// The flat layout: internal DAG node i at broadcast position i.
+  const TrapMapArena& layout() const { return layout_; }
 
  private:
-  struct Seg {
-    geom::Point p, q;  ///< p lex< q
-  };
-  struct Trap {
-    int top = -1;     ///< segment bounding above
-    int bottom = -1;  ///< segment bounding below
-    int leftp = -1;   ///< point id bounding the slab on the left
-    int rightp = -1;  ///< point id bounding the slab on the right
-    int leaf = -1;    ///< DAG leaf node id
-    int region = -1;  ///< data region label (assigned after construction)
-    bool alive = true;
-  };
-  struct DagNode {
-    enum Kind : uint8_t { kXNode, kYNode, kLeaf };
-    Kind kind = kLeaf;
-    int index = -1;  ///< point id / segment id / trapezoid id
-    int left = -1;   ///< x: lex-less side; y: above side
-    int right = -1;  ///< x: lex-greater-or-equal side; y: below side
-    /// Insertion step at which this slot became an internal node. Parents
-    /// always turn internal strictly before (or, within one step, at a
-    /// smaller slot id than) their internal children, so broadcasting in
-    /// (step, id) order yields a forward-only channel layout.
-    int step = 0;
-  };
-
   TrapMap() = default;
 
-  int NewPoint(const geom::Point& p);
-  int NewTrap(const Trap& t);
-  int NewLeaf(int trap_id);
-
-  /// True when `pt` is strictly above segment s (lexicographic shear
-  /// applied for on-line ties via `s_hint`, the segment being inserted).
-  bool AboveForInsert(const geom::Point& pt, int seg_id,
-                      const Seg& s_hint) const;
-
-  /// DAG descent for the point on `s` infinitesimally lex-right of `w`.
-  int LocateTarget(const Seg& s, const geom::Point& w) const;
-
-  /// All trapezoids crossed by s, left to right.
-  std::vector<int> FindCrossedTrapezoids(const Seg& s) const;
-
-  void InsertSegment(const Seg& s);
-
-  /// Query-time descent; returns the leaf trapezoid id and appends the
-  /// visited internal DAG node ids to `visited` when non-null.
-  int LocateTrapezoid(const geom::Point& p,
-                      std::vector<int>* visited) const;
-
-  Status AssignRegions(const sub::Subdivision& sub);
-  Status Page();
-
   Options options_;
-  std::vector<geom::Point> points_;
-  std::vector<Seg> segs_;
-  std::vector<Trap> traps_;
-  std::vector<DagNode> dag_;
-  int root_ = -1;
-
-  // Broadcast layout (internal DAG nodes only; leaves ride in pointers).
-  std::vector<int> bfs_order_;          ///< bfs position -> dag node id
-  std::vector<int> node_bfs_pos_;       ///< dag node id -> bfs position
-  bcast::PagingResult paging_;
+  int num_packets_ = 0;
+  size_t index_bytes_ = 0;
+  int num_alive_trapezoids_ = 0;
+  int num_segments_ = 0;
+  TrapMapArena layout_;
 };
 
 }  // namespace dtree::baselines

@@ -20,12 +20,6 @@
 
 namespace dtree::bcast {
 
-/// Hard budget on descent steps for one probe. Every implementation's
-/// probe loop is bounded by it (a correct descent takes orders of
-/// magnitude fewer steps); on exhaustion ProbeInto returns Status::Internal
-/// instead of hanging, so a client always terminates.
-inline constexpr int kProbeStepBudget = 1 << 20;
-
 /// Hard budget on the packets a single probe trace may touch. A correct
 /// search reads each level's packet once; even a DAG-shaped index revisits
 /// a packet only a handful of times, so a trace materially longer than the
@@ -94,10 +88,12 @@ class AirIndex {
   /// lazy construction, no internal caches, no `mutable` members touched
   /// on the probe path (per-thread `thread_local` scratch is fine). The
   /// parallel experiment driver (bcast::RunExperiment) and the fleet
-  /// engine shard their queries across a thread pool and rely on this;
-  /// every index in this repository (D-tree, R*-tree, trap-tree,
-  /// trian-tree and their arenas) satisfies it by being immutable after
-  /// Build().
+  /// engine shard their queries across a thread pool and rely on this.
+  /// Every index in this repository satisfies it the same way: each
+  /// family (D-tree, R*-tree, trap-tree, trian-tree) probes one flat
+  /// layout, filled once by Build() or by the wire decode behind an
+  /// ArenaIndex (broadcast/arena.h), and immutable afterwards; the
+  /// R*-tree's depth-first stack is the only thread_local scratch.
   virtual Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const = 0;
 
   /// Convenience for one-off probes: ProbeInto a new trace.

@@ -1,21 +1,21 @@
-// Flat-arena probe engines: cache-conscious decoded form of an air index.
+// Flat-arena probe engines: the cache-conscious layout every air index
+// probes.
 //
-// The D-tree's per-probe packet decoder (dtree/serialize.h) re-parses
-// wire bytes on every probe — correct, hardened, and its arena's
-// bit-identical oracle, but slow: each query re-reads headers and
-// re-promotes f32 coordinates. A FlatProbeEngine decodes the
-// CRC-verified cycle (one PacketBuffer) ONCE into a flat arena (node
-// records in contiguous arrays, child links as 32-bit indices, coordinates
-// in flat arrays) and serves every subsequent probe from that arena. The
-// D-tree's arena is also the layout a built DTree probes (dtree/arena.h). The D-tree engine replicates
-// its decoder's exact arithmetic — same f32→double promotions, same
-// comparison order, same ray-crossing formula — so its probes return
-// byte-identical results to the decoder. Each baseline's engine
-// (baselines/*/arena.h) is that family's only wire reader; its Build is
-// the hardened decode. tests/arena_test and the bench_micro verification
-// guard enforce both contracts.
+// A FlatProbeEngine holds one index as node records in contiguous arrays,
+// child links as 32-bit indices and coordinates in flat arrays. Each
+// family has exactly one such layout and one descent over it
+// (dtree/arena.h, baselines/*/arena.h), filled from one of two sources:
+// the built tree writes its exact doubles into it, or the family's
+// hardened wire decode reads one CRC-verified cycle (one PacketBuffer)
+// into it once, promoting the f32 coordinates, so probes never re-parse
+// wire bytes. The D-tree's decode replicates its per-probe decoder's
+// exact arithmetic — same f32→double promotions, same comparison order,
+// same ray-crossing formula — so its probes return byte-identical results
+// to the decoder. Each baseline's decode is that family's only wire
+// reader. tests/arena_test, tests/baseline_pin_test and the bench_micro
+// verification guard enforce these contracts.
 //
-// ArenaIndex adapts an engine back to the AirIndex interface — its
+// ArenaIndex adapts a decoded engine back to the AirIndex interface — its
 // ProbeInto is the engine's — while reporting the wrapped index's
 // identity (name, packet count, byte size), so BroadcastChannel::Simulate
 // and bcast::RunExperiment produce byte-identical output with the arena
@@ -35,16 +35,16 @@
 
 namespace dtree::bcast {
 
-/// A decoded, immutable, probe-only form of one air index. Thread-safe
-/// for concurrent ProbeInto calls (same contract as AirIndex::ProbeInto).
+/// An immutable, probe-only layout of one air index. Thread-safe for
+/// concurrent ProbeInto calls (same contract as AirIndex::ProbeInto).
 class FlatProbeEngine {
  public:
   virtual ~FlatProbeEngine() = default;
 
-  /// Fills `*trace` with p's region and packet log, as read from the
-  /// decoded wire bytes (see each engine's header for how that relates to
-  /// the wrapped index's ProbeInto). Must clear any previous contents of the
-  /// trace's vectors without shrinking them.
+  /// Fills `*trace` with p's region and packet log from the layout (see
+  /// each engine's header for how a decoded layout relates to the built
+  /// tree's). Must clear any previous contents of the trace's vectors
+  /// without shrinking them.
   virtual Status ProbeInto(const geom::Point& p,
                            ProbeTrace* trace) const = 0;
 
@@ -52,6 +52,13 @@ class FlatProbeEngine {
   /// tradeoff table in EXPERIMENTS.md E14.
   virtual size_t ArenaBytes() const = 0;
 };
+
+/// A descent's failure: kDataLoss over a decoded cycle, where it means
+/// the bytes are bad (the degradation ladder's re-tune trigger), and
+/// kInternal over a built tree, where it means a broken invariant.
+inline Status DescentFailure(bool decoded, const char* msg) {
+  return decoded ? Status::DataLoss(msg) : Status::Internal(msg);
+}
 
 /// AirIndex adapter over a FlatProbeEngine. Reports the wrapped index's
 /// identity so experiment results (index name, packet counts, index bytes)

@@ -1,7 +1,10 @@
 #include <set>
 
+#include "baselines/kirkpatrick/arena.h"
 #include "baselines/kirkpatrick/kirkpatrick.h"
+#include "baselines/rstar/arena.h"
 #include "baselines/rstar/rstar.h"
+#include "baselines/trapmap/arena.h"
 #include "baselines/trapmap/trapmap.h"
 #include "broadcast/air_index.h"
 #include "dtree/dtree.h"
@@ -20,6 +23,15 @@ TEST(RStarTest, RejectsBadInput) {
   RStarTree::Options o;
   o.packet_capacity = 16;  // cannot hold two entries
   EXPECT_FALSE(RStarTree::Build(sub, o).ok());
+  // A reinsertion share of 100% or more would evict every entry of the
+  // overflowing node, or more than it holds.
+  o.packet_capacity = 64;
+  for (int percent : {100, 150, -1}) {
+    o.reinsert_percent = percent;
+    EXPECT_EQ(RStarTree::Build(sub, o).status().code(),
+              StatusCode::kInvalidArgument)
+        << percent;
+  }
 }
 
 TEST(RStarTest, NodeCapacityFollowsPacket) {
@@ -92,7 +104,7 @@ TEST(TrapMapTest, InvariantsOnUniform) {
   o.packet_capacity = 128;
   auto map_r = TrapMap::Build(sub, o);
   ASSERT_TRUE(map_r.ok()) << map_r.status().ToString();
-  EXPECT_OK(map_r.value().CheckInvariants(3000, 10));
+  EXPECT_OK(TrapMap::CheckInvariants(sub, o, 3000, 10));
   // O(n) expected size: alive trapezoids <= ~3n + 4, DAG not absurd.
   EXPECT_LE(map_r.value().num_alive_trapezoids(),
             3 * map_r.value().num_segments() + 8);
@@ -159,7 +171,7 @@ TEST(TrapMapTest, LocateMatchesOracleClustered) {
   o.packet_capacity = 64;
   auto map_r = TrapMap::Build(sub, o);
   ASSERT_TRUE(map_r.ok()) << map_r.status().ToString();
-  EXPECT_OK(map_r.value().CheckInvariants(3000, 14));
+  EXPECT_OK(TrapMap::CheckInvariants(sub, o, 3000, 14));
   const sub::PointLocator oracle(sub);
   Rng rng(15);
   for (int q = 0; q < 2000; ++q) {
@@ -189,7 +201,7 @@ TEST(TrapMapTest, HandlesVerticalAndCollinearSegments) {
     auto map_r = TrapMap::Build(sub_r.value(), o);
     ASSERT_TRUE(map_r.ok()) << "seed " << seed << ": "
                             << map_r.status().ToString();
-    EXPECT_OK(map_r.value().CheckInvariants(2000, seed));
+    EXPECT_OK(TrapMap::CheckInvariants(sub_r.value(), o, 2000, seed));
     const sub::PointLocator oracle(sub_r.value());
     Rng rng(16 + seed);
     for (int q = 0; q < 500; ++q) {
@@ -285,6 +297,42 @@ TEST(AllIndexLocateTest, PointOutsideTheServiceAreaDoesNotAbort) {
   EXPECT_TRUE(d >= 0 && d < n) << "d-tree region " << d;
   const int t = trap.value().Locate(outside);
   EXPECT_TRUE(t >= 0 && t < n) << "trap-tree region " << t;
+}
+
+// The decoded layout is sized exactly: a tree's layout and the one
+// decoded from its serialized bytes hold the same records, so they report
+// the same ArenaBytes().
+template <typename Index, typename BuildArenaFn>
+void ExpectDecodedLayoutSizedExactly(BuildArenaFn build_arena) {
+  auto d_r = workload::MakeUniformDataset();
+  ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
+  const sub::Subdivision& uniform = d_r.value().subdivision;
+  const sub::Subdivision clustered = test::ClusteredVoronoi(300, 51);
+  for (const sub::Subdivision* sub : {&uniform, &clustered}) {
+    for (int capacity : {64, 256, 1024}) {
+      typename Index::Options o;
+      o.packet_capacity = capacity;
+      auto index_r = Index::Build(*sub, o);
+      ASSERT_TRUE(index_r.ok()) << index_r.status().ToString();
+      auto arena_r = build_arena(index_r.value(), sub->NumRegions());
+      ASSERT_TRUE(arena_r.ok()) << arena_r.status().ToString();
+      EXPECT_EQ(arena_r.value().engine().ArenaBytes(),
+                index_r.value().layout().ArenaBytes())
+          << capacity << " B";
+    }
+  }
+}
+
+TEST(TrapMapTest, DecodedLayoutIsSizedExactly) {
+  ExpectDecodedLayoutSizedExactly<TrapMap>(BuildTrapMapArenaIndex);
+}
+
+TEST(TrianTreeTest, DecodedLayoutIsSizedExactly) {
+  ExpectDecodedLayoutSizedExactly<TrianTree>(BuildTrianTreeArenaIndex);
+}
+
+TEST(RStarTest, DecodedLayoutIsSizedExactly) {
+  ExpectDecodedLayoutSizedExactly<RStarTree>(BuildRStarArenaIndex);
 }
 
 /// The keystone property: all four index structures answer every query

@@ -29,7 +29,8 @@ TEST_P(TrapMapSeedMatrixTest, InvariantsAndOracleAcrossInsertionOrders) {
   auto map_r = TrapMap::Build(sub, o);
   ASSERT_TRUE(map_r.ok()) << map_r.status().ToString();
   const TrapMap& map = map_r.value();
-  ASSERT_OK(map.CheckInvariants(1500, static_cast<uint64_t>(seed) + 1));
+  ASSERT_OK(TrapMap::CheckInvariants(sub, o, 1500,
+                                     static_cast<uint64_t>(seed) + 1));
   // Expected-linear size regardless of insertion order.
   EXPECT_LE(map.num_alive_trapezoids(), 3 * map.num_segments() + 8);
   EXPECT_LE(map.num_dag_nodes(), 20 * map.num_segments() + 8);
@@ -101,7 +102,7 @@ TEST(TrapMapStressTest, ManyCollinearBorderSegments) {
     o.seed = seed;
     auto map_r = TrapMap::Build(sub_r.value(), o);
     ASSERT_TRUE(map_r.ok()) << map_r.status().ToString();
-    ASSERT_OK(map_r.value().CheckInvariants(1000, seed));
+    ASSERT_OK(TrapMap::CheckInvariants(sub_r.value(), o, 1000, seed));
     for (int i = 0; i < k; ++i) {
       EXPECT_EQ(map_r.value().Locate({i * 10.0 + 5.0, 5.0}), i) << seed;
     }
