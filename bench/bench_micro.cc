@@ -5,15 +5,15 @@
 //
 // Flat-arena probe throughput (EXPERIMENTS.md E14): passing
 // --bench-json=PATH switches on a self-verifying measurement pass that
-// times the flat-arena engines (DESIGN.md §12) on SCALE-U subdivisions up
-// to N=100k — the D-tree's against its per-probe byte decoder and the
-// tree's own probe, DTree::ProbeInto — then writes the ns/probe table to
-// PATH. Before any timing, every
-// configuration is checked query-by-query: the D-tree arena against its
-// byte decoder (the bit-identical oracle), each baseline arena's region
-// against its tree's in-memory Probe outside the border band. Any
-// mismatch exits nonzero, so a CI bench run doubles as a correctness
-// gate. Remaining arguments pass through to google-benchmark (use
+// times each family's layout (DESIGN.md §12) on SCALE-U subdivisions up
+// to N=100k, built by the tree and decoded from its wire bytes — the
+// D-tree's also against its per-probe byte decoder — then writes the
+// ns/probe table to PATH. Before any timing, every configuration is
+// checked query-by-query: the D-tree's decoded layout against its byte
+// decoder (the bit-identical oracle), each baseline's decoded layout's
+// region against its built tree's outside the border band. Any mismatch
+// exits nonzero, so a CI bench run doubles as a correctness gate.
+// Remaining arguments pass through to google-benchmark (use
 // --benchmark_filter=NONE to run only the measurement pass).
 
 #include <benchmark/benchmark.h>
@@ -277,7 +277,7 @@ struct ProbeMeasurement {
   size_t arena_bytes = 0;
   int verified_queries = 0;
   double decode_ns = 0.0;  ///< 0 for the baselines: no per-probe decoder
-  double tree_ns = 0.0;    ///< DTree::ProbeInto; 0 for the baselines
+  double tree_ns = 0.0;    ///< the built tree's own ProbeInto
   double arena_ns = 0.0;
 };
 
@@ -422,11 +422,13 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
   return true;
 }
 
-/// Baseline guard: each baseline's arena is its family's only wire
-/// reader, so it is checked against the tree's in-memory Probe — the
-/// regions must agree at every query outside the kMergeEps * 100 border
-/// band, where the wire's f32 coordinates may pick the neighbouring
-/// region — then timed. `build_arena` is the family's Build*ArenaIndex.
+/// Baseline guard: each baseline's decoded layout is its family's only
+/// wire reader, so it is checked against the built tree's probe — the
+/// same descent over the tree's exact doubles. The regions must agree at
+/// every query outside the kMergeEps * 100 border band, where the wire's
+/// f32 coordinates may pick the neighbouring region. Then both are timed
+/// on the verified queries. `build_arena` is the family's
+/// Build*ArenaIndex.
 template <typename Tree, typename BuildArenaFn>
 bool MeasureBaseline(const std::string& index_name,
                      const sub::Subdivision& sub, int n,
@@ -439,30 +441,34 @@ bool MeasureBaseline(const std::string& index_name,
   if (!tree_r.ok()) return false;
   auto arena_r = build_arena(tree_r.value(), sub.NumRegions());
   if (!arena_r.ok()) return false;
+  const Tree& tree = tree_r.value();
   const bcast::FlatProbeEngine& engine = arena_r.value().engine();
   bcast::ProbeTrace trace;
   for (size_t i = 0; i < queries.size(); ++i) {
     const geom::Point& p = queries[i];
-    const Result<bcast::ProbeTrace> memory = tree_r.value().Probe(p);
+    const Result<bcast::ProbeTrace> built = tree.Probe(p);
     const Status st = engine.ProbeInto(p, &trace);
     const bool agree =
-        memory.ok() && st.ok() ? memory.value().region == trace.region
-                               : memory.status().code() == st.code();
+        built.ok() && st.ok() ? built.value().region == trace.region
+                              : built.status().code() == st.code();
     if (agree || sub.DistanceToNearestBorder(p) <= geom::kMergeEps * 100.0) {
       continue;
     }
     std::fprintf(stderr,
-                 "FAIL %s n=%d query %zu (%.17g, %.17g): Probe '%s' region "
+                 "FAIL %s n=%d query %zu (%.17g, %.17g): tree '%s' region "
                  "%d vs arena '%s' region %d outside the border band\n",
                  index_name.c_str(), n, i, p.x, p.y,
-                 memory.status().ToString().c_str(),
-                 memory.ok() ? memory.value().region : -1,
+                 built.status().ToString().c_str(),
+                 built.ok() ? built.value().region : -1,
                  st.ToString().c_str(), trace.region);
     return false;
   }
   ProbeMeasurement m;
   m.index = index_name;
   m.n = n;
+  m.tree_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+    benchmark::DoNotOptimize(tree.ProbeInto(p, &trace));
+  });
   MeasureArena(engine, queries, &m);
   results->push_back(m);
   return true;
