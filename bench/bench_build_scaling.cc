@@ -13,7 +13,7 @@
 // Flags:
 //   --n=10000,50000,...        SCALE sizes to sweep (default 10k,50k,100k)
 //   --dist=uniform|clustered|both   site distribution (default uniform)
-//   --threads=T                Voronoi and D-tree build threads
+//   --threads=T                Voronoi, stitch and D-tree build threads
 //                              (0 = hardware concurrency)
 //   --seed=S                   site RNG seed (default 7, the dataset seed)
 //   --bench-json=PATH          timings JSON (default BENCH_build.json)
@@ -260,9 +260,10 @@ int main(int argc, char** argv) {
       }
       phase_s.push_back(SecondsSince(t0));
 
-      // -- stitch (FromPolygons: T-junctions, rings, border grid) ---------
+      // -- stitch (FromPolygons: snap, T-junctions, twins) ----------------
       t0 = std::chrono::steady_clock::now();
-      auto sub = dtree::sub::Subdivision::FromPolygons(area, cells.value());
+      auto sub = dtree::sub::Subdivision::FromPolygons(area, cells.value(),
+                                                       flags.threads);
       if (!sub.ok()) {
         std::fprintf(stderr, "%s: stitch: %s\n", name.c_str(),
                      sub.status().ToString().c_str());

@@ -10,8 +10,11 @@
 #ifndef DTREE_SUBDIVISION_SUBDIVISION_H_
 #define DTREE_SUBDIVISION_SUBDIVISION_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -30,13 +33,21 @@ class Subdivision {
 
   /// Builds a subdivision from raw polygons, snapping vertices within
   /// geom::kMergeEps to a shared pool and splitting edges at T-junctions
-  /// so neighboring borders match exactly.
+  /// so neighboring borders match exactly. Vertex ids follow first-seen
+  /// order over the polygons, each read counter-clockwise.
   ///
-  /// Fails with InvalidArgument when fewer than one polygon is supplied or
-  /// a polygon is degenerate.
+  /// The T-junction pass splits rings on `num_threads` threads (<= 0
+  /// selects ThreadPool::DefaultThreads(); below 2048 polygons it runs on
+  /// the caller). The result is bit-identical for every value.
+  ///
+  /// Fails with InvalidArgument when fewer than one polygon is supplied,
+  /// the service area or a vertex is not finite, a vertex lies too far out
+  /// for the snap grid (|v| above about 3.7e13), or a polygon is
+  /// degenerate. Finite polygons outside the service area are accepted;
+  /// Validate() reports them.
   static Result<Subdivision> FromPolygons(
       const geom::BBox& service_area,
-      const std::vector<geom::Polygon>& polygons);
+      const std::vector<geom::Polygon>& polygons, int num_threads = 0);
 
   int NumRegions() const { return static_cast<int>(rings_.size()); }
   const geom::BBox& service_area() const { return service_area_; }
@@ -61,7 +72,9 @@ class Subdivision {
 
   /// Edge twins of region i: entry k names the region across directed
   /// ring edge k (Ring(i)[k] to Ring(i)[k+1], wrapping), or kBorderEdge /
-  /// kUnstitchedEdge. Built once by FromPolygons.
+  /// kUnstitchedEdge. Built once by FromPolygons: an undirected segment
+  /// held by one ring edge is kBorderEdge, by two in opposite directions
+  /// a pair of twins, and by anything else kUnstitchedEdge on every copy.
   std::span<const int> EdgeTwins(int i) const {
     return {edge_twin_.data() + ring_offset_[i], rings_[i].size()};
   }
@@ -69,15 +82,18 @@ class Subdivision {
   /// Structural validation: rings are CCW with >= 3 vertices, region areas
   /// sum to the service area (within 0.1%), every region lies inside the
   /// service area, and every edge is either shared (reversed) with exactly
-  /// one other region or lies on the service-area boundary.
+  /// one other region or lies on the service-area boundary. Edges are
+  /// checked through the twin table in (region, slot) order, and the first
+  /// defect is reported.
   Status Validate() const;
 
   /// Distance from p to the nearest region border (used by tests to skip
   /// query points whose answer is numerically ambiguous, and by the
   /// experiment oracle on every mismatching query). Grid-accelerated:
-  /// border edges are bucketed into a uniform grid at construction and
-  /// looked up by expanding rings around p's cell; points outside the
-  /// grid's extent fall back to the full edge scan.
+  /// border edges are bucketed into a uniform grid, built by the first
+  /// call that needs it (safe to race from several threads), and looked
+  /// up by expanding rings around p's cell; points outside the grid's
+  /// extent fall back to the full edge scan.
   double DistanceToNearestBorder(const geom::Point& p) const;
 
   /// Brute-force reference: every edge of every region. Public so property
@@ -85,18 +101,48 @@ class Subdivision {
   double BorderDistanceFullScan(const geom::Point& p) const;
 
   /// Border-grid introspection for property tests (generating query points
-  /// aligned exactly to grid-cell boundaries). A dimension of 0 means no
-  /// grid was built and DistanceToNearestBorder always full-scans.
-  int border_grid_dim() const { return border_grid_dim_; }
-  const geom::BBox& border_grid_box() const { return border_grid_box_; }
-  double border_cell_w() const { return border_cell_w_; }
-  double border_cell_h() const { return border_cell_h_; }
+  /// aligned exactly to grid-cell boundaries). A dimension of 0 means the
+  /// subdivision has no edges and DistanceToNearestBorder always
+  /// full-scans. Each accessor builds the grid if no call has yet.
+  int border_grid_dim() const { return border_grid().dim; }
+  const geom::BBox& border_grid_box() const { return border_grid().box; }
+  double border_cell_w() const { return border_grid().cell_w; }
+  double border_cell_h() const { return border_grid().cell_h; }
 
  private:
-  /// Collects unique undirected border edges, buckets them into the
-  /// uniform grid used by DistanceToNearestBorder, and fills the edge-twin
-  /// table in the same pass.
-  void BuildBorderGrid();
+  /// Border-distance acceleration: every undirected ring edge once, as a
+  /// canonical (lo, hi) vertex-id pair, bucketed into a uniform grid over
+  /// `box`. Cell c's edges are edges[offsets[c] .. offsets[c + 1]), in
+  /// ascending (lo, hi) order.
+  struct BorderGrid {
+    geom::BBox box;
+    int dim = 0;
+    double cell_w = 1.0, cell_h = 1.0;
+    std::vector<int> offsets;
+    std::vector<std::pair<int, int>> edges;
+  };
+
+  /// The border grid, built from the rings by the first call that reads
+  /// it, exactly once: the first caller to take `mu` builds and then sets
+  /// `built`. Only oracles read the grid, so an epoch commit never builds
+  /// it. A copy carries a built grid along and a move takes it, leaving
+  /// the source unbuilt, so Subdivision stays a value type.
+  struct LazyBorderGrid {
+    LazyBorderGrid() = default;
+    LazyBorderGrid(const LazyBorderGrid& other) { *this = other; }
+    LazyBorderGrid(LazyBorderGrid&& other) noexcept {
+      *this = std::move(other);
+    }
+    LazyBorderGrid& operator=(const LazyBorderGrid& other);
+    LazyBorderGrid& operator=(LazyBorderGrid&& other) noexcept;
+
+    std::mutex mu;
+    std::atomic<bool> built{false};
+    BorderGrid grid;
+  };
+
+  const BorderGrid& border_grid() const;
+  BorderGrid BuildBorderGrid() const;
 
   geom::BBox service_area_;
   std::vector<geom::Point> vertices_;
@@ -108,15 +154,7 @@ class Subdivision {
   std::vector<int> ring_offset_;
   std::vector<int> edge_twin_;
 
-  /// Border-distance acceleration: unique undirected edges (vertex-id
-  /// pairs) bucketed into a uniform grid over `border_grid_box_`. Built by
-  /// FromPolygons; a default-constructed Subdivision has no grid
-  /// (border_grid_dim_ == 0) and uses the full scan.
-  std::vector<std::pair<int, int>> border_edges_;
-  geom::BBox border_grid_box_;
-  int border_grid_dim_ = 0;
-  double border_cell_w_ = 1.0, border_cell_h_ = 1.0;
-  std::vector<std::vector<int>> border_cells_;  ///< edge ids per grid cell
+  mutable LazyBorderGrid border_grid_;
 };
 
 /// Grid-accelerated brute-force point locator over a Subdivision. Serves as

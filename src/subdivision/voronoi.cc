@@ -347,7 +347,8 @@ Result<Subdivision> BuildVoronoiSubdivision(const std::vector<Point>& sites,
   Result<std::vector<Polygon>> cells =
       VoronoiCells(sites, service_area, options);
   if (!cells.ok()) return cells.status();
-  return Subdivision::FromPolygons(service_area, cells.value());
+  return Subdivision::FromPolygons(service_area, cells.value(),
+                                   options.num_threads);
 }
 
 Result<Subdivision> BuildVoronoiSubdivision(const std::vector<Point>& sites,

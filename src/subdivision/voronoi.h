@@ -34,7 +34,8 @@ namespace dtree::sub {
 inline constexpr double kMinSiteSeparation = 4.0 * geom::kMergeEps;
 
 struct VoronoiOptions {
-  /// Threads used for per-cell clipping; <= 0 selects
+  /// Threads used for per-cell clipping and, in BuildVoronoiSubdivision,
+  /// for the stitch's T-junction pass; <= 0 selects
   /// ThreadPool::DefaultThreads(). Output is bit-identical for every value.
   int num_threads = 0;
 };
@@ -60,6 +61,7 @@ Result<std::vector<geom::Polygon>> VoronoiCellsReference(
 
 /// Convenience wrapper: builds the cells and stitches them into a
 /// Subdivision whose region i answers nearest-neighbor queries for site i.
+/// Both stages run on options.num_threads threads.
 Result<Subdivision> BuildVoronoiSubdivision(
     const std::vector<geom::Point>& sites, const geom::BBox& service_area);
 Result<Subdivision> BuildVoronoiSubdivision(
