@@ -39,6 +39,13 @@
 #include "dtree/dtree.h"
 #include "workload/datasets.h"
 
+// The commit the binary was built from: the bench_git_sha target writes
+// bench_git_sha.h at every build of bench/. bench_suite, built without
+// bench/, defines DTREE_BENCH_GIT_SHA on its command line instead.
+#ifndef DTREE_BENCH_GIT_SHA
+#include "bench_git_sha.h"
+#endif
+
 namespace dtree::bench {
 
 enum class IndexKind { kDTree, kRStar, kTrapTree, kTrianTree };
@@ -182,7 +189,8 @@ struct CellPercentiles {
 
 /// The "host" block of every BENCH_*.json, with bench_suite's keys: the
 /// machine's core count, the worker threads the run asked for, and the
-/// build that ran it (defines from bench/CMakeLists.txt).
+/// build that ran it (defines and the generated sha header from
+/// bench/CMakeLists.txt).
 inline std::string BenchHostJson(int threads) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
