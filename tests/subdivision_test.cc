@@ -252,6 +252,27 @@ TEST(VoronoiTest, CollinearNearCoincidentPairRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(VoronoiTest, MinSeparationNamesTheFirstHitInRingOrder) {
+  // Nine sites over [0, 9]^2 make a 3 x 3 site grid of 3-wide buckets.
+  // Site 3 sits just inside bucket (1, 1)'s lower-left corner, within the
+  // separation of site 1 in bucket (0, 1) to its left and of site 2 in
+  // bucket (1, 0) below it; sites 1 and 2 are farther than the separation
+  // apart. The ring walks row by row, so bucket (1, 0) comes before
+  // (0, 1) and the message names site 2, not the lower id 1.
+  const double d = 0.9 * kMinSiteSeparation;
+  const double c = 3.0 + 0.1 * kMinSiteSeparation;
+  const std::vector<Point> sites{{7.5, 7.5}, {c - d, c},   {c, c - d},
+                                 {c, c},     {1.5, 7.5}, {4.5, 7.5},
+                                 {7.5, 4.5}, {7.5, 1.5}, {1.5, 1.5}};
+  ASSERT_GT(geom::Distance(sites[1], sites[2]), kMinSiteSeparation);
+  const auto r = VoronoiCells(sites, BBox{0, 0, 9, 9});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(),
+            "sites 2 and 3 coincide within the minimum separation (" +
+                std::to_string(kMinSiteSeparation) + ")");
+}
+
 TEST(VoronoiTest, CellsContainTheirSites) {
   Rng rng(3);
   const BBox area = workload::DefaultServiceArea();
@@ -1017,6 +1038,66 @@ TEST(SubdivisionTest, ConcurrentFirstBorderQueriesMatchFullScan) {
     for (int t = 0; t < kThreads; ++t) {
       ASSERT_EQ(got[t][i], want) << "thread " << t << " point " << i;
     }
+  }
+}
+
+/// One digest of PointLocator::Locate over uniform points, every vertex,
+/// points exactly on the locator's cell boundaries (a floor(sqrt(N))
+/// square grid over the service area) and points up to one service-area
+/// width or height outside the area.
+uint64_t LocateDigest(const Subdivision& sub) {
+  const PointLocator loc(sub);
+  const BBox& a = sub.service_area();
+  const int dim = std::max(
+      1, static_cast<int>(std::sqrt(static_cast<double>(sub.NumRegions()))));
+  const double cw = a.width() / dim, ch = a.height() / dim;
+  Rng rng(29);
+  Fnv h;
+  const auto mix = [&](const Point& p) { h.Mix(loc.Locate(p)); };
+  for (int i = 0; i < 2000; ++i) {
+    mix({rng.Uniform(a.min_x, a.max_x), rng.Uniform(a.min_y, a.max_y)});
+  }
+  for (const Point& v : sub.vertices()) mix(v);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = a.min_x + cw * static_cast<double>(rng.UniformInt(0, dim));
+    const double y = a.min_y + ch * static_cast<double>(rng.UniformInt(0, dim));
+    mix({x, rng.Uniform(a.min_y, a.max_y)});
+    mix({rng.Uniform(a.min_x, a.max_x), y});
+    mix({x, y});
+  }
+  for (int i = 0; i < 300; ++i) {
+    mix({rng.Uniform(a.min_x - a.width(), a.max_x + a.width()),
+         rng.Uniform(a.min_y - a.height(), a.max_y + a.height())});
+  }
+  return h.value();
+}
+
+// Pins brute-force point location, the ground truth of every index, on
+// the paper maps and two SCALE maps.
+TEST(PointLocatorTest, LocateIsPinned) {
+  std::vector<workload::Dataset> maps = workload::MakePaperDatasets().value();
+  for (const auto dist : {workload::ScaleDistribution::kUniform,
+                          workload::ScaleDistribution::kClustered}) {
+    maps.push_back(workload::MakeScaleDataset(20000, dist).value());
+  }
+  struct Pin {
+    const char* name;
+    uint64_t digest;
+  };
+  static constexpr Pin kPins[] = {
+      {"UNIFORM", 0x28a587f35736c902ull},
+      {"HOSPITAL", 0x50056c413b412a63ull},
+      {"PARK", 0x0df82a7fb55473beull},
+      {"SCALE-U20000", 0x3dbe6cbe923f74efull},
+      {"SCALE-C20000", 0x56cb438e7b4fa153ull},
+  };
+  ASSERT_EQ(std::size(kPins), maps.size());
+  for (size_t i = 0; i < maps.size(); ++i) {
+    ASSERT_EQ(maps[i].name, kPins[i].name);
+    const uint64_t digest = LocateDigest(maps[i].subdivision);
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, digest);
+    EXPECT_EQ(digest, kPins[i].digest) << kPins[i].name << ": digest " << hex;
   }
 }
 
