@@ -121,69 +121,6 @@ class VertexPool {
   std::vector<int> heads_;  ///< first vertex id of the slot's cell, or -1
 };
 
-/// Uniform grid over the vertices for T-junction candidate lookup (the
-/// snap cells are far too fine to scan per edge), stored CSR: cell c holds
-/// the vertex ids ids[start[c] .. start[c + 1]) in ascending order.
-class CoarseGrid {
- public:
-  CoarseGrid(const BBox& service_area, const std::vector<Point>& pts)
-      : box_(service_area) {
-    for (const Point& p : pts) box_.Extend(p);
-    // 1024^2 cells keep the per-edge candidate count near-constant up to
-    // the N=100k SCALE datasets (~600k vertices); the grid only filters
-    // candidates, so the cap does not affect results.
-    dim_ = std::clamp(static_cast<int>(std::sqrt(static_cast<double>(
-                          pts.size()))),
-                      1, 1024);
-    w_ = std::max(box_.width(), 1e-9) / dim_;
-    h_ = std::max(box_.height(), 1e-9) / dim_;
-    start_.assign(static_cast<size_t>(dim_) * dim_ + 1, 0);
-    std::vector<int> cell(pts.size());
-    for (size_t v = 0; v < pts.size(); ++v) {
-      cell[v] = Cell(CellX(pts[v].x), CellY(pts[v].y));
-      ++start_[static_cast<size_t>(cell[v]) + 1];
-    }
-    for (size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
-    std::vector<int> cursor(start_.begin(), start_.end() - 1);
-    ids_.resize(pts.size());
-    for (size_t v = 0; v < pts.size(); ++v) {
-      ids_[static_cast<size_t>(cursor[static_cast<size_t>(cell[v])]++)] =
-          static_cast<int>(v);
-    }
-  }
-
-  /// Calls fn(v) for every vertex in the cells that `box` grown by
-  /// kMergeEps touches, row by row.
-  template <class Fn>
-  void ForEachNear(const BBox& box, Fn fn) const {
-    const int x0 = CellX(box.min_x - kMergeEps);
-    const int y0 = CellY(box.min_y - kMergeEps);
-    const int x1 = CellX(box.max_x + kMergeEps);
-    const int y1 = CellY(box.max_y + kMergeEps);
-    for (int cy = y0; cy <= y1; ++cy) {
-      for (int cx = x0; cx <= x1; ++cx) {
-        const size_t c = static_cast<size_t>(Cell(cx, cy));
-        for (int k = start_[c]; k < start_[c + 1]; ++k) fn(ids_[k]);
-      }
-    }
-  }
-
- private:
-  int CellX(double x) const {
-    return std::clamp(static_cast<int>((x - box_.min_x) / w_), 0, dim_ - 1);
-  }
-  int CellY(double y) const {
-    return std::clamp(static_cast<int>((y - box_.min_y) / h_), 0, dim_ - 1);
-  }
-  int Cell(int cx, int cy) const { return cy * dim_ + cx; }
-
-  BBox box_;
-  int dim_ = 1;
-  double w_ = 1.0, h_ = 1.0;
-  std::vector<int> start_;
-  std::vector<int> ids_;
-};
-
 /// Reused buffers of one T-junction shard.
 struct SplitScratch {
   std::vector<std::pair<double, int>> on_edge;
@@ -193,7 +130,7 @@ struct SplitScratch {
 /// Splits every edge of `ring` at the vertices that lie on its interior,
 /// in order along the edge, and drops the repeats that creates. Reads only
 /// the vertices and the grid; writes only `ring`.
-void SplitRing(const std::vector<Point>& pts, const CoarseGrid& grid,
+void SplitRing(const std::vector<Point>& pts, const BucketGrid& grid,
                std::vector<int>* ring, SplitScratch* scratch) {
   std::vector<std::pair<double, int>>& on_edge = scratch->on_edge;
   std::vector<int>& split = scratch->split;
@@ -202,11 +139,12 @@ void SplitRing(const std::vector<Point>& pts, const CoarseGrid& grid,
     const int a = (*ring)[i];
     const int b = (*ring)[(i + 1) % ring->size()];
     split.push_back(a);
-    BBox edge_box;
-    edge_box.Extend(pts[a]);
-    edge_box.Extend(pts[b]);
+    const BBox near{std::min(pts[a].x, pts[b].x) - kMergeEps,
+                    std::min(pts[a].y, pts[b].y) - kMergeEps,
+                    std::max(pts[a].x, pts[b].x) + kMergeEps,
+                    std::max(pts[a].y, pts[b].y) + kMergeEps};
     on_edge.clear();
-    grid.ForEachNear(edge_box, [&](int v) {
+    grid.ForEachInBox(near, [&](int v) {
       if (v == a || v == b) return;
       if (geom::DistanceToSegment(pts[a], pts[b], pts[v]) > kMergeEps) {
         return;
@@ -344,10 +282,18 @@ Result<Subdivision> Subdivision::FromPolygons(
   out.vertices_ = pool.TakePoints();
   const std::vector<Point>& pts = out.vertices_;
 
-  // T-junctions: split every edge at the vertices on its interior. Rings
-  // are independent, so fixed contiguous shards of them run on the pool
-  // and each writes only its own rings and bounds.
-  const CoarseGrid grid(service_area, pts);
+  // T-junctions: split every edge at the vertices on its interior, found
+  // through a grid of the vertices. The grid only filters candidates, so
+  // its 1024 cap does not change results; the cap keeps the per-edge
+  // candidate count near-constant up to the N=100k SCALE maps (~600k
+  // vertices). Rings are independent, so fixed contiguous shards of them
+  // run on the pool and each writes only its own rings and bounds.
+  BBox vertex_box = service_area;
+  for (const Point& p : pts) vertex_box.Extend(p);
+  const BucketGrid grid(vertex_box, BucketGrid::SqrtDim(pts.size(), 1024),
+                        pts.size(), [&](size_t v) {
+                          return BBox{pts[v].x, pts[v].y, pts[v].x, pts[v].y};
+                        });
   out.bounds_.resize(rings.size());
   const int num_shards = static_cast<int>(std::min<size_t>(rings.size(), 64));
   const auto run_shard = [&](int shard) {
@@ -431,6 +377,19 @@ const Subdivision::BorderGrid& Subdivision::border_grid() const {
   return border_grid_.grid;
 }
 
+std::vector<Subdivision::Segment> Subdivision::Segments() const {
+  std::vector<Segment> segments;
+  ForEachSegment(rings_, vertices_.size(),
+                 [&](int lo, int hi, std::span<const DirectedEdge> group) {
+                   int first = group[0].slot;
+                   for (const DirectedEdge& e : group) {
+                     first = std::min(first, e.slot);
+                   }
+                   segments.push_back({lo, hi, first});
+                 });
+  return segments;
+}
+
 Subdivision::BorderGrid Subdivision::BuildBorderGrid() const {
   // Every undirected edge once: a shared border appears in both
   // neighboring rings (reversed) but only needs one distance check. The
@@ -438,51 +397,20 @@ Subdivision::BorderGrid Subdivision::BuildBorderGrid() const {
   // bitwise direction-symmetric, and the full-scan reference evaluates
   // segments in canonical order too, so the two paths stay exactly
   // comparable.
-  std::vector<std::pair<int, int>> segments;
-  ForEachSegment(rings_, vertices_.size(),
-                 [&](int lo, int hi, std::span<const DirectedEdge>) {
-                   segments.emplace_back(lo, hi);
-                 });
-  BorderGrid grid;
-  if (segments.empty()) return grid;
-
-  grid.box = service_area_;
-  for (const Point& p : vertices_) grid.box.Extend(p);
-  grid.dim = std::clamp(
-      static_cast<int>(std::sqrt(static_cast<double>(segments.size()))), 1,
-      1024);
-  grid.cell_w = std::max(grid.box.width(), 1e-9) / grid.dim;
-  grid.cell_h = std::max(grid.box.height(), 1e-9) / grid.dim;
-  auto cell_index = [&](double v, double lo, double step) {
-    return std::clamp(static_cast<int>((v - lo) / step), 0, grid.dim - 1);
-  };
-  // Calls fn(cell) for every grid cell the segment's bounding box touches.
-  auto for_each_cell = [&](const std::pair<int, int>& s, auto fn) {
-    const Point& a = vertices_[s.first];
-    const Point& b = vertices_[s.second];
-    const int x0 = cell_index(std::min(a.x, b.x), grid.box.min_x, grid.cell_w);
-    const int x1 = cell_index(std::max(a.x, b.x), grid.box.min_x, grid.cell_w);
-    const int y0 = cell_index(std::min(a.y, b.y), grid.box.min_y, grid.cell_h);
-    const int y1 = cell_index(std::max(a.y, b.y), grid.box.min_y, grid.cell_h);
-    for (int gy = y0; gy <= y1; ++gy) {
-      for (int gx = x0; gx <= x1; ++gx) {
-        fn(static_cast<size_t>(gy) * grid.dim + gx);
-      }
-    }
-  };
-  grid.offsets.assign(static_cast<size_t>(grid.dim) * grid.dim + 1, 0);
-  for (const auto& s : segments) {
-    for_each_cell(s, [&](size_t c) { ++grid.offsets[c + 1]; });
-  }
-  for (size_t c = 1; c < grid.offsets.size(); ++c) {
-    grid.offsets[c] += grid.offsets[c - 1];
-  }
-  std::vector<int> cursor(grid.offsets.begin(), grid.offsets.end() - 1);
-  grid.edges.resize(static_cast<size_t>(grid.offsets.back()));
-  for (const auto& s : segments) {
-    for_each_cell(s, [&](size_t c) { grid.edges[cursor[c]++] = s; });
-  }
-  return grid;
+  BorderGrid border;
+  border.segments = Segments();
+  if (border.segments.empty()) return border;
+  BBox box = service_area_;
+  for (const Point& p : vertices_) box.Extend(p);
+  border.grid = BucketGrid(
+      box, BucketGrid::SqrtDim(border.segments.size(), 1024),
+      border.segments.size(), [&](size_t i) {
+        BBox b;
+        b.Extend(vertices_[border.segments[i].lo]);
+        b.Extend(vertices_[border.segments[i].hi]);
+        return b;
+      });
+  return border;
 }
 
 Polygon Subdivision::RegionPolygon(int i) const {
@@ -573,109 +501,65 @@ double Subdivision::BorderDistanceFullScan(const geom::Point& p) const {
 }
 
 double Subdivision::DistanceToNearestBorder(const geom::Point& p) const {
-  const BorderGrid& grid = border_grid();
-  if (grid.dim == 0) return BorderDistanceFullScan(p);
-  // The expanding-ring bound below assumes p lies inside its own grid
-  // cell; outside the grid extent, fall back to the full scan.
-  if (!grid.box.Contains(p)) return BorderDistanceFullScan(p);
-
-  const int cx = std::clamp(
-      static_cast<int>((p.x - grid.box.min_x) / grid.cell_w), 0,
-      grid.dim - 1);
-  const int cy = std::clamp(
-      static_cast<int>((p.y - grid.box.min_y) / grid.cell_h), 0,
-      grid.dim - 1);
-  const double min_cell = std::min(grid.cell_w, grid.cell_h);
-
+  const BorderGrid& border = border_grid();
+  const BucketGrid& grid = border.grid;
+  // The ring bound below holds for p inside the grid's box; with no
+  // edges, or outside the box, scan every edge.
+  if (grid.dim() == 0 || !grid.box().Contains(p)) {
+    return BorderDistanceFullScan(p);
+  }
+  const int cx = grid.CellX(p.x), cy = grid.CellY(p.y);
   double best = std::numeric_limits<double>::infinity();
-  auto scan_cell = [&](int gx, int gy) {
-    if (gx < 0 || gy < 0 || gx >= grid.dim || gy >= grid.dim) return;
-    const size_t c = static_cast<size_t>(gy) * grid.dim + gx;
-    for (int e = grid.offsets[c]; e < grid.offsets[c + 1]; ++e) {
-      const Point& a = vertices_[grid.edges[e].first];
-      const Point& b = vertices_[grid.edges[e].second];
-      best = std::min(best, geom::DistanceToSegment(a, b, p));
-    }
-  };
-  for (int ring = 0; ring < grid.dim; ++ring) {
-    if (ring == 0) {
-      scan_cell(cx, cy);
-    } else {
-      for (int gx = cx - ring; gx <= cx + ring; ++gx) {
-        scan_cell(gx, cy - ring);
-        scan_cell(gx, cy + ring);
-      }
-      for (int gy = cy - ring + 1; gy <= cy + ring - 1; ++gy) {
-        scan_cell(cx - ring, gy);
-        scan_cell(cx + ring, gy);
-      }
-    }
-    // Termination bound, audited for exactness: after scanning ring r, the
-    // nearest uncovered cells sit at Chebyshev ring r+1, whose guaranteed
-    // clearance is min_cell * ((r+1) - 1) = r * min_cell. That clearance
-    // only relies on p lying inside its own *closed* grid cell, which the
-    // clamp+floor cell assignment preserves even when p sits exactly on a
-    // grid-cell boundary (the boundary belongs to both cells; p is assigned
-    // to the right/upper one and still touches it). So breaking once
-    // best <= r * min_cell can never skip a closer edge; the property test
-    // in tests/subdivision_test.cc checks this against
-    // BorderDistanceFullScan on boundary-aligned points.
-    if (best <= static_cast<double>(ring) * min_cell) break;
+  for (int r = 0; r <= grid.MaxRing(cx, cy); ++r) {
+    grid.ForEachInRing(cx, cy, r, [&](int s) {
+      const Segment& e = border.segments[static_cast<size_t>(s)];
+      best = std::min(best, geom::DistanceToSegment(vertices_[e.lo],
+                                                    vertices_[e.hi], p));
+    });
+    // An edge filed past ring r is at least RingClearance(r + 1) away; the
+    // property tests in tests/subdivision_test.cc check the exit against
+    // BorderDistanceFullScan, on bucket walls too.
+    if (best <= grid.RingClearance(r + 1)) break;
   }
   DTREE_DCHECK(std::isfinite(best));
   return best;
 }
 
-PointLocator::PointLocator(const Subdivision& sub) : sub_(sub) {
-  const int n = sub.NumRegions();
-  polys_.reserve(n);
-  for (int i = 0; i < n; ++i) polys_.push_back(sub.RegionPolygon(i));
-  grid_dim_ = std::max(1, static_cast<int>(std::sqrt(static_cast<double>(n))));
-  const BBox& area = sub.service_area();
-  cell_w_ = area.width() / grid_dim_;
-  cell_h_ = area.height() / grid_dim_;
-  cells_.assign(static_cast<size_t>(grid_dim_) * grid_dim_, {});
-  for (int i = 0; i < n; ++i) {
-    const BBox& b = sub.RegionBounds(i);
-    const int x0 = std::clamp(
-        static_cast<int>((b.min_x - area.min_x) / cell_w_), 0, grid_dim_ - 1);
-    const int x1 = std::clamp(
-        static_cast<int>((b.max_x - area.min_x) / cell_w_), 0, grid_dim_ - 1);
-    const int y0 = std::clamp(
-        static_cast<int>((b.min_y - area.min_y) / cell_h_), 0, grid_dim_ - 1);
-    const int y1 = std::clamp(
-        static_cast<int>((b.max_y - area.min_y) / cell_h_), 0, grid_dim_ - 1);
-    for (int gx = x0; gx <= x1; ++gx) {
-      for (int gy = y0; gy <= y1; ++gy) {
-        cells_[static_cast<size_t>(gy) * grid_dim_ + gx].push_back(i);
-      }
-    }
+PointLocator::PointLocator(const Subdivision& sub)
+    : sub_(sub),
+      grid_(sub.service_area(),
+            BucketGrid::SqrtDim(static_cast<size_t>(sub.NumRegions()),
+                                std::numeric_limits<int>::max()),
+            static_cast<size_t>(sub.NumRegions()),
+            [&](size_t i) { return sub.RegionBounds(static_cast<int>(i)); }) {
+  polys_.reserve(static_cast<size_t>(sub.NumRegions()));
+  for (int i = 0; i < sub.NumRegions(); ++i) {
+    polys_.push_back(sub.RegionPolygon(i));
   }
 }
 
 int PointLocator::Locate(const geom::Point& p) const {
-  if (polys_.empty()) return -1;
-  const BBox& area = sub_.service_area();
-  const int gx = std::clamp(static_cast<int>((p.x - area.min_x) / cell_w_), 0,
-                            grid_dim_ - 1);
-  const int gy = std::clamp(static_cast<int>((p.y - area.min_y) / cell_h_), 0,
-                            grid_dim_ - 1);
-  const std::vector<int>& cands =
-      cells_[static_cast<size_t>(gy) * grid_dim_ + gx];
-  for (int i : cands) {
+  if (polys_.empty() || !std::isfinite(p.x) || !std::isfinite(p.y)) {
+    return -1;
+  }
+  const std::span<const int> cands =
+      grid_.Bucket(grid_.CellX(p.x), grid_.CellY(p.y));
+  for (const int i : cands) {
     if (sub_.RegionBounds(i).Contains(p) && polys_[i].Contains(p)) return i;
   }
   // Numeric-gap fallback: nearest boundary among candidates, then global.
-  int best = -1;
+  // Where every distance overflows to infinity, the first candidate (or
+  // region 0) stands.
+  int best = cands.empty() ? 0 : cands[0];
   double best_d = std::numeric_limits<double>::infinity();
-  for (int i : cands) {
+  for (const int i : cands) {
     const double d = polys_[i].DistanceToBoundary(p);
     if (d < best_d) {
       best_d = d;
       best = i;
     }
   }
-  if (best >= 0 && best_d <= kMergeEps * 100.0) return best;
+  if (best_d <= kMergeEps * 100.0) return best;
   for (size_t i = 0; i < polys_.size(); ++i) {
     if (polys_[i].Contains(p)) return static_cast<int>(i);
     const double d = polys_[i].DistanceToBoundary(p);

@@ -20,6 +20,7 @@
 #include "common/status.h"
 #include "geom/point.h"
 #include "geom/polygon.h"
+#include "subdivision/bucket_grid.h"
 
 namespace dtree::sub {
 
@@ -79,6 +80,21 @@ class Subdivision {
     return {edge_twin_.data() + ring_offset_[i], rings_[i].size()};
   }
 
+  /// One undirected ring segment: its endpoint vertex ids in canonical
+  /// (lo, hi) order, and the twin-table slot (ring_offset(r) + k, counted
+  /// over regions in order and their ring edges in order) of its first
+  /// directed copy.
+  struct Segment {
+    int lo;
+    int hi;
+    int first_slot;
+  };
+
+  /// Every undirected ring segment once, in ascending (lo, hi) order.
+  /// Sorted by first_slot, the segments come in the order a walk over
+  /// every region's ring edges first meets them.
+  std::vector<Segment> Segments() const;
+
   /// Structural validation: rings are CCW with >= 3 vertices, region areas
   /// sum to the service area (within 0.1%), every region lies inside the
   /// service area, and every edge is either shared (reversed) with exactly
@@ -90,10 +106,10 @@ class Subdivision {
   /// Distance from p to the nearest region border (used by tests to skip
   /// query points whose answer is numerically ambiguous, and by the
   /// experiment oracle on every mismatching query). Grid-accelerated:
-  /// border edges are bucketed into a uniform grid, built by the first
-  /// call that needs it (safe to race from several threads), and looked
-  /// up by expanding rings around p's cell; points outside the grid's
-  /// extent fall back to the full edge scan.
+  /// Segments() are bucketed into a BucketGrid, built by the first call
+  /// that needs it (safe to race from several threads), and looked up by
+  /// expanding rings around p's bucket; points outside the grid's box fall
+  /// back to the full edge scan.
   double DistanceToNearestBorder(const geom::Point& p) const;
 
   /// Brute-force reference: every edge of every region. Public so property
@@ -104,22 +120,21 @@ class Subdivision {
   /// aligned exactly to grid-cell boundaries). A dimension of 0 means the
   /// subdivision has no edges and DistanceToNearestBorder always
   /// full-scans. Each accessor builds the grid if no call has yet.
-  int border_grid_dim() const { return border_grid().dim; }
-  const geom::BBox& border_grid_box() const { return border_grid().box; }
-  double border_cell_w() const { return border_grid().cell_w; }
-  double border_cell_h() const { return border_grid().cell_h; }
+  int border_grid_dim() const { return border_grid().grid.dim(); }
+  const geom::BBox& border_grid_box() const {
+    return border_grid().grid.box();
+  }
+  double border_cell_w() const { return border_grid().grid.cell_w(); }
+  double border_cell_h() const { return border_grid().grid.cell_h(); }
 
  private:
-  /// Border-distance acceleration: every undirected ring edge once, as a
-  /// canonical (lo, hi) vertex-id pair, bucketed into a uniform grid over
-  /// `box`. Cell c's edges are edges[offsets[c] .. offsets[c + 1]), in
-  /// ascending (lo, hi) order.
+  /// Border-distance acceleration: Segments(), and a grid over the service
+  /// area and every vertex (floor(sqrt(#segments)) buckets a side, at most
+  /// 1024) filing each segment's index under the buckets its bounding box
+  /// touches.
   struct BorderGrid {
-    geom::BBox box;
-    int dim = 0;
-    double cell_w = 1.0, cell_h = 1.0;
-    std::vector<int> offsets;
-    std::vector<std::pair<int, int>> edges;
+    std::vector<Segment> segments;
+    BucketGrid grid;
   };
 
   /// The border grid, built from the rings by the first call that reads
@@ -164,18 +179,20 @@ class PointLocator {
  public:
   explicit PointLocator(const Subdivision& sub);
 
-  /// Region containing p. Points outside every region (possible only
-  /// through floating-point gaps or p outside the service area) resolve to
-  /// the region with the nearest boundary. Returns -1 only for an empty
-  /// subdivision.
+  /// Region containing p. A finite p outside every region (possible only
+  /// through floating-point gaps or p outside the service area) resolves
+  /// to the region with the nearest boundary, or, so far out that every
+  /// boundary distance overflows to infinity, to the lowest region filed
+  /// under p's bucket (region 0 if none is). Returns -1 for an empty
+  /// subdivision and for a p with a NaN or infinite coordinate.
   int Locate(const geom::Point& p) const;
 
  private:
   const Subdivision& sub_;
   std::vector<geom::Polygon> polys_;
-  int grid_dim_ = 1;
-  double cell_w_ = 1.0, cell_h_ = 1.0;
-  std::vector<std::vector<int>> cells_;  // region ids per grid cell
+  /// Region ids under the buckets their bounds touch: floor(sqrt(N))
+  /// buckets a side over the service area.
+  BucketGrid grid_;
 };
 
 }  // namespace dtree::sub

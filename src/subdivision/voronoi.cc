@@ -8,6 +8,7 @@
 
 #include "common/thread_pool.h"
 #include "geom/polygon.h"
+#include "subdivision/bucket_grid.h"
 
 namespace dtree::sub {
 
@@ -49,88 +50,6 @@ Status ValidateInput(const std::vector<Point>& sites, const BBox& area) {
   return Status::OK();
 }
 
-/// Uniform bucket grid over the service area, CSR layout with site ids
-/// ascending inside each bucket. A site in a bucket at Chebyshev ring
-/// distance r from the query's bucket is at least (r - 1) * min_cell away
-/// (both points lie in their own closed bucket rectangles, so only the gap
-/// of r - 1 whole buckets between them is guaranteed); that clearance is
-/// what lets the expanding-ring drain below stop early.
-class SiteGrid {
- public:
-  SiteGrid(const std::vector<Point>& sites, const BBox& area) {
-    const size_t n = sites.size();
-    dim_ = std::clamp(static_cast<int>(std::sqrt(static_cast<double>(n))), 1,
-                      2048);
-    origin_x_ = area.min_x;
-    origin_y_ = area.min_y;
-    cell_w_ = area.width() / dim_;
-    cell_h_ = area.height() / dim_;
-    min_cell_ = std::min(cell_w_, cell_h_);
-    offsets_.assign(static_cast<size_t>(dim_) * dim_ + 1, 0);
-    for (const Point& p : sites) ++offsets_[BucketIndex(p) + 1];
-    for (size_t b = 1; b < offsets_.size(); ++b) offsets_[b] += offsets_[b - 1];
-    ids_.resize(n);
-    std::vector<int> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      ids_[static_cast<size_t>(cursor[BucketIndex(sites[i])]++)] =
-          static_cast<int>(i);
-    }
-  }
-
-  int dim() const { return dim_; }
-  double min_cell() const { return min_cell_; }
-
-  int CellX(double x) const {
-    return Clamp(static_cast<int>((x - origin_x_) / cell_w_));
-  }
-  int CellY(double y) const {
-    return Clamp(static_cast<int>((y - origin_y_) / cell_h_));
-  }
-
-  /// Calls fn(site_id) for every site bucketed in grid cell (bx, by).
-  template <typename Fn>
-  void ForBucket(int bx, int by, const Fn& fn) const {
-    const size_t b =
-        static_cast<size_t>(by) * static_cast<size_t>(dim_) +
-        static_cast<size_t>(bx);
-    for (int k = offsets_[b]; k < offsets_[b + 1]; ++k) fn(ids_[k]);
-  }
-
-  /// Calls fn(site_id) for every site at Chebyshev bucket distance exactly
-  /// `ring` from (cx, cy), in fixed row-major bucket order.
-  template <typename Fn>
-  void ForRing(int cx, int cy, int ring, const Fn& fn) const {
-    if (ring == 0) {
-      ForBucket(cx, cy, fn);
-      return;
-    }
-    const int x0 = cx - ring, x1 = cx + ring;
-    const int y0 = cy - ring, y1 = cy + ring;
-    for (int y = y0; y <= y1; ++y) {
-      if (y < 0 || y >= dim_) continue;
-      const bool edge_row = (y == y0 || y == y1);
-      const int step = edge_row ? 1 : (x1 - x0 == 0 ? 1 : x1 - x0);
-      for (int x = x0; x <= x1; x += step) {
-        if (x < 0 || x >= dim_) continue;
-        ForBucket(x, y, fn);
-      }
-    }
-  }
-
- private:
-  int Clamp(int v) const { return std::min(std::max(v, 0), dim_ - 1); }
-  size_t BucketIndex(const Point& p) const {
-    return static_cast<size_t>(CellY(p.y)) * static_cast<size_t>(dim_) +
-           static_cast<size_t>(CellX(p.x));
-  }
-
-  int dim_ = 1;
-  double origin_x_ = 0.0, origin_y_ = 0.0;
-  double cell_w_ = 1.0, cell_h_ = 1.0, min_cell_ = 1.0;
-  std::vector<int> offsets_;  ///< dim*dim + 1 CSR offsets
-  std::vector<int> ids_;      ///< site ids grouped by bucket, ascending
-};
-
 /// Rejects duplicate and near-coincident sites before any clipping runs:
 /// two sites within kMinSiteSeparation would carve a sliver cell thinner
 /// than the stitcher's merge tolerance, which either vanishes under
@@ -138,7 +57,7 @@ class SiteGrid {
 /// invariant. Deterministic: scans sites in ascending order against already
 /// seen neighbors, so the reported pair never depends on thread count.
 Status CheckMinSeparation(const std::vector<Point>& sites,
-                          const SiteGrid& grid) {
+                          const BucketGrid& grid) {
   // Buckets are normally much wider than the separation radius; the reach
   // only grows past 1 for pathologically tiny service areas.
   const int reach = std::max(
@@ -149,7 +68,7 @@ Status CheckMinSeparation(const std::vector<Point>& sites,
     const int cx = grid.CellX(s.x), cy = grid.CellY(s.y);
     for (int r = 0; r <= reach; ++r) {
       int hit = -1;
-      grid.ForRing(cx, cy, r, [&](int j) {
+      grid.ForEachInRing(cx, cy, r, [&](int j) {
         if (static_cast<size_t>(j) < i && hit < 0 &&
             geom::DistanceSquared(s, sites[static_cast<size_t>(j)]) < kSepSq) {
           hit = j;
@@ -172,10 +91,11 @@ using CandidateHeap = std::vector<std::pair<double, int>>;
 /// Clips the cell of sites[i] against nearby sites in globally ascending
 /// (distance, id) order. The heap is fed one Chebyshev ring of buckets at a
 /// time; a candidate is only popped once it is provably nearer than every
-/// site in the uncollected rings, so the clip sequence is identical to the
-/// sort-all-sites reference for any grid dimension and any thread count.
+/// site in the uncollected rings (BucketGrid::RingClearance), so the clip
+/// sequence is identical to the sort-all-sites reference for any grid
+/// dimension and any thread count.
 Status ClipCell(const std::vector<Point>& sites, const BBox& area,
-                const SiteGrid& grid, size_t i, CandidateHeap* heap,
+                const BucketGrid& grid, size_t i, CandidateHeap* heap,
                 Polygon* out) {
   const Point& s = sites[i];
   Polygon cell = RectPolygon(area);
@@ -183,11 +103,10 @@ Status ClipCell(const std::vector<Point>& sites, const BBox& area,
 
   heap->clear();
   const int cx = grid.CellX(s.x), cy = grid.CellY(s.y);
-  const int max_ring = std::max(std::max(cx, grid.dim() - 1 - cx),
-                                std::max(cy, grid.dim() - 1 - cy));
+  const int max_ring = grid.MaxRing(cx, cy);
   int next_ring = 0;
   const auto ring_clearance_sq = [&](int ring) {
-    const double lb = std::max(0, ring - 1) * grid.min_cell();
+    const double lb = grid.RingClearance(ring);
     return lb * lb;
   };
 
@@ -196,7 +115,7 @@ Status ClipCell(const std::vector<Point>& sites, const BBox& area,
     while (next_ring <= max_ring &&
            (heap->empty() ||
             heap->front().first >= ring_clearance_sq(next_ring))) {
-      grid.ForRing(cx, cy, next_ring, [&](int j) {
+      grid.ForEachInRing(cx, cy, next_ring, [&](int j) {
         if (static_cast<size_t>(j) == i) return;
         heap->emplace_back(geom::DistanceSquared(s, sites[static_cast<size_t>(j)]),
                            j);
@@ -247,7 +166,13 @@ Result<std::vector<Polygon>> VoronoiCells(const std::vector<Point>& sites,
                                           const VoronoiOptions& options) {
   DTREE_RETURN_IF_ERROR(ValidateInput(sites, service_area));
   const size_t n = sites.size();
-  const SiteGrid grid(sites, service_area);
+  // Site ids by bucket over the service area, floor(sqrt(N)) buckets a
+  // side (at most 2048).
+  const BucketGrid grid(service_area, BucketGrid::SqrtDim(n, 2048), n,
+                        [&](size_t i) {
+                          return BBox{sites[i].x, sites[i].y, sites[i].x,
+                                      sites[i].y};
+                        });
   DTREE_RETURN_IF_ERROR(CheckMinSeparation(sites, grid));
 
   std::vector<Polygon> cells(n);

@@ -185,6 +185,22 @@ TEST(PointLocatorTest, GridLookup) {
   EXPECT_EQ(loc.Locate({1.5, 1.5}), 3);
   // Outside the area resolves to the nearest region, not -1.
   EXPECT_EQ(loc.Locate({-1.0, 0.5}), 0);
+  // However far out, as long as p is finite: no bucket, float-to-int cast
+  // or boundary distance may give out.
+  EXPECT_EQ(loc.Locate({1e12, 0.5}), 2);
+  EXPECT_EQ(loc.Locate({-1e12, 0.5}), 0);
+  EXPECT_EQ(loc.Locate({0.5, 1e12}), 1);
+  // Every boundary distance overflows to infinity here; the lowest region
+  // under the top-left bucket stands.
+  EXPECT_EQ(loc.Locate({0.5, 1e300}), 0);
+  EXPECT_EQ(loc.Locate({-1e300, -1e300}), 0);
+  // A coordinate that is not finite has no region.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(loc.Locate({bad, 0.5}), -1) << bad;
+    EXPECT_EQ(loc.Locate({0.5, bad}), -1) << bad;
+  }
 }
 
 TEST(VoronoiTest, TwoSites) {
