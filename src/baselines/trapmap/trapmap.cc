@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "broadcast/frame.h"
 #include "broadcast/pager.h"
@@ -344,25 +343,18 @@ Result<Dag> Dag::Construct(const sub::Subdivision& sub,
       dag.NewTrap(Trap{box_top, box_bottom, bl, tr, -1, -1, true});
   dag.root_ = dag.traps_[t0].leaf;
 
-  // Collect each undirected subdivision edge once.
+  // Each undirected subdivision edge once, in the order a walk over the
+  // rings first meets it.
+  std::vector<sub::Subdivision::Segment> segments = sub.Segments();
+  std::sort(segments.begin(), segments.end(), [](const auto& a, const auto& b) {
+    return a.first_slot < b.first_slot;
+  });
   std::vector<Seg> edges;
-  std::unordered_set<uint64_t> seen;
-  auto key = [](int a, int b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-           static_cast<uint32_t>(b);
-  };
-  for (int r = 0; r < sub.NumRegions(); ++r) {
-    const std::vector<int>& ring = sub.Ring(r);
-    for (size_t i = 0; i < ring.size(); ++i) {
-      const int a = ring[i];
-      const int b = ring[(i + 1) % ring.size()];
-      if (!seen.insert(key(a, b)).second) continue;
-      Point pa = sub.vertices()[a];
-      Point pb = sub.vertices()[b];
-      if (pb.LexLess(pa)) std::swap(pa, pb);
-      edges.push_back(Seg{pa, pb});
-    }
+  for (const sub::Subdivision::Segment& s : segments) {
+    Point pa = sub.vertices()[s.lo];
+    Point pb = sub.vertices()[s.hi];
+    if (pb.LexLess(pa)) std::swap(pa, pb);
+    edges.push_back(Seg{pa, pb});
   }
   // Randomized incremental order.
   Rng rng(options.seed);
