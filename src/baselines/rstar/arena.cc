@@ -13,27 +13,20 @@
 
 namespace dtree::baselines {
 
-namespace {
-
-constexpr size_t kEntrySize = 4 * bcast::kCoordinateSize +  // MBR
-                              bcast::kRStarPointerSize;     // child/shape
-constexpr size_t kNodeHeader = bcast::kBidSize;
-constexpr size_t kShapeHeader = 3 * sizeof(uint16_t);
-
-}  // namespace
-
 Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
                                      int packet_capacity, bool framed,
                                      int num_regions) {
   if (packets.num_packets() == 0) {
     return Status::InvalidArgument("no packets");
   }
-  if (packet_capacity < static_cast<int>(kNodeHeader + 2 * kEntrySize)) {
+  if (packet_capacity <
+      static_cast<int>(kRStarNodeHeader + 2 * kRStarEntrySize)) {
     return Status::InvalidArgument(
         "packet capacity cannot hold an R*-tree node");
   }
-  const int max_count = (packet_capacity - static_cast<int>(kNodeHeader)) /
-                        static_cast<int>(kEntrySize);
+  const int max_count =
+      (packet_capacity - static_cast<int>(kRStarNodeHeader)) /
+      static_cast<int>(kRStarEntrySize);
   const size_t max_verts =
       packets.num_packets() * static_cast<size_t>(packet_capacity) / 8;
   const size_t cap = static_cast<size_t>(packet_capacity);
@@ -106,47 +99,41 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
       continue;
     }
 
-    // Leaf: replay the writer's shape placement cursor once, here, so
-    // probes never re-walk it. The writer places each shape at the
-    // current fill offset when it fits the packet's remainder and
-    // otherwise bumps it to a fresh packet (zero padding in between); the
-    // shape header tells a real shape from padding.
-    int spkt = pkt + 1;
-    size_t soff = 0;
+    // Leaf: replay the writer's ShapeCursor once, here, so probes never
+    // re-walk it. A shape the writer bumped to the next packet leaves zero
+    // padding behind; the shape header tells a real shape from padding.
+    ShapeCursor cursor(pkt, cap);
     for (int i = 0; i < count; ++i) {
       const uint16_t eptr = ptrs[static_cast<size_t>(i)];
       bool placed = false;
       uint8_t attempts = 0;
       for (int attempt = 0; attempt < 2 && !placed; ++attempt) {
         ++attempts;
-        if (soff + kShapeHeader > cap) {  // header never straddles
-          ++spkt;
-          soff = 0;
+        if (!cursor.Fits(kRStarShapeHeader)) {  // header never straddles
+          cursor.NextPacket();
           continue;
         }
-        bcast::PacketReader sr(packets, packet_capacity, framed, spkt, soff,
-                               nullptr);
+        bcast::PacketReader sr(packets, packet_capacity, framed,
+                               cursor.packet(), cursor.offset(), nullptr);
         uint16_t sbid, sptr, nverts;
         DTREE_RETURN_IF_ERROR(sr.ReadU16(&sbid));
         DTREE_RETURN_IF_ERROR(sr.ReadU16(&sptr));
         DTREE_RETURN_IF_ERROR(sr.ReadU16(&nverts));
-        const size_t size = kShapeHeader + nverts * 2 * sizeof(float);
-        // A shape at a nonzero offset always fits its packet's remainder;
-        // anything else here is padding (or corruption): the shape was
-        // bumped to the next packet.
+        const size_t size =
+            kRStarShapeHeader + nverts * 2 * bcast::kCoordinateSize;
+        // A shape that does not fit here is padding (or corruption): the
+        // shape was bumped to the next packet.
         if (sptr != eptr || nverts < 3 ||
-            static_cast<size_t>(nverts) > max_verts ||
-            (soff != 0 && size > cap - soff)) {
-          if (soff == 0) {
+            static_cast<size_t>(nverts) > max_verts || !cursor.Fits(size)) {
+          if (cursor.offset() == 0) {
             return Status::DataLoss(
                 "shape header does not match its leaf entry");
           }
-          ++spkt;
-          soff = 0;
+          cursor.NextPacket();
           continue;
         }
-        const int first = spkt;
-        const size_t first_offset = soff;
+        const int first = cursor.packet();
+        const size_t first_offset = cursor.offset();
         for (int v = 0; v < nverts; ++v) {
           float x, y;
           DTREE_RETURN_IF_ERROR(sr.ReadF32(&x));
@@ -154,19 +141,7 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
           a.rx_.push_back(x);
           a.ry_.push_back(y);
         }
-        // Advance the cursor past this shape exactly as the writer did.
-        int num = 1;
-        if (soff == 0) {
-          size_t rest = size;
-          while (rest > cap) {
-            rest -= cap;
-            ++spkt;
-            ++num;
-          }
-          soff = rest;
-        } else {
-          soff += size;
-        }
+        const int num = cursor.Place(size);
         placed = true;
         const int region = sptr;
         if (region >= num_regions) {

@@ -11,7 +11,7 @@
 //  * RStarArena::Build decodes a serialized cycle once — tree nodes and
 //    the shape objects trailing each leaf, CRC-verified in framed mode —
 //    from the promoted, outward-rounded f32 wire MBRs and promoted rings.
-//    The shape placement cursor is replayed here, once, not per probe.
+//    The writer's ShapeCursor is replayed here, once, not per probe.
 //
 // ProbeInto is one depth-first search over either: children whose MBR
 // contains p, in entry order; at a leaf, every entry whose MBR contains p
@@ -31,17 +31,70 @@
 #ifndef DTREE_BASELINES_RSTAR_ARENA_H_
 #define DTREE_BASELINES_RSTAR_ARENA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "broadcast/arena.h"
 #include "broadcast/frame.h"
+#include "broadcast/params.h"
 #include "common/status.h"
 #include "geom/point.h"
 
 namespace dtree::baselines {
 
 class RStarTree;
+
+/// Wire sizes: a node packet opens with a header (leaf flag and entry
+/// count) followed by its entries (f32 MBR, then a child packet or a
+/// region); a shape object is a header (bid, data pointer, vertex count)
+/// followed by its f32 vertices.
+inline constexpr size_t kRStarEntrySize =
+    4 * bcast::kCoordinateSize + bcast::kRStarPointerSize;
+inline constexpr size_t kRStarNodeHeader = bcast::kBidSize;
+inline constexpr size_t kRStarShapeHeader =
+    bcast::kBidSize + bcast::kRStarPointerSize + 2;
+
+/// Where a leaf's shape objects go, written once for the writer and the
+/// decoder that replays it. The shapes follow the leaf from the next
+/// packet on. A shape goes at the cursor when the cursor's packet is still
+/// empty or the shape fits its remainder; otherwise it starts the next
+/// packet. A shape at the start of a packet spans as many packets as it
+/// needs.
+class ShapeCursor {
+ public:
+  ShapeCursor(int leaf_packet, size_t capacity)
+      : packet_(leaf_packet + 1), cap_(capacity) {}
+
+  int packet() const { return packet_; }
+  size_t offset() const { return offset_; }
+
+  /// Whether `size` bytes go at the cursor.
+  bool Fits(size_t size) const {
+    return offset_ == 0 || size <= cap_ - offset_;
+  }
+  void NextPacket() {
+    ++packet_;
+    offset_ = 0;
+  }
+  /// Moves past `size` bytes placed at the cursor (which Fits them) and
+  /// returns the number of packets they span.
+  int Place(size_t size) {
+    int num = 1;
+    size_t end = offset_ + size;
+    for (; end > cap_; end -= cap_) {
+      ++packet_;
+      ++num;
+    }
+    offset_ = end;
+    return num;
+  }
+
+ private:
+  int packet_;
+  size_t offset_ = 0;
+  size_t cap_;
+};
 
 class RStarArena final : public bcast::FlatProbeEngine {
  public:

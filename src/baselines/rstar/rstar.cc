@@ -19,12 +19,6 @@ namespace {
 using geom::BBox;
 using geom::Point;
 
-constexpr size_t kEntrySize = 4 * bcast::kCoordinateSize +  // MBR
-                              bcast::kRStarPointerSize;     // child/shape
-constexpr size_t kNodeHeader = bcast::kBidSize;
-/// Shape object header: bid + data pointer + vertex count.
-constexpr size_t kShapeHeader = bcast::kBidSize + bcast::kRStarPointerSize + 2;
-
 /// f64 -> f32 rounded towards -infinity (so a wire MBR min never moves
 /// inside the true box).
 float FloatDown(double v) {
@@ -318,7 +312,7 @@ void Builder::InsertImpl(Entry e, int target_level, bool allow_reinsert) {
 Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
                                    const Options& options) {
   const size_t cap = static_cast<size_t>(options.packet_capacity);
-  if (cap < kNodeHeader + 2 * kEntrySize) {
+  if (cap < kRStarNodeHeader + 2 * kRStarEntrySize) {
     return Status::InvalidArgument(
         "packet capacity cannot hold an R*-tree node with two entries");
   }
@@ -331,7 +325,8 @@ Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
   }
   RStarTree tree;
   tree.options_ = options;
-  tree.max_entries_ = static_cast<int>((cap - kNodeHeader) / kEntrySize);
+  tree.max_entries_ =
+      static_cast<int>((cap - kRStarNodeHeader) / kRStarEntrySize);
   tree.min_entries_ = std::clamp(tree.max_entries_ * 2 / 5, 1,
                                  tree.max_entries_ / 2);
 
@@ -357,9 +352,10 @@ Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
     }
   }
 
-  // Every tree node opens a packet; a leaf's shape objects follow it
-  // greedily. A built tree has no placement walk to charge, so its entries
-  // cost nothing and a search's budget is the node count.
+  // Every tree node opens a packet; a leaf's shape objects follow it as
+  // its ShapeCursor places them. A built tree has no placement walk to
+  // charge, so its entries cost nothing and a search's budget is the node
+  // count.
   RStarArena& a = tree.layout_;
   a.budget_ = static_cast<int>(order.size());
   a.entry_begin_.push_back(0);
@@ -368,8 +364,9 @@ Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
     const Builder::Node& node = b.nodes_[id];
     a.leaf_.push_back(node.level == 0);
     a.packet_.push_back(tree.num_packets_++);
-    tree.index_bytes_ += kNodeHeader + node.entries.size() * kEntrySize;
-    size_t fill = cap;  // force a new packet for the first shape
+    tree.index_bytes_ +=
+        kRStarNodeHeader + node.entries.size() * kRStarEntrySize;
+    ShapeCursor cursor(tree.num_packets_ - 1, cap);
     for (const Builder::Entry& e : node.entries) {
       a.ebox_.push_back(e.box);
       a.attempts_.push_back(0);
@@ -385,28 +382,15 @@ Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
       const geom::Polygon poly = sub.RegionPolygon(e.region);
       // bid + data pointer + point count + vertices (ring closed
       // implicitly, no repeated point needed for containment tests).
-      const size_t size = kShapeHeader +
+      const size_t size = kRStarShapeHeader +
                           poly.NumVertices() * 2 * bcast::kCoordinateSize;
       tree.index_bytes_ += size;
       a.target_.push_back(static_cast<uint32_t>(e.region));
-      if (size <= cap - fill) {
-        a.shape_first_.push_back(tree.num_packets_ - 1);
-        a.shape_num_.push_back(1);
-        a.shape_offset_.push_back(static_cast<uint32_t>(fill));
-        fill += size;
-      } else {
-        a.shape_first_.push_back(tree.num_packets_);
-        a.shape_offset_.push_back(0);
-        size_t rest = size;
-        int count = 1;
-        while (rest > cap) {
-          rest -= cap;
-          ++count;
-        }
-        a.shape_num_.push_back(count);
-        tree.num_packets_ += count;
-        fill = rest;
-      }
+      if (!cursor.Fits(size)) cursor.NextPacket();
+      a.shape_first_.push_back(cursor.packet());
+      a.shape_offset_.push_back(static_cast<uint32_t>(cursor.offset()));
+      a.shape_num_.push_back(cursor.Place(size));
+      tree.num_packets_ = cursor.packet() + 1;
       for (const Point& v : poly.ring()) {
         a.rx_.push_back(v.x);
         a.ry_.push_back(v.y);
@@ -444,7 +428,7 @@ Result<bcast::PacketBuffer> RStarTree::SerializePackets() const {
             static_cast<uint64_t>(a.packet_[a.target_[i]]), "child packet"));
       }
     }
-    if (w.size() != kNodeHeader + (ee - eb) * kEntrySize ||
+    if (w.size() != kRStarNodeHeader + (ee - eb) * kRStarEntrySize ||
         w.size() > static_cast<size_t>(capacity)) {
       return Status::Internal("serialized r*-tree node size mismatch");
     }
@@ -462,7 +446,7 @@ Result<bcast::PacketBuffer> RStarTree::SerializePackets() const {
         sw.PutF32(static_cast<float>(a.rx_[k]));
         sw.PutF32(static_cast<float>(a.ry_[k]));
       }
-      if (sw.size() != kShapeHeader + rn * 2 * bcast::kCoordinateSize) {
+      if (sw.size() != kRStarShapeHeader + rn * 2 * bcast::kCoordinateSize) {
         return Status::Internal("serialized shape size mismatch");
       }
       packets.Write(static_cast<size_t>(a.shape_first_[i]),
