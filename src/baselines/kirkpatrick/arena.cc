@@ -1,11 +1,8 @@
 #include "baselines/kirkpatrick/arena.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "baselines/kirkpatrick/kirkpatrick.h"
@@ -14,9 +11,6 @@
 namespace dtree::baselines {
 
 namespace {
-
-using bcast::kOffsetBits;
-using bcast::kOffsetMask;
 
 /// Smallest node on the wire: bid + three f32 vertices + one pointer.
 constexpr size_t kMinNodeBytes = 2 + 24 + 4;
@@ -47,46 +41,23 @@ Result<TrianTreeArena> TrianTreeArena::Build(
   a.decoded_ = true;
   a.budget_ = bcast::DecodeBudget(packets.num_packets());
 
-  const size_t max_nodes =
-      packets.num_packets() * static_cast<size_t>(packet_capacity) /
-          kMinNodeBytes +
-      16;
-  std::unordered_map<uint32_t, uint32_t> index_of;  // wire key -> arena id
-  std::deque<uint32_t> pending;
-  auto intern = [&](int pkt, size_t off) -> Result<uint32_t> {
-    const uint32_t key = static_cast<uint32_t>(pkt) << kOffsetBits |
-                         static_cast<uint32_t>(off);
-    const auto [it, inserted] =
-        index_of.emplace(key, static_cast<uint32_t>(index_of.size()));
-    if (inserted) {
-      if (index_of.size() > max_nodes) {
-        return Status::DataLoss(
-            "decoded node count exceeds what the cycle can hold");
-      }
-      pending.push_back(key);
-    }
-    return it->second;
-  };
-
+  bcast::NodeDiscovery discovery(packets, packet_capacity, kMinNodeBytes);
   for (const auto& [pkt, off] : roots) {
     if (pkt < 0 || pkt >= static_cast<int>(packets.num_packets()) ||
         off >= static_cast<size_t>(packet_capacity)) {
       return Status::InvalidArgument("root location outside the stream");
     }
-    Result<uint32_t> id = intern(pkt, off);
+    Result<uint32_t> ptr = bcast::EncodeNodePointer(pkt, off);
+    Result<uint32_t> id = ptr.ok() ? discovery.Intern(ptr.value()) : ptr;
     if (!id.ok()) return id.status();
     a.roots_.push_back(id.value());
   }
 
-  // Discovered nodes are appended to `pending` in arena-index order, so
-  // processing the queue in order keeps the node records aligned.
   std::vector<uint32_t> ptrs;
-  while (!pending.empty()) {
-    const uint32_t key = pending.front();
-    pending.pop_front();
+  for (uint32_t key; discovery.Next(&key);) {
     Node node;
-    node.first_packet = static_cast<int>(key >> kOffsetBits);
-    node.offset = key & kOffsetMask;
+    node.first_packet = bcast::NodePointerPacket(key);
+    node.offset = static_cast<uint32_t>(bcast::NodePointerOffset(key));
 
     bcast::PacketReader r(packets, packet_capacity, framed,
                           node.first_packet, node.offset, nullptr);
@@ -117,11 +88,8 @@ Result<TrianTreeArena> TrianTreeArena::Build(
         return Status::DataLoss("base triangle without a data pointer");
       }
       if (ptr != bcast::kOutsideRegionPtr) {
-        const int region = bcast::DataPointerRegion(ptr);
-        if (region >= num_regions) {
-          return Status::DataLoss("data pointer to out-of-range region " +
-                                  std::to_string(region));
-        }
+        DTREE_RETURN_IF_ERROR(
+            bcast::CheckRegion(bcast::DataPointerRegion(ptr), num_regions));
       }
       node.data_ptr = ptr;
     } else {
@@ -131,15 +99,7 @@ Result<TrianTreeArena> TrianTreeArena::Build(
           return Status::DataLoss(
               "unexpected data pointer in an internal trian-tree node");
         }
-        const int cpkt = bcast::NodePointerPacket(ptr);
-        const size_t coff = bcast::NodePointerOffset(ptr);
-        if (cpkt >= static_cast<int>(packets.num_packets())) {
-          return Status::DataLoss("node pointer outside the packet stream");
-        }
-        if (coff >= static_cast<size_t>(packet_capacity)) {
-          return Status::DataLoss("node pointer offset outside the packet");
-        }
-        Result<uint32_t> id = intern(cpkt, coff);
+        Result<uint32_t> id = discovery.Intern(ptr);
         if (!id.ok()) return id.status();
         a.child_.push_back(id.value());
       }
@@ -206,19 +166,6 @@ Status TrianTreeArena::Descend(const geom::Point& p,
     cand = child_.data() + f.first_child;
     ncand = static_cast<size_t>(f.count);
   }
-}
-
-Status TrianTreeArena::ProbeInto(const geom::Point& p,
-                                 bcast::ProbeTrace* trace) const {
-  trace->region = -1;
-  trace->packets.clear();
-  trace->origins.clear();
-  return Descend(p, trace, &trace->region);
-}
-
-int TrianTreeArena::Locate(const geom::Point& p) const {
-  int region = -1;
-  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t TrianTreeArena::ArenaBytes() const {

@@ -53,13 +53,7 @@ class TrianTreeArena final : public bcast::FlatProbeEngine {
       const bcast::PacketBuffer& packets, int packet_capacity, bool framed,
       const std::vector<std::pair<int, size_t>>& roots, int num_regions);
 
-  Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
-
-  /// The region p descends to, with no packet accounting; -1 where
-  /// ProbeInto fails, e.g. for a point outside the service area.
-  int Locate(const geom::Point& p) const;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
@@ -81,7 +75,7 @@ class TrianTreeArena final : public bcast::FlatProbeEngine {
   /// The descent from the roots: sets *region on success and, when
   /// `trace` is non-null, appends the packets read.
   Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
-                 int* region) const;
+                 int* region) const override;
   /// Releases the arrays' spare capacity once the layout is filled.
   void ShrinkToFit();
 

@@ -23,6 +23,12 @@ namespace {
 using geom::Point;
 using geom::Triangle;
 
+/// Coarsening stops once the top level has at most this many triangles
+/// (the paper's example uses 5).
+constexpr int kTMin = 5;
+/// Maximum degree of a removable vertex (Kirkpatrick's constant).
+constexpr int kMaxDegree = 8;
+
 uint64_t PointKey(const Point& p) {
   uint64_t xb, yb;
   std::memcpy(&xb, &p.x, sizeof(xb));
@@ -100,12 +106,9 @@ Result<bcast::PagingResult> PageLevelsDescending(
 
 Result<TrianTree> TrianTree::Build(const sub::Subdivision& sub,
                                    const Options& options) {
-  if (options.packet_capacity < static_cast<int>(NodeSize(8))) {
+  if (options.packet_capacity < static_cast<int>(NodeSize(kMaxDegree))) {
     return Status::InvalidArgument(
         "packet capacity cannot hold a trian-tree node");
-  }
-  if (options.t_min < 1 || options.max_degree < 3) {
-    return Status::InvalidArgument("invalid trian-tree parameters");
   }
   if (sub.NumRegions() < 1) {
     return Status::InvalidArgument("empty subdivision");
@@ -201,7 +204,7 @@ Result<TrianTree> TrianTree::Build(const sub::Subdivision& sub,
   };
 
   int level = 0;
-  while (active_count > options.t_min) {
+  while (active_count > kTMin) {
     ++level;
     // Greedy independent set of removable low-degree vertices. Visiting
     // vertices in ascending degree yields larger sets (and smaller star
@@ -210,8 +213,7 @@ Result<TrianTree> TrianTree::Build(const sub::Subdivision& sub,
     for (size_t v = 0; v < mesh.coords.size(); ++v) {
       if (mesh.corner[v]) continue;
       const std::vector<int>& inc = active_incident(static_cast<int>(v));
-      if (inc.empty() ||
-          static_cast<int>(inc.size()) > options.max_degree) {
+      if (inc.empty() || static_cast<int>(inc.size()) > kMaxDegree) {
         continue;
       }
       eligible.emplace_back(static_cast<int>(inc.size()),
@@ -231,8 +233,7 @@ Result<TrianTree> TrianTree::Build(const sub::Subdivision& sub,
 
     for (int v : chosen) {
       const std::vector<int> star = active_incident(v);
-      if (static_cast<int>(star.size()) > options.max_degree ||
-          star.empty()) {
+      if (static_cast<int>(star.size()) > kMaxDegree || star.empty()) {
         continue;  // degree changed due to earlier removals this round
       }
       // Link polygon: chain the edges opposite v, oriented CCW around v.
@@ -353,23 +354,13 @@ Result<bcast::PacketBuffer> TrianTree::SerializePackets() const {
     if (count == 0) w.PutU32(n.data_ptr);
     for (size_t k = 0; k < count; ++k) {
       const TrianTreeArena::Node& c = a.nodes_[a.child_[n.first_child + k]];
-      if (c.offset > bcast::kOffsetMask) {
-        return Status::InvalidArgument(
-            "node offset exceeds the 12-bit pointer field");
-      }
-      if (c.first_packet >= (1 << bcast::kPacketBits)) {
-        return Status::InvalidArgument(
-            "index packet exceeds the 19-bit pointer field");
-      }
-      w.PutU32(bcast::EncodeNodePointer(c.first_packet, c.offset));
+      Result<uint32_t> ptr = bcast::EncodeNodePointer(c.first_packet, c.offset);
+      if (!ptr.ok()) return ptr.status();
+      w.PutU32(ptr.value());
     }
-    if (w.size() != NodeSize(count)) {
-      return Status::Internal("serialized size " + std::to_string(w.size()) +
-                              " != accounted size " +
-                              std::to_string(NodeSize(count)));
-    }
-    packets.Write(static_cast<size_t>(n.first_packet), n.offset,
-                  w.bytes().data(), w.size());
+    DTREE_RETURN_IF_ERROR(packets.WriteNode(static_cast<size_t>(n.first_packet),
+                                            n.offset, w.bytes(),
+                                            NodeSize(count)));
   }
   return packets;
 }

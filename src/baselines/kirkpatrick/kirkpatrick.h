@@ -8,10 +8,11 @@
 //     subdivision/triangulate.h). Every base triangle carries its data
 //     region (-1 for gap triangles).
 //  2. Repeatedly remove an independent set of interior vertices of degree
-//     <= 8, re-triangulating each star hole by ear clipping, and linking
-//     every new triangle to the removed triangles it overlaps.
-//  3. Stop when no removable vertex remains or the top level has fewer
-//     than `t_min` triangles. The DAG root is the list of surviving
+//     <= 8 (Kirkpatrick's constant), re-triangulating each star hole by
+//     ear clipping, and linking every new triangle to the removed
+//     triangles it overlaps.
+//  3. Stop when no removable vertex remains or the top level has at most
+//     5 triangles (the paper's example). The DAG root is the list of surviving
 //     triangles, probed sequentially (Figure 3(d) has a multi-child root).
 //
 // Query: scan the root triangles for one containing p, then repeatedly
@@ -47,11 +48,6 @@ class TrianTree final : public bcast::AirIndex {
  public:
   struct Options {
     int packet_capacity = 128;
-    /// Stop coarsening when the top level has fewer triangles than this
-    /// (the paper's example uses 5).
-    int t_min = 5;
-    /// Maximum degree of a removable vertex (Kirkpatrick's constant).
-    int max_degree = 8;
   };
 
   static Result<TrianTree> Build(const sub::Subdivision& sub,

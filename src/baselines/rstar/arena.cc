@@ -1,10 +1,8 @@
 #include "baselines/rstar/arena.h"
 
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "baselines/rstar/rstar.h"
@@ -37,24 +35,12 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
   a.entry_begin_.push_back(0);
   a.ring_begin_.push_back(0);
 
-  std::unordered_map<int, uint32_t> index_of;  // wire packet -> arena id
-  std::deque<int> pending;
-  index_of.emplace(0, 0u);
-  pending.push_back(0);
+  // A node fills its packet, so the cycle holds at most one per packet.
+  bcast::NodeDiscovery discovery(packets, packet_capacity, cap);
+  DTREE_RETURN_IF_ERROR(discovery.Intern(0).status());  // the root, (0, 0)
 
-  // Child links are discovered before their nodes get arena ids, so they
-  // are recorded per entry and remain valid because `intern` assigns ids
-  // in the same order `pending` is drained.
-  auto intern = [&](int pkt) -> uint32_t {
-    const auto [it, inserted] =
-        index_of.emplace(pkt, static_cast<uint32_t>(index_of.size()));
-    if (inserted) pending.push_back(pkt);
-    return it->second;
-  };
-
-  while (!pending.empty()) {
-    const int pkt = pending.front();
-    pending.pop_front();
+  for (uint32_t key; discovery.Next(&key);) {
+    const int pkt = bcast::NodePointerPacket(key);
 
     bcast::PacketReader r(packets, packet_capacity, framed, pkt, 0, nullptr);
     uint16_t bid;
@@ -88,7 +74,11 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
           return Status::DataLoss(
               "child pointer does not move forward on the channel");
         }
-        a.target_.push_back(intern(child));
+        // A u16 packet id always fits the 19-bit field.
+        Result<uint32_t> id =
+            discovery.Intern(bcast::EncodeNodePointer(child, 0).value());
+        if (!id.ok()) return id.status();
+        a.target_.push_back(id.value());
         a.shape_first_.push_back(-1);
         a.shape_num_.push_back(0);
         a.shape_offset_.push_back(0);
@@ -143,12 +133,8 @@ Result<RStarArena> RStarArena::Build(const bcast::PacketBuffer& packets,
         }
         const int num = cursor.Place(size);
         placed = true;
-        const int region = sptr;
-        if (region >= num_regions) {
-          return Status::DataLoss("data pointer to out-of-range region " +
-                                  std::to_string(region));
-        }
-        a.target_.push_back(static_cast<uint32_t>(region));
+        DTREE_RETURN_IF_ERROR(bcast::CheckRegion(sptr, num_regions));
+        a.target_.push_back(sptr);
         a.shape_first_.push_back(first);
         a.shape_num_.push_back(num);
         a.shape_offset_.push_back(static_cast<uint32_t>(first_offset));
@@ -239,19 +225,6 @@ Status RStarArena::Descend(const geom::Point& p, bcast::ProbeTrace* trace,
     return Status::OK();
   }
   return bcast::DescentFailure(decoded_, "query point escaped every leaf MBR");
-}
-
-Status RStarArena::ProbeInto(const geom::Point& p,
-                             bcast::ProbeTrace* trace) const {
-  trace->region = -1;
-  trace->packets.clear();
-  trace->origins.clear();
-  return Descend(p, trace, &trace->region);
-}
-
-int RStarArena::Locate(const geom::Point& p) const {
-  int region = -1;
-  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t RStarArena::ArenaBytes() const {

@@ -107,13 +107,7 @@ class RStarArena final : public bcast::FlatProbeEngine {
                                   int packet_capacity, bool framed,
                                   int num_regions);
 
-  Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
-
-  /// The region p descends to, with no packet accounting; -1 where
-  /// ProbeInto fails, e.g. for a point in no leaf MBR.
-  int Locate(const geom::Point& p) const;
 
   int num_nodes() const { return static_cast<int>(leaf_.size()); }
 
@@ -125,7 +119,7 @@ class RStarArena final : public bcast::FlatProbeEngine {
   /// The depth-first search from the root: sets *region on success and,
   /// when `trace` is non-null, appends the packets read.
   Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
-                 int* region) const;
+                 int* region) const override;
   /// Releases the arrays' spare capacity once the layout is filled.
   void ShrinkToFit();
 

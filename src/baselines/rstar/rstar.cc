@@ -19,6 +19,10 @@ namespace {
 using geom::BBox;
 using geom::Point;
 
+/// Percentage of a node's entries reinserted on the first overflow of a
+/// level (the R* default).
+constexpr int kReinsertPercent = 30;
+
 /// f64 -> f32 rounded towards -infinity (so a wire MBR min never moves
 /// inside the true box).
 float FloatDown(double v) {
@@ -62,10 +66,8 @@ class Builder {
     std::vector<Entry> entries;
   };
 
-  Builder(int reinsert_percent, int max_entries, int min_entries)
-      : reinsert_percent_(reinsert_percent),
-        max_entries_(max_entries),
-        min_entries_(min_entries) {}
+  Builder(int max_entries, int min_entries)
+      : max_entries_(max_entries), min_entries_(min_entries) {}
 
   void Insert(Entry e, int target_level);
 
@@ -80,7 +82,6 @@ class Builder {
   void SplitNode(int node_id, Entry* new_node_entry);
   void InsertImpl(Entry e, int target_level, bool allow_reinsert);
 
-  int reinsert_percent_;
   int max_entries_;
   int min_entries_;
   /// Reinsertion bookkeeping for the current top-level insert.
@@ -249,7 +250,7 @@ void Builder::InsertImpl(Entry e, int target_level, bool allow_reinsert) {
                          });
         const int p = std::max(
             1, static_cast<int>(node.entries.size()) *
-                   reinsert_percent_ / 100);
+                   kReinsertPercent / 100);
         std::vector<Entry> evicted(node.entries.begin(),
                                    node.entries.begin() + p);
         node.entries.erase(node.entries.begin(), node.entries.begin() + p);
@@ -316,10 +317,6 @@ Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
     return Status::InvalidArgument(
         "packet capacity cannot hold an R*-tree node with two entries");
   }
-  if (options.reinsert_percent < 0 || options.reinsert_percent >= 100) {
-    return Status::InvalidArgument(
-        "reinsert percentage must lie in [0, 100)");
-  }
   if (sub.NumRegions() < 1) {
     return Status::InvalidArgument("empty subdivision");
   }
@@ -330,7 +327,7 @@ Result<RStarTree> RStarTree::Build(const sub::Subdivision& sub,
   tree.min_entries_ = std::clamp(tree.max_entries_ * 2 / 5, 1,
                                  tree.max_entries_ / 2);
 
-  Builder b(options.reinsert_percent, tree.max_entries_, tree.min_entries_);
+  Builder b(tree.max_entries_, tree.min_entries_);
   for (int r = 0; r < sub.NumRegions(); ++r) {
     b.Insert({sub.RegionBounds(r), -1, r}, /*target_level=*/0);
   }
@@ -428,12 +425,12 @@ Result<bcast::PacketBuffer> RStarTree::SerializePackets() const {
             static_cast<uint64_t>(a.packet_[a.target_[i]]), "child packet"));
       }
     }
-    if (w.size() != kRStarNodeHeader + (ee - eb) * kRStarEntrySize ||
-        w.size() > static_cast<size_t>(capacity)) {
-      return Status::Internal("serialized r*-tree node size mismatch");
+    if (w.size() > static_cast<size_t>(capacity)) {
+      return Status::Internal("serialized r*-tree node overflows its packet");
     }
-    packets.Write(static_cast<size_t>(a.packet_[node]), 0, w.bytes().data(),
-                  w.size());
+    DTREE_RETURN_IF_ERROR(
+        packets.WriteNode(static_cast<size_t>(a.packet_[node]), 0, w.bytes(),
+                          kRStarNodeHeader + (ee - eb) * kRStarEntrySize));
     if (!leaf) continue;
     for (uint32_t i = eb; i < ee; ++i) {
       const uint32_t rb = a.ring_begin_[i];
@@ -446,11 +443,9 @@ Result<bcast::PacketBuffer> RStarTree::SerializePackets() const {
         sw.PutF32(static_cast<float>(a.rx_[k]));
         sw.PutF32(static_cast<float>(a.ry_[k]));
       }
-      if (sw.size() != kRStarShapeHeader + rn * 2 * bcast::kCoordinateSize) {
-        return Status::Internal("serialized shape size mismatch");
-      }
-      packets.Write(static_cast<size_t>(a.shape_first_[i]),
-                    a.shape_offset_[i], sw.bytes().data(), sw.size());
+      DTREE_RETURN_IF_ERROR(packets.WriteNode(
+          static_cast<size_t>(a.shape_first_[i]), a.shape_offset_[i],
+          sw.bytes(), kRStarShapeHeader + rn * 2 * bcast::kCoordinateSize));
     }
   }
   return packets;

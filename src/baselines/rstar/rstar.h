@@ -33,9 +33,6 @@ class RStarTree final : public bcast::AirIndex {
  public:
   struct Options {
     int packet_capacity = 128;
-    /// Percentage of a node's entries reinserted on the first overflow of
-    /// a level (R* default 30%), in [0, 100).
-    int reinsert_percent = 30;
   };
 
   static Result<RStarTree> Build(const sub::Subdivision& sub,

@@ -1,10 +1,7 @@
 #include "baselines/trapmap/arena.h"
 
-#include <deque>
 #include <limits>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "baselines/trapmap/trapmap.h"
@@ -13,10 +10,6 @@
 namespace dtree::baselines {
 
 namespace {
-
-using bcast::kDataPtrBit;
-using bcast::kOffsetBits;
-using bcast::kOffsetMask;
 
 /// Smallest node on the wire: an x-node (bid + two pointers + one f32).
 constexpr size_t kMinNodeBytes = 14;
@@ -36,21 +29,13 @@ Result<TrapMapArena> TrapMapArena::Build(const bcast::PacketBuffer& packets,
   a.decoded_ = true;
   a.budget_ = bcast::DecodeBudget(packets.num_packets());
 
-  const size_t max_nodes =
-      packets.num_packets() * static_cast<size_t>(packet_capacity) /
-          kMinNodeBytes +
-      16;
-  std::unordered_map<uint32_t, uint32_t> index_of;  // wire key -> arena id
-  std::deque<uint32_t> pending;
-  index_of.emplace(0u, 0u);
-  pending.push_back(0u);
+  bcast::NodeDiscovery discovery(packets, packet_capacity, kMinNodeBytes);
+  DTREE_RETURN_IF_ERROR(discovery.Intern(0).status());  // the root, (0, 0)
 
-  while (!pending.empty()) {
-    const uint32_t key = pending.front();
-    pending.pop_front();
+  for (uint32_t key; discovery.Next(&key);) {
     Node node;
-    node.packet = static_cast<int>(key >> kOffsetBits);
-    node.offset = key & kOffsetMask;
+    node.packet = bcast::NodePointerPacket(key);
+    node.offset = static_cast<uint32_t>(bcast::NodePointerOffset(key));
 
     bcast::PacketReader r(packets, packet_capacity, framed, node.packet,
                           node.offset, nullptr);
@@ -70,32 +55,10 @@ Result<TrapMapArena> TrapMapArena::Build(const bcast::PacketBuffer& packets,
     // Validate and remap children: data pointers must label a real
     // region, node pointers must land inside the stream.
     auto remap = [&](uint32_t ptr) -> Result<uint32_t> {
-      if (ptr & kDataPtrBit) {
-        const int region = static_cast<int>(ptr & ~kDataPtrBit);
-        if (region >= num_regions) {
-          return Status::DataLoss("data pointer to out-of-range region " +
-                                  std::to_string(region));
-        }
-        return ptr;
-      }
-      const int cpkt = static_cast<int>(ptr >> kOffsetBits);
-      const size_t coff = ptr & kOffsetMask;
-      if (cpkt >= static_cast<int>(packets.num_packets())) {
-        return Status::DataLoss("node pointer outside the packet stream");
-      }
-      if (coff >= static_cast<size_t>(packet_capacity)) {
-        return Status::DataLoss("node pointer offset outside the packet");
-      }
-      const auto [it, inserted] =
-          index_of.emplace(ptr, static_cast<uint32_t>(index_of.size()));
-      if (inserted) {
-        if (index_of.size() > max_nodes) {
-          return Status::DataLoss(
-              "decoded node count exceeds what the cycle can hold");
-        }
-        pending.push_back(ptr);
-      }
-      return it->second;
+      if (!bcast::IsDataPointer(ptr)) return discovery.Intern(ptr);
+      DTREE_RETURN_IF_ERROR(
+          bcast::CheckRegion(bcast::DataPointerRegion(ptr), num_regions));
+      return ptr;
     };
     Result<uint32_t> l = remap(left);
     if (!l.ok()) return l.status();
@@ -122,27 +85,14 @@ Status TrapMapArena::Descend(const geom::Point& p, bcast::ProbeTrace* trace,
         n.is_y ? geom::OrientValue({n.a[0], n.a[1]}, {n.a[2], n.a[3]}, p) > 0.0
                : p.LexLess({n.a[0], n.a[1]});
     const uint32_t next = left ? n.left : n.right;
-    if (next & kDataPtrBit) {
-      *region = static_cast<int>(next & ~kDataPtrBit);
+    if (bcast::IsDataPointer(next)) {
+      *region = bcast::DataPointerRegion(next);
       return Status::OK();
     }
     cur = next;
   }
   return bcast::DescentFailure(decoded_,
                                "trap-tree descent exceeded its hop budget");
-}
-
-Status TrapMapArena::ProbeInto(const geom::Point& p,
-                               bcast::ProbeTrace* trace) const {
-  trace->region = -1;
-  trace->packets.clear();
-  trace->origins.clear();
-  return Descend(p, trace, &trace->region);
-}
-
-int TrapMapArena::Locate(const geom::Point& p) const {
-  int region = -1;
-  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t TrapMapArena::ArenaBytes() const {

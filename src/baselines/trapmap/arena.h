@@ -50,13 +50,7 @@ class TrapMapArena final : public bcast::FlatProbeEngine {
                                     int packet_capacity, bool framed,
                                     int num_regions);
 
-  Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
-
-  /// The region p descends to, with no packet accounting; -1 where
-  /// ProbeInto fails.
-  int Locate(const geom::Point& p) const;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
@@ -79,7 +73,7 @@ class TrapMapArena final : public bcast::FlatProbeEngine {
   /// The descent from the root: sets *region on success and, when `trace`
   /// is non-null, appends the packets read.
   Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
-                 int* region) const;
+                 int* region) const override;
 
   /// A decoded cycle reports an exhausted hop budget as kDataLoss, a
   /// built tree as kInternal.

@@ -457,7 +457,7 @@ Status Dag::Page(const TrapMap::Options& options, std::vector<int>* order,
                             is_data(dag_[id].right));
   }
   Result<bcast::PagingResult> r = bcast::TopDownPage(
-      input, options.packet_capacity, options.merge_leaf_packets);
+      input, options.packet_capacity, /*merge_leaf_packets=*/true);
   if (!r.ok()) return r.status();
   *paging = std::move(r).value();
   return Status::OK();
@@ -592,39 +592,26 @@ Result<bcast::PacketBuffer> TrapMap::SerializePackets() const {
   if (nodes[0].packet != 0 || nodes[0].offset != 0) {
     return Status::Internal("trap-tree root not at packet 0, offset 0");
   }
-  auto encode_child = [&](ByteWriter* w, uint32_t child) -> Status {
-    if (bcast::IsDataPointer(child)) {
-      w->PutU32(child);
-      return Status::OK();
-    }
-    const TrapMapArena::Node& c = nodes[child];
-    if (c.offset > bcast::kOffsetMask) {
-      return Status::InvalidArgument(
-          "node offset exceeds the 12-bit pointer field");
-    }
-    if (c.packet >= (1 << bcast::kPacketBits)) {
-      return Status::InvalidArgument(
-          "index packet exceeds the 19-bit pointer field");
-    }
-    w->PutU32(bcast::EncodeNodePointer(c.packet, c.offset));
-    return Status::OK();
-  };
   for (size_t pos = 0; pos < nodes.size(); ++pos) {
     const TrapMapArena::Node& n = nodes[pos];
     ByteWriter w;
     w.PutU16(static_cast<uint16_t>((n.is_y ? 0x8000u : 0u) | (pos & 0x7fff)));
-    DTREE_RETURN_IF_ERROR(encode_child(&w, n.left));
-    DTREE_RETURN_IF_ERROR(encode_child(&w, n.right));
+    for (const uint32_t child : {n.left, n.right}) {
+      if (bcast::IsDataPointer(child)) {
+        w.PutU32(child);
+        continue;
+      }
+      Result<uint32_t> ptr =
+          bcast::EncodeNodePointer(nodes[child].packet, nodes[child].offset);
+      if (!ptr.ok()) return ptr.status();
+      w.PutU32(ptr.value());
+    }
     for (int k = 0; k < (n.is_y ? 4 : 1); ++k) {
       w.PutF32(static_cast<float>(n.a[k]));
     }
-    const size_t size = n.is_y ? kYNodeSize : kXNodeSize;
-    if (w.size() != size) {
-      return Status::Internal("serialized size " + std::to_string(w.size()) +
-                              " != accounted size " + std::to_string(size));
-    }
-    packets.Write(static_cast<size_t>(n.packet), n.offset, w.bytes().data(),
-                  w.size());
+    DTREE_RETURN_IF_ERROR(
+        packets.WriteNode(static_cast<size_t>(n.packet), n.offset, w.bytes(),
+                          n.is_y ? kYNodeSize : kXNodeSize));
   }
   return packets;
 }

@@ -20,9 +20,10 @@
 //
 // Per Table 2: node sizes use bid 2 B, pointer 4 B, coordinate 4 B, no
 // header (x-node payload 1 coordinate, y-node payload 4). The DAG is paged
-// top-down (first preceding parent) and broadcast in creation order, which
-// provably places every parent before its children even though subtrees
-// are shared — so the client only ever jumps forward on the channel.
+// top-down (first preceding parent, leaf packets merged) and broadcast in
+// creation order, which provably places every parent before its children
+// even though subtrees are shared — so the client only ever jumps forward
+// on the channel.
 //
 // The DAG and its trapezoids are build-only: once the map is paged, its
 // internal nodes fill the flat layout (trapmap/arena.h) with their exact
@@ -49,7 +50,6 @@ class TrapMap final : public bcast::AirIndex {
     /// Seed for the random insertion order (the construction is
     /// randomized incremental).
     uint64_t seed = 1;
-    bool merge_leaf_packets = true;
   };
 
   static Result<TrapMap> Build(const sub::Subdivision& sub,

@@ -37,20 +37,40 @@ namespace dtree::bcast {
 
 /// An immutable, probe-only layout of one air index. Thread-safe for
 /// concurrent ProbeInto calls (same contract as AirIndex::ProbeInto).
+/// ProbeInto and Locate are written once, here, over each family's
+/// Descend.
 class FlatProbeEngine {
  public:
   virtual ~FlatProbeEngine() = default;
 
   /// Fills `*trace` with p's region and packet log from the layout (see
   /// each engine's header for how a decoded layout relates to the built
-  /// tree's). Must clear any previous contents of the trace's vectors
+  /// tree's), clearing any previous contents of the trace's vectors
   /// without shrinking them.
-  virtual Status ProbeInto(const geom::Point& p,
-                           ProbeTrace* trace) const = 0;
+  Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const {
+    trace->region = -1;
+    trace->packets.clear();
+    trace->origins.clear();
+    return Descend(p, trace, &trace->region);
+  }
+
+  /// The region p descends to, with no packet accounting; -1 where
+  /// ProbeInto fails.
+  int Locate(const geom::Point& p) const {
+    int region = -1;
+    return Descend(p, nullptr, &region).ok() ? region : -1;
+  }
 
   /// Resident size of the arena's typed arrays, for the memory/throughput
   /// tradeoff table in EXPERIMENTS.md E14.
   virtual size_t ArenaBytes() const = 0;
+
+ protected:
+  /// The family's descent from its root: sets *region on success and,
+  /// when `trace` is non-null, appends the packets read (and, where the
+  /// layout keeps them, their origins).
+  virtual Status Descend(const geom::Point& p, ProbeTrace* trace,
+                         int* region) const = 0;
 };
 
 /// A descent's failure: kDataLoss over a decoded cycle, where it means

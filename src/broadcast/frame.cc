@@ -28,11 +28,61 @@ uint32_t EncodeDataPointer(int region) {
   return kDataPtrBit | static_cast<uint32_t>(region);
 }
 
-uint32_t EncodeNodePointer(int packet, size_t offset) {
-  DTREE_DCHECK(offset <= kOffsetMask);
-  DTREE_DCHECK(packet < (1 << kPacketBits));
+Result<uint32_t> EncodeNodePointer(int packet, size_t offset) {
+  DTREE_DCHECK(packet >= 0);
+  if (offset > kOffsetMask) {
+    return Status::InvalidArgument("node offset " + std::to_string(offset) +
+                                   " exceeds the 12-bit pointer field");
+  }
+  if (packet >= (1 << kPacketBits)) {
+    return Status::InvalidArgument("index packet " + std::to_string(packet) +
+                                   " exceeds the 19-bit pointer field");
+  }
   return (static_cast<uint32_t>(packet) << kOffsetBits) |
          static_cast<uint32_t>(offset);
+}
+
+Status CheckNodePointer(uint32_t ptr, size_t num_packets, int capacity) {
+  DTREE_DCHECK(!IsDataPointer(ptr) && capacity >= 1);
+  if (static_cast<size_t>(NodePointerPacket(ptr)) >= num_packets) {
+    return Status::DataLoss("node pointer outside the packet stream");
+  }
+  if (NodePointerOffset(ptr) >= static_cast<size_t>(capacity)) {
+    return Status::DataLoss("node pointer offset outside the packet");
+  }
+  return Status::OK();
+}
+
+Status CheckRegion(int region, int num_regions) {
+  if (region < 0 || region >= num_regions) {
+    return Status::DataLoss("data pointer to out-of-range region " +
+                            std::to_string(region));
+  }
+  return Status::OK();
+}
+
+NodeDiscovery::NodeDiscovery(const PacketBuffer& packets, int capacity,
+                             size_t min_node_bytes)
+    : num_packets_(packets.num_packets()),
+      capacity_(capacity),
+      max_nodes_(num_packets_ * static_cast<size_t>(capacity) /
+                     min_node_bytes +
+                 16) {
+  DTREE_DCHECK(capacity >= 1 && min_node_bytes >= 1);
+}
+
+Result<uint32_t> NodeDiscovery::Intern(uint32_t ptr) {
+  DTREE_RETURN_IF_ERROR(CheckNodePointer(ptr, num_packets_, capacity_));
+  const auto [it, inserted] =
+      number_.emplace(ptr, static_cast<uint32_t>(ptrs_.size()));
+  if (!inserted) return it->second;
+  if (ptrs_.size() == max_nodes_) {
+    number_.erase(it);
+    return Status::DataLoss(
+        "decoded node count exceeds what the cycle can hold");
+  }
+  ptrs_.push_back(ptr);
+  return it->second;
 }
 
 PacketBuffer FramePackets(const PacketBuffer& packets, uint16_t epoch) {

@@ -25,6 +25,12 @@
 //   bit31        1 = data pointer, low 31 bits are the region (bucket) id
 //   bits12..30   packet id   \  0 = node pointer into the index segment
 //   bits0..11    byte offset /
+// Its rules are written here once for every index family's writer and
+// decoder: EncodeNodePointer range-checks both fields, CheckNodePointer
+// and CheckRegion reject a pointer that leaves the stream or names no
+// region, and NodeDiscovery numbers the nodes a decode reaches, breadth
+// first, under a bound on how many nodes the cycle can hold. What stays
+// per family is its node layout.
 //
 // PacketReader is the hardened read path over a PacketBuffer: every byte
 // is bounds-checked against the buffer's packet size (never the
@@ -38,6 +44,7 @@
 #define DTREE_BROADCAST_FRAME_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "broadcast/packet_buffer.h"
@@ -72,7 +79,10 @@ inline constexpr int kPacketBits = 19;
 inline constexpr uint32_t kOutsideRegionPtr = kDataPtrBit | ~kDataPtrBit;
 
 uint32_t EncodeDataPointer(int region);
-uint32_t EncodeNodePointer(int packet, size_t offset);
+/// The node pointer to byte `offset` of index packet `packet` (>= 0):
+/// InvalidArgument when the offset does not fit the 12-bit field or the
+/// packet the 19-bit one.
+Result<uint32_t> EncodeNodePointer(int packet, size_t offset);
 inline bool IsDataPointer(uint32_t ptr) { return (ptr & kDataPtrBit) != 0; }
 inline int DataPointerRegion(uint32_t ptr) {
   return static_cast<int>(ptr & ~kDataPtrBit);
@@ -82,6 +92,13 @@ inline int NodePointerPacket(uint32_t ptr) {
 }
 inline size_t NodePointerOffset(uint32_t ptr) { return ptr & kOffsetMask; }
 
+/// kDataLoss unless node pointer `ptr` lands inside a stream of
+/// `num_packets` packets of `capacity` (>= 1) payload bytes.
+Status CheckNodePointer(uint32_t ptr, size_t num_packets, int capacity);
+
+/// kDataLoss unless a data pointer's `region` is one of `num_regions`.
+Status CheckRegion(int region, int num_regions);
+
 /// Hard budget on node/shape decodes for one query over untrusted bytes.
 /// A correct descent reads far fewer nodes than this; corrupted pointers
 /// that happen to form a cycle hit the budget and fail with kDataLoss
@@ -89,6 +106,41 @@ inline size_t NodePointerOffset(uint32_t ptr) { return ptr & kOffsetMask; }
 inline int DecodeBudget(size_t num_packets) {
   return static_cast<int>(16 * num_packets) + 1024;
 }
+
+/// Breadth-first node discovery for a wire decode. Intern numbers each
+/// node pointer the first time it is seen, and Next hands the pointers out
+/// in number order, so a decode that appends one record per pointer Next
+/// returns keeps record i at number i, the number its parents' links
+/// carry.
+class NodeDiscovery {
+ public:
+  /// Genuine nodes are at least `min_node_bytes` long and do not overlap,
+  /// so `packets` (of `capacity` >= 1 payload bytes each) holds at most
+  /// num_packets * capacity / min_node_bytes of them; 16 more are allowed.
+  NodeDiscovery(const PacketBuffer& packets, int capacity,
+                size_t min_node_bytes);
+
+  /// The number of node pointer `ptr`: CheckNodePointer's kDataLoss when
+  /// it leaves the stream, and kDataLoss when it is new and the cycle
+  /// cannot hold another node.
+  Result<uint32_t> Intern(uint32_t ptr);
+
+  /// Sets *ptr to the next pointer in number order; false once every
+  /// interned pointer has been handed out.
+  bool Next(uint32_t* ptr) {
+    if (next_ == ptrs_.size()) return false;
+    *ptr = ptrs_[next_++];
+    return true;
+  }
+
+ private:
+  size_t num_packets_;
+  int capacity_;
+  size_t max_nodes_;
+  size_t next_ = 0;
+  std::vector<uint32_t> ptrs_;  ///< number -> pointer; [next_, end) pending
+  std::unordered_map<uint32_t, uint32_t> number_;  ///< pointer -> number
+};
 
 /// Link-layer framing: appends the little-endian u16 `epoch` stamp and a
 /// little-endian CRC-32 of payload + epoch to every packet. Framed packets

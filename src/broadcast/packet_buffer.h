@@ -2,20 +2,22 @@
 // stream or a data bucket in one contiguous byte buffer.
 //
 // PacketBuffer is the one container of wire bytes: every serializer writes
-// one, the framing layer (frame.h) maps one to another, and packet i
-// occupies bytes [i * packet_bytes, (i+1) * packet_bytes) of a single
-// allocation. All packets of a buffer have the same size, which the
-// hardened reader (frame.h's PacketReader) checks against the capacity it
-// was told.
+// one, node by node through WriteNode, the framing layer (frame.h) maps
+// one to another, and packet i occupies bytes [i * packet_bytes,
+// (i+1) * packet_bytes) of a single allocation. All packets of a buffer
+// have the same size, which the hardened reader (frame.h's PacketReader)
+// checks against the capacity it was told.
 
 #ifndef DTREE_BROADCAST_PACKET_BUFFER_H_
 #define DTREE_BROADCAST_PACKET_BUFFER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 
 namespace dtree::bcast {
 
@@ -49,6 +51,12 @@ class PacketBuffer {
   /// copy). The target range is trusted (serialization-side); overruns
   /// are CHECK-failures.
   void Write(size_t packet, size_t offset, const uint8_t* src, size_t n);
+
+  /// Writes one serialized node at (packet, offset) as Write does, after
+  /// checking it against the size the paging `accounted` for it: kInternal,
+  /// "serialized size X != accounted size Y", when they differ.
+  Status WriteNode(size_t packet, size_t offset,
+                   std::span<const uint8_t> bytes, size_t accounted);
 
   bool operator==(const PacketBuffer&) const = default;
 

@@ -1,6 +1,5 @@
 #include "dtree/arena.h"
 
-#include <deque>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -13,10 +12,6 @@
 namespace dtree::core {
 
 namespace {
-
-using bcast::kDataPtrBit;
-using bcast::kOffsetBits;
-using bcast::kOffsetMask;
 
 /// Fixed node-prefix bytes: bid + header + two pointers.
 constexpr size_t kNodePrefixBytes = 12;
@@ -36,25 +31,15 @@ Result<DTreeArena> DTreeArena::Build(const bcast::PacketBuffer& packets,
   a.budget_ = bcast::DecodeBudget(packets.num_packets());
   if (packets.num_packets() == 0) return a;  // single-region: empty index
 
-  // Genuine nodes are at least kNodePrefixBytes long and do not overlap,
-  // so this caps how many a well-formed cycle can hold; corrupted-but-
-  // CRC-valid bytes whose pointer graph exceeds it fail the build.
-  const size_t max_nodes =
-      packets.num_packets() * static_cast<size_t>(packet_capacity) /
-          kNodePrefixBytes +
-      16;
-
-  std::unordered_map<uint32_t, uint32_t> index_of;  // wire key -> arena id
-  std::deque<uint32_t> pending;
-  index_of.emplace(0u, 0u);
-  pending.push_back(0u);
+  // Corrupted-but-CRC-valid bytes whose pointer graph has more nodes
+  // than the cycle can hold fail the build.
+  bcast::NodeDiscovery discovery(packets, packet_capacity, kNodePrefixBytes);
+  DTREE_RETURN_IF_ERROR(discovery.Intern(0).status());  // the root, (0, 0)
 
   std::vector<double> sx, sy;  // polyline point scratch
-  while (!pending.empty()) {
-    const uint32_t key = pending.front();
-    pending.pop_front();
-    const int packet = static_cast<int>(key >> kOffsetBits);
-    const size_t offset = key & kOffsetMask;
+  for (uint32_t key; discovery.Next(&key);) {
+    const int packet = bcast::NodePointerPacket(key);
+    const size_t offset = bcast::NodePointerOffset(key);
 
     bcast::PacketReader r(packets, packet_capacity, framed, packet, offset,
                           nullptr);
@@ -92,29 +77,15 @@ Result<DTreeArena> DTreeArena::Build(const bcast::PacketBuffer& packets,
       if (it != origins->end()) node.origin = it->second;
     }
 
-    // Remap the child pointers: data pointers pass through verbatim; node
-    // pointers are validated exactly as the per-probe decoder validates
-    // them, then become arena indices (discovering new nodes as we go).
+    // Remap the child pointers: a data pointer to a real region passes
+    // through verbatim; a node pointer is validated exactly as the
+    // per-probe decoder validates it, then becomes an arena index
+    // (discovering new nodes as we go).
     auto remap = [&](uint32_t ptr) -> Result<uint32_t> {
-      if (ptr & kDataPtrBit) return ptr;
-      const int cpkt = static_cast<int>(ptr >> kOffsetBits);
-      const size_t coff = ptr & kOffsetMask;
-      if (cpkt >= static_cast<int>(packets.num_packets())) {
-        return Status::DataLoss("node pointer outside the packet stream");
-      }
-      if (coff >= static_cast<size_t>(packet_capacity)) {
-        return Status::DataLoss("node pointer offset outside the packet");
-      }
-      const auto [it, inserted] =
-          index_of.emplace(ptr, static_cast<uint32_t>(index_of.size()));
-      if (inserted) {
-        if (index_of.size() > max_nodes) {
-          return Status::DataLoss(
-              "decoded node count exceeds what the cycle can hold");
-        }
-        pending.push_back(ptr);
-      }
-      return it->second;
+      if (!bcast::IsDataPointer(ptr)) return discovery.Intern(ptr);
+      DTREE_RETURN_IF_ERROR(
+          bcast::CheckRegion(bcast::DataPointerRegion(ptr), num_regions));
+      return ptr;
     };
     Result<uint32_t> left = remap(n.left_ptr);
     if (!left.ok()) return left.status();
@@ -231,26 +202,13 @@ Status DTreeArena::Descend(const geom::Point& p, bcast::ProbeTrace* trace,
     }
 
     const uint32_t ref = first ? n.left : n.right;
-    if (ref & kDataPtrBit) {
-      *region = static_cast<int>(ref & ~kDataPtrBit);
+    if (bcast::IsDataPointer(ref)) {
+      *region = bcast::DataPointerRegion(ref);
       return Status::OK();
     }
     cur = ref;
   }
   return Status::DataLoss("decode descent did not terminate");
-}
-
-Status DTreeArena::ProbeInto(const geom::Point& p,
-                             bcast::ProbeTrace* trace) const {
-  trace->region = -1;
-  trace->packets.clear();
-  trace->origins.clear();
-  return Descend(p, trace, &trace->region);
-}
-
-int DTreeArena::Locate(const geom::Point& p) const {
-  int region = -1;
-  return Descend(p, nullptr, &region).ok() ? region : -1;
 }
 
 size_t DTreeArena::ArenaBytes() const {
@@ -266,9 +224,9 @@ Result<bcast::ArenaIndex> BuildDTreeArenaIndex(const DTree& tree) {
   DTreeArena::OriginMap origins;
   origins.reserve(static_cast<size_t>(tree.num_nodes()));
   for (int id = 0; id < tree.num_nodes(); ++id) {
+    // SerializeDTree has encoded every span already.
     const bcast::NodeSpan& s = tree.span(id);
-    const uint32_t key = bcast::EncodeNodePointer(s.first_packet, s.offset);
-    origins.emplace(key,
+    origins.emplace(bcast::EncodeNodePointer(s.first_packet, s.offset).value(),
                     bcast::ProbePacketOrigin{id, tree.node(id).depth});
   }
 

@@ -24,14 +24,16 @@
 // node's first packet where the node carries explicit bounds under early
 // termination (§4.4); any other read walks every packet the node occupies.
 //
-// Bit-identity contract: a wire-built arena is bit-identical to
-// QueryFromPackets everywhere, since the decoder's early-termination test
-// against the explicit bounds is the same comparison as the full test's
-// against those bounds. A tree-built layout is the in-memory D-tree. The
-// two agree outside the geom::kMergeEps * 100 band around region borders:
-// the wire stores f32 coordinates, so a point closer to a border than
-// their rounding may descend the other way. tests/arena_test pins both
-// halves; tests/dtree_test pins the tree's probe.
+// Bit-identity contract: a wire-built arena equals QueryFromPackets
+// everywhere on every cycle the arena accepts, since the decoder's
+// early-termination test against the explicit bounds is the same
+// comparison as the full test's against those bounds. (The arena rejects
+// a data pointer to no region, which the per-probe decoder would return
+// as it is.) A tree-built layout is the in-memory D-tree. The two agree
+// outside the geom::kMergeEps * 100 band around region borders: the wire
+// stores f32 coordinates, so a point closer to a border than their
+// rounding may descend the other way. tests/arena_test pins both halves;
+// tests/dtree_test pins the tree's probe.
 
 #ifndef DTREE_DTREE_ARENA_H_
 #define DTREE_DTREE_ARENA_H_
@@ -52,10 +54,10 @@ class DTree;
 
 class DTreeArena final : public bcast::FlatProbeEngine {
  public:
-  /// (packet << kOffsetBits | offset) -> origin annotation, used by the
-  /// server-side build to attribute packet reads to tree nodes exactly as
-  /// DTree::ProbeInto does. Client-side builds have no such map and emit
-  /// traces with empty origins.
+  /// node pointer -> origin annotation, used by the server-side build to
+  /// attribute packet reads to tree nodes exactly as DTree::ProbeInto
+  /// does. Client-side builds have no such map and emit traces with empty
+  /// origins.
   using OriginMap = std::unordered_map<uint32_t, bcast::ProbePacketOrigin>;
 
   /// One division polyline of a node. A closed chain's last point joins
@@ -68,20 +70,15 @@ class DTreeArena final : public bcast::FlatProbeEngine {
   /// Decodes every node reachable from (packet 0, offset 0) into the
   /// arena. In framed mode each packet's CRC is verified as the build
   /// first touches it, so corruption surfaces as kDataLoss here and the
-  /// arena is never built over unverified bytes. Malformed input (bad
-  /// pointers, overlapping nodes run amok) also fails with kDataLoss.
+  /// arena is never built over unverified bytes. Malformed input (node
+  /// pointers off the stream, data pointers to no region among
+  /// `num_regions`, overlapping nodes run amok) also fails with kDataLoss.
   static Result<DTreeArena> Build(const bcast::PacketBuffer& packets,
                                   int packet_capacity, bool framed,
                                   bool early_termination, int num_regions,
                                   const OriginMap* origins = nullptr);
 
-  Status ProbeInto(const geom::Point& p,
-                   bcast::ProbeTrace* trace) const override;
   size_t ArenaBytes() const override;
-
-  /// The region p descends to, with no packet accounting; -1 where
-  /// ProbeInto fails.
-  int Locate(const geom::Point& p) const;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   /// Node i's chains are chain(i, k) for k in [0, num_chains(i)).
@@ -136,7 +133,7 @@ class DTreeArena final : public bcast::FlatProbeEngine {
   /// Algorithm 2 from the root: sets *region on success and, when `trace`
   /// is non-null, appends the packets read (and their origins).
   Status Descend(const geom::Point& p, bcast::ProbeTrace* trace,
-                 int* region) const;
+                 int* region) const override;
 
   bool has_origins_ = false;
   int num_regions_ = 0;

@@ -1,7 +1,5 @@
 #include "dtree/serialize.h"
 
-#include <string>
-
 #include "common/bytes.h"
 #include "common/check.h"
 #include "dtree/wire.h"
@@ -11,10 +9,6 @@ namespace dtree::core {
 
 namespace {
 
-using bcast::kDataPtrBit;
-using bcast::kOffsetBits;
-using bcast::kOffsetMask;
-using bcast::kPacketBits;
 using bcast::PacketReader;
 
 constexpr int kMaxScalarCoords = (1 << 14) - 1;
@@ -108,17 +102,11 @@ Result<int> QueryFromPackets(const bcast::PacketBuffer& packets,
     }
 
     const uint32_t ptr = go_left ? n.left_ptr : n.right_ptr;
-    if (ptr & kDataPtrBit) {
-      return static_cast<int>(ptr & ~kDataPtrBit);
-    }
-    packet = static_cast<int>(ptr >> kOffsetBits);
-    offset = ptr & kOffsetMask;
-    if (packet >= static_cast<int>(packets.num_packets())) {
-      return Status::DataLoss("node pointer outside the packet stream");
-    }
-    if (offset >= static_cast<size_t>(packet_capacity)) {
-      return Status::DataLoss("node pointer offset outside the packet");
-    }
+    if (bcast::IsDataPointer(ptr)) return bcast::DataPointerRegion(ptr);
+    DTREE_RETURN_IF_ERROR(bcast::CheckNodePointer(ptr, packets.num_packets(),
+                                                  packet_capacity));
+    packet = bcast::NodePointerPacket(ptr);
+    offset = bcast::NodePointerOffset(ptr);
   }
   return Status::DataLoss("decode descent did not terminate");
 }
@@ -162,16 +150,6 @@ Result<bcast::PacketBuffer> SerializeDTree(const DTree& tree) {
                             int child_region) -> Result<uint32_t> {
       if (child_node >= 0) {
         const bcast::NodeSpan& cs = tree.span(child_node);
-        if (cs.offset > kOffsetMask) {
-          return Status::InvalidArgument(
-              "node offset " + std::to_string(cs.offset) +
-              " exceeds the 12-bit pointer field");
-        }
-        if (cs.first_packet >= (1 << kPacketBits)) {
-          return Status::InvalidArgument(
-              "index packet " + std::to_string(cs.first_packet) +
-              " exceeds the 19-bit pointer field");
-        }
         return bcast::EncodeNodePointer(cs.first_packet, cs.offset);
       }
       if (child_region < 0) {
@@ -203,15 +181,11 @@ Result<bcast::PacketBuffer> SerializeDTree(const DTree& tree) {
         w.PutF32(static_cast<float>(pl.pts.front().y));
       }
     }
-    if (w.size() != n.byte_size) {
-      return Status::Internal("serialized size " + std::to_string(w.size()) +
-                              " != accounted size " +
-                              std::to_string(n.byte_size));
-    }
     // Packets are contiguous in the flat buffer, so a node that spills
     // into the following packet(s) is still one straight copy.
-    packets.Write(static_cast<size_t>(s.first_packet), s.offset,
-                  w.bytes().data(), w.size());
+    DTREE_RETURN_IF_ERROR(packets.WriteNode(
+        static_cast<size_t>(s.first_packet), s.offset, w.bytes(),
+        n.byte_size));
   }
   return packets;
 }

@@ -1,14 +1,18 @@
 // Deterministic failure-injection fuzz for every air index's hardened
-// wire reader — the D-tree's per-probe decoder and the baselines'
-// (trian-tree, trap-tree, r*-tree) flat-arena builds — plus the shared
-// CRC framing layer. Each index's packets are mutated (bit flips on
-// framed and raw streams, truncation) for >= 10k seeded iterations; every
-// decode must terminate within its budget and return a Status or a plain
-// region id — never crash, hang, or read out of bounds (the suite runs
-// under ASan+UBSan in CI).
+// wire reader — the D-tree's per-probe decoder and the four flat-arena
+// builds (D-tree, trian-tree, trap-tree, r*-tree) — plus the shared CRC
+// framing layer and node-pointer codec. Each index's packets are mutated
+// (bit flips on framed and raw streams, truncation) for >= 10k seeded
+// iterations; every decode must terminate within its budget and return a
+// Status or a plain region id, and an arena's answer must be one of the
+// map's regions — never crash, hang, or read out of bounds (the suite
+// runs under ASan+UBSan in CI). The codec's own cases check
+// NodeDiscovery's numbering and bounds and the writers' pointer-field
+// range checks.
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "baselines/kirkpatrick/arena.h"
@@ -19,6 +23,7 @@
 #include "baselines/trapmap/trapmap.h"
 #include "broadcast/frame.h"
 #include "common/rng.h"
+#include "dtree/arena.h"
 #include "dtree/dtree.h"
 #include "dtree/serialize.h"
 #include "test_util.h"
@@ -39,9 +44,11 @@ constexpr uint64_t kFixtureSeed = 71;
 using QueryFn = std::function<Result<int>(
     const bcast::PacketBuffer&, bool, const Point&, std::vector<int>*)>;
 
-/// A baseline's QueryFn: builds its arena from the (possibly mutated)
+/// An arena's QueryFn: builds the arena from the (possibly mutated)
 /// bytes, then probes it; the read log is the probe's packet list.
-/// `build` maps (packets, framed) to Result<Arena>.
+/// `build` maps (packets, framed) to Result<Arena>. Every decode checks
+/// its data pointers against the map's region count, so an answer is
+/// always one of the fixture's regions.
 template <typename BuildFn>
 QueryFn ArenaQuery(BuildFn build) {
   return [build](const bcast::PacketBuffer& pkts, bool framed,
@@ -50,6 +57,7 @@ QueryFn ArenaQuery(BuildFn build) {
     if (!arena.ok()) return arena.status();
     bcast::ProbeTrace trace;
     DTREE_RETURN_IF_ERROR(arena.value().ProbeInto(p, &trace));
+    EXPECT_LT(trace.region, kRegions);
     if (read != nullptr) *read = trace.packets;
     return trace.region;
   };
@@ -187,6 +195,14 @@ struct DTreeFixture {
       return core::QueryFromPackets(pkts, kCapacity, framed, et, p, read);
     };
   }
+  QueryFn arena_query(int num_regions) const {
+    const bool et = tree.options().early_termination;
+    return ArenaQuery([et, num_regions](const bcast::PacketBuffer& pkts,
+                                        bool framed) {
+      return core::DTreeArena::Build(pkts, kCapacity, framed, et,
+                                     num_regions);
+    });
+  }
 };
 
 TEST_F(FailsafeFuzzTest, DTreeCleanRoundTrip) {
@@ -203,6 +219,11 @@ TEST_F(FailsafeFuzzTest, DTreeSingleFlipDetected) {
 TEST_F(FailsafeFuzzTest, DTreeFuzz) {
   DTreeFixture f = DTreeFixture::Make(*sub_);
   RunFuzz(*sub_, f.packets, f.query(), 13);
+}
+
+TEST_F(FailsafeFuzzTest, DTreeArenaFuzz) {
+  DTreeFixture f = DTreeFixture::Make(*sub_);
+  RunFuzz(*sub_, f.packets, f.arena_query(sub_->NumRegions()), 14);
 }
 
 // --- trian-tree (Kirkpatrick) ----------------------------------------------
@@ -319,6 +340,87 @@ TEST_F(FailsafeFuzzTest, RStarSingleFlipDetected) {
 TEST_F(FailsafeFuzzTest, RStarFuzz) {
   RStarFixture f = RStarFixture::Make(*sub_);
   RunFuzz(*sub_, f.packets, f.query(sub_->NumRegions()), 43);
+}
+
+// --- node-pointer codec ------------------------------------------------------
+
+TEST(NodePointerCodecTest, DiscoveryNumbersOnFirstSightWithinItsBound) {
+  constexpr int kCap = 64;
+  const bcast::PacketBuffer packets(4, kCap);
+  const auto ptr = [](int packet, size_t offset) {
+    return bcast::EncodeNodePointer(packet, offset).value();
+  };
+  // Nodes of at least kCap bytes: 4 * 64 / 64 + 16 = 20 fit the cycle.
+  bcast::NodeDiscovery discovery(packets, kCap, kCap);
+  EXPECT_EQ(discovery.Intern(ptr(2, 10)).value(), 0u);
+  EXPECT_EQ(discovery.Intern(ptr(0, 0)).value(), 1u);
+  EXPECT_EQ(discovery.Intern(ptr(2, 10)).value(), 0u);  // seen: same number
+  uint32_t next = 0;
+  ASSERT_TRUE(discovery.Next(&next));
+  EXPECT_EQ(next, ptr(2, 10));
+  EXPECT_EQ(discovery.Intern(ptr(3, kCap - 1)).value(), 2u);
+  ASSERT_TRUE(discovery.Next(&next));
+  EXPECT_EQ(next, ptr(0, 0));
+  ASSERT_TRUE(discovery.Next(&next));
+  EXPECT_EQ(next, ptr(3, kCap - 1));
+  EXPECT_FALSE(discovery.Next(&next));
+
+  // A packet or an offset outside the stream is lost data.
+  const Result<uint32_t> past_stream = discovery.Intern(ptr(4, 0));
+  EXPECT_EQ(past_stream.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(past_stream.status().message(),
+            "node pointer outside the packet stream");
+  const Result<uint32_t> past_packet = discovery.Intern(ptr(1, kCap));
+  EXPECT_EQ(past_packet.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(past_packet.status().message(),
+            "node pointer offset outside the packet");
+
+  // Fill the bound; one node more is lost data, and a node already seen
+  // keeps its number.
+  for (uint32_t k = 3; k < 20; ++k) {
+    EXPECT_EQ(discovery.Intern(ptr(1, k)).value(), k);
+  }
+  const Result<uint32_t> one_more = discovery.Intern(ptr(1, 20));
+  EXPECT_EQ(one_more.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(one_more.status().message(),
+            "decoded node count exceeds what the cycle can hold");
+  EXPECT_EQ(discovery.Intern(ptr(1, 19)).value(), 19u);
+  int handed_out = 0;
+  while (discovery.Next(&next)) ++handed_out;
+  EXPECT_EQ(handed_out, 17);
+}
+
+TEST(NodePointerCodecTest, WritersRejectOffsetsPastTheTwelveBitField) {
+  EXPECT_TRUE(bcast::EncodeNodePointer((1 << 19) - 1, 4095).ok());
+  EXPECT_EQ(bcast::EncodeNodePointer(0, 4096).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bcast::EncodeNodePointer(1 << 19, 0).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // At 8 KiB packets most nodes start past byte 4095 of their packet, which
+  // the pointer's 12-bit offset field cannot name.
+  constexpr int kWide = 8192;
+  const sub::Subdivision sub = test::RandomVoronoi(400, kFixtureSeed);
+  const auto expect_field_error = [](const Status& s, const char* family) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << family;
+    EXPECT_NE(s.message().find("12-bit pointer field"), std::string::npos)
+        << family << ": " << s.ToString();
+  };
+  core::DTree::Options dopt;
+  dopt.packet_capacity = kWide;
+  auto dtree = core::DTree::Build(sub, dopt);
+  ASSERT_TRUE(dtree.ok()) << dtree.status().ToString();
+  expect_field_error(core::SerializeDTree(dtree.value()).status(), "d-tree");
+  baselines::TrapMap::Options topt;
+  topt.packet_capacity = kWide;
+  auto trap = baselines::TrapMap::Build(sub, topt);
+  ASSERT_TRUE(trap.ok()) << trap.status().ToString();
+  expect_field_error(trap.value().SerializePackets().status(), "trap-tree");
+  baselines::TrianTree::Options kopt;
+  kopt.packet_capacity = kWide;
+  auto trian = baselines::TrianTree::Build(sub, kopt);
+  ASSERT_TRUE(trian.ok()) << trian.status().ToString();
+  expect_field_error(trian.value().SerializePackets().status(), "trian-tree");
 }
 
 // --- data buckets ------------------------------------------------------------
